@@ -29,7 +29,15 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .encoding import decode_cell, encode_cell
-from .model import EncryptedPartition, FamilyColumns, PlainPartition, Schema, SchemaError
+from .model import (
+    CellColumn,
+    EncryptedPartition,
+    FamilyColumns,
+    FixedWidthColumn,
+    PlainPartition,
+    Schema,
+    SchemaError,
+)
 from .planner.canonical import CanonicalFamily, CanonicalView
 from .primitives import (
     BlockCipher,
@@ -114,6 +122,14 @@ class AddFamilyStats:
 
 @dataclass
 class RevealStats:
+    """Counters of one or more reveals.
+
+    `tag_hits` counts occurrences of a key's next expected tag at an
+    aligned offset in that key's own predicate slot; each one costs one
+    decrypt attempt, and attempts minus successes are the truncation
+    false positives. With tags disabled, every key-row pair is an attempt.
+    """
+
     rows_scanned: int = 0
     tag_hits: int = 0
     decrypt_attempts: int = 0
@@ -131,6 +147,10 @@ class ViewKeySet:
     tag_length: int
     keys: tuple[tuple[bytes, ...], ...]
 
+    def __post_init__(self):
+        if not 1 <= self.tag_length <= 16:
+            raise BackendError(f"view key tag length {self.tag_length} is not 1 to 16 bytes")
+
     def total_keys(self) -> int:
         return sum(len(k) for k in self.keys)
 
@@ -145,8 +165,12 @@ class ViewKeySet:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ViewKeySet":
+        """Parse a blob; every count is checked against the bytes that
+        remain before it is used, and any malformation is a BackendError."""
         if data[:4] != b"MVK1":
             raise BackendError("bad view key blob magic")
+        if len(data) < 17:
+            raise BackendError("truncated view key blob")
         (version,) = struct.unpack_from(">H", data, 4)
         if version != 1:
             raise BackendError(f"unsupported view key blob version {version}")
@@ -155,8 +179,12 @@ class ViewKeySet:
         off = 17
         preds = []
         for _ in range(n_pred):
+            if off + 4 > len(data):
+                raise BackendError("truncated view key blob")
             (count,) = struct.unpack_from(">I", data, off)
             off += 4
+            if off + 16 * count > len(data):
+                raise BackendError("truncated view key blob")
             keys = tuple(data[off + i * 16 : off + (i + 1) * 16] for i in range(count))
             off += 16 * count
             preds.append(keys)
@@ -186,16 +214,12 @@ def encrypt_partition(
     columns = list(range(1, n_col + 1))
     types = [c.type for c in schema.columns]
     row_keys = _row_keys(BlockCipher(table_key), plain.partition_id, len(plain.rows))
-    out_rows = []
+    cells: list[list[bytes]] = [[] for _ in range(n_col)]
     for row, row_key in zip(plain.rows, row_keys):
         keys = _cell_keys(BlockCipher(row_key), columns)
-        out_rows.append(
-            [
-                ote_enc(keys[c + 1], encode_cell(value, types[c]))
-                for c, value in enumerate(row)
-            ]
-        )
-    return EncryptedPartition(plain.partition_id, out_rows)
+        for c, value in enumerate(row):
+            cells[c].append(ote_enc(keys[c + 1], encode_cell(value, types[c])))
+    return EncryptedPartition(plain.partition_id, [CellColumn.from_cells(col) for col in cells])
 
 
 class _MissingCell:
@@ -254,20 +278,21 @@ def add_family(
 
         rng = _random.Random(params.rng_seed * 1_000_003 + p)
 
-    row_keys = _row_keys(BlockCipher(table_key), p, len(enc_part.rows))
+    row_keys = _row_keys(BlockCipher(table_key), p, enc_part.n_rows)
+    where_cells = {c: list(enc_part.columns[c]) for c in where_cols}
     tag_len = params.tag_length
     projection: list[bytes] = []
     selection: list[bytes] = []
     tagging: list[bytes] = []
     started = time.perf_counter()
 
-    for r0, (row, row_key) in enumerate(zip(enc_part.rows, row_keys)):
+    for r0, row_key in enumerate(row_keys):
         r = r0 + 1
         row_cipher = BlockCipher(row_key)
         keys = _cell_keys(row_cipher, key_cols_1b)
         values: list = [_MISSING] * n_col
         for c in where_cols:
-            values[c] = decode_cell(ote_dec(keys[c + 1], row[c]), types[c])
+            values[c] = decode_cell(ote_dec(keys[c + 1], where_cells[c][r0]), types[c])
 
         if n_proj == 1:
             pk = keys[family.projected[0] + 1]
@@ -301,9 +326,11 @@ def add_family(
         selection.append(b"".join(sel_entries))
         tagging.append(b"".join(tag_entries))
 
-    enc_part.families[family_id] = FamilyColumns(projection, selection, tagging)
+    enc_part.families[family_id] = FamilyColumns(
+        *map(FixedWidthColumn.from_entries, (projection, selection, tagging))
+    )
     if stats is not None:
-        stats.rows += len(enc_part.rows)
+        stats.rows += enc_part.n_rows
         stats.cache_hits = cache.hits
         stats.cache_misses = cache.misses
         stats.crypto_seconds += time.perf_counter() - started
@@ -358,66 +385,71 @@ def _family_columns(enc_part: EncryptedPartition, family_id: str) -> FamilyColum
     cols = enc_part.families.get(family_id)
     if cols is None:
         raise BackendError(f"family {family_id} not instantiated in partition")
-    if cols.row_count() != len(enc_part.rows):
+    if cols.row_count() != enc_part.n_rows:
         raise BackendError("family columns out of step with partition rows")
     return cols
 
 
-def _decrypt_row(
-    enc_part: EncryptedPartition,
-    cols: FamilyColumns,
-    schema: Schema,
-    family: CanonicalFamily,
-    r0: int,
-    dec_cipher: BlockCipher,
-    predicate: int,
-) -> tuple | None:
-    """Recover the projected plaintext row, or None on a wrong key.
+class _RowOpener:
+    """Confirms view keys against rows, then decrypts the confirmed rows.
 
-    The zero check on the projection entry is what turns a truncated-tag
-    false positive into a clean failure.
+    Confirmation decrypts the key's selection slot and checks the
+    projection entry; that zero check is what turns a truncated-tag false
+    positive into a clean failure. It yields the row's projection key,
+    the same for every predicate, from which the row is decoded once.
     """
-    p = enc_part.partition_id
-    r = r0 + 1
-    sel_entry = cols.selection[r0]
-    sel_ct = sel_entry[16 * (predicate - 1) : 16 * predicate]
-    if len(sel_ct) != 16:
-        raise BackendError("selection column too short")
-    pk = dec_cipher.ctr(CellPosition(DOMAIN_SELECTION, p, r, predicate), sel_ct)
-    pk_cipher = BlockCipher(pk)
 
-    n_proj = family.n_proj
-    proj_entry = cols.projection[r0]
-    general_case = not (n_proj == 1 or n_proj == len(schema))
-    if not general_case:
-        if pk_cipher.prf(ZERO_BLOCK) != proj_entry:
-            return None
-        if n_proj == 1:
-            cell_keys = {family.projected[0]: pk}
-        else:
-            flat = pk_cipher.prf_many(b"".join(pack_block(c + 1) for c in family.projected))
-            cell_keys = {
-                c: flat[i * 16 : (i + 1) * 16] for i, c in enumerate(family.projected)
-            }
-    else:
+    def __init__(self, enc_part: EncryptedPartition, cols: FamilyColumns,
+                 schema: Schema, family: CanonicalFamily):
+        if enc_part.n_rows and cols.selection.width < 16 * family.n_pred:
+            raise BackendError("selection column too short")
+        self.enc_part = enc_part
+        self.cols = cols
+        self.schema = schema
+        self.family = family
+        n_proj = family.n_proj
+        self.general_case = not (n_proj == 1 or n_proj == len(schema))
+
+    def confirm(self, r0: int, dec_cipher: BlockCipher, predicate: int) -> BlockCipher | None:
+        """The row's projection-key cipher, or None on a wrong key."""
+        p = self.enc_part.partition_id
+        sel = self.cols.selection
+        off = r0 * sel.width + 16 * (predicate - 1)
+        pk = dec_cipher.ctr(
+            CellPosition(DOMAIN_SELECTION, p, r0 + 1, predicate), sel.data[off : off + 16]
+        )
+        pk_cipher = BlockCipher(pk)
+        proj_entry = self.cols.projection[r0]
+        if not self.general_case:
+            return pk_cipher if pk_cipher.prf(ZERO_BLOCK) == proj_entry else None
         parts = split_concat(proj_entry)
         if len(parts) != 2:
             raise BackendError("malformed projection entry")
-        check = pk_cipher.ctr(CellPosition(DOMAIN_PROJECTION_CHECK, p, r), parts[1])
-        if check != ZERO_BLOCK:
-            return None
-        blob = pk_cipher.ctr(CellPosition(DOMAIN_PROJECTION_BLOB, p, r), parts[0])
-        key_list = split_concat(blob)
-        if len(key_list) != n_proj:
-            raise BackendError("projection blob key count mismatch")
-        cell_keys = dict(zip(family.projected, key_list))
+        check = pk_cipher.ctr(CellPosition(DOMAIN_PROJECTION_CHECK, p, r0 + 1), parts[1])
+        return pk_cipher if check == ZERO_BLOCK else None
 
-    row = enc_part.rows[r0]
-    out = []
-    for c in family.projected:
-        encoded = ote_dec(cell_keys[c], row[c])
-        out.append(decode_cell(encoded, schema.columns[c].type))
-    return tuple(out)
+    def decode(self, r0: int, pk_cipher: BlockCipher) -> tuple:
+        """The projected plaintext row, under a confirmed projection key."""
+        family = self.family
+        projected = family.projected
+        if family.n_proj == 1:
+            cell_keys = {projected[0]: pk_cipher.key}
+        elif not self.general_case:
+            flat = pk_cipher.prf_many(b"".join(pack_block(c + 1) for c in projected))
+            cell_keys = {c: flat[i * 16 : (i + 1) * 16] for i, c in enumerate(projected)}
+        else:
+            blob_ct = split_concat(self.cols.projection[r0])[0]
+            p = self.enc_part.partition_id
+            blob = pk_cipher.ctr(CellPosition(DOMAIN_PROJECTION_BLOB, p, r0 + 1), blob_ct)
+            key_list = split_concat(blob)
+            if len(key_list) != family.n_proj:
+                raise BackendError("projection blob key count mismatch")
+            cell_keys = dict(zip(projected, key_list))
+        columns = self.enc_part.columns
+        types = self.schema.columns
+        return tuple(
+            decode_cell(ote_dec(cell_keys[c], columns[c][r0]), types[c].type) for c in projected
+        )
 
 
 def reveal_partition(
@@ -430,11 +462,16 @@ def reveal_partition(
 ) -> list[tuple]:
     """Decrypt the rows this view key set can open, in row order.
 
-    With tags enabled, rows whose tag slots hit no next-expected tag cost
-    no cryptographic work. Each row is emitted at most once even when
-    several predicates match it; every matching key still advances its
-    own counter so later rows stay in sync. With tags disabled, every key
-    is tried against every row.
+    With tags enabled, each key searches its own predicate's slot of the
+    contiguous tagging column for its next expected tag; rows no key's
+    tag hits cost no cryptographic work. A hit is confirmed by decryption
+    before the key's counter advances, so truncation false positives
+    change nothing, and hits outside the key's own slot can only be false
+    positives (a true match always shows in the key's own slot). Rows
+    matched by any key are decoded once each, in row order, so a row
+    matching several predicates is emitted once while every matching key
+    still advances. With tags disabled, every key is tried against every
+    row: the reference the tagged path must agree with.
     """
     if view_keys.family_id != family.family_id:
         raise BackendError("view keys were minted for a different family")
@@ -442,8 +479,9 @@ def reveal_partition(
     if len(view_keys.keys) != family.n_pred:
         raise BackendError("view key set predicate count mismatch")
     p = enc_part.partition_id
+    n_rows = enc_part.n_rows
     tag_len = view_keys.tag_length
-    n_pred = family.n_pred
+    opener = _RowOpener(enc_part, cols, schema, family)
     track = stats is not None
     entries = [
         _KeyEntry(key, j0 + 1, p, tag_len)
@@ -454,72 +492,60 @@ def reveal_partition(
 
     if not use_tags:
         started = time.perf_counter()
-        for r0 in range(len(enc_part.rows)):
+        for r0 in range(n_rows):
             for entry in entries:
                 if track:
                     stats.decrypt_attempts += 1
-                row = _decrypt_row(
-                    enc_part, cols, schema, family, r0, entry.dec_cipher, entry.predicate
-                )
-                if row is not None:
-                    out.append(row)
+                pk_cipher = opener.confirm(r0, entry.dec_cipher, entry.predicate)
+                if pk_cipher is not None:
+                    out.append(opener.decode(r0, pk_cipher))
                     if track:
                         stats.decrypt_successes += 1
                     break
         if track:
-            stats.rows_scanned += len(enc_part.rows)
+            stats.rows_scanned += n_rows
             stats.rows_emitted += len(out)
             stats.crypto_seconds += time.perf_counter() - started
         return out
 
-    net_map: dict[bytes, list[_KeyEntry]] = {}
-    for entry in entries:
-        net_map.setdefault(entry.net, []).append(entry)
-
+    stride = family.n_pred * tag_len
+    if n_rows and cols.tagging.width != stride:
+        raise BackendError("tagging column does not match the tag length")
+    find = cols.tagging.data.find
+    clock = time.perf_counter
     crypto_time = 0.0
-    for r0 in range(len(enc_part.rows)):
-        tags = cols.tagging[r0]
-        if len(tags) != n_pred * tag_len:
-            raise BackendError("tagging column does not match the tag length")
-        emitted = False
-        used: set[int] | None = None
-        for slot in range(n_pred):
-            bucket = net_map.get(tags[slot * tag_len : (slot + 1) * tag_len])
-            if not bucket:
-                continue
-            for entry in tuple(bucket):
-                if used is not None and id(entry) in used:
-                    continue
-                if track:
-                    stats.tag_hits += 1
-                    t0 = time.perf_counter()
-                row = _decrypt_row(
-                    enc_part, cols, schema, family, r0, entry.dec_cipher, entry.predicate
-                )
-                if track:
-                    crypto_time += time.perf_counter() - t0
-                    stats.decrypt_attempts += 1
-                if row is None:
-                    continue  # truncation false positive; no state change
-                if track:
-                    stats.decrypt_successes += 1
-                if not emitted:
-                    out.append(row)
-                    emitted = True
-                if used is None:
-                    used = set()
-                used.add(id(entry))
-                old_net = entry.net
-                entry.advance(tag_len)
-                siblings = net_map[old_net]
-                siblings.remove(entry)
-                if not siblings:
-                    del net_map[old_net]
-                net_map.setdefault(entry.net, []).append(entry)
+    matched: dict[int, BlockCipher] = {}
+    for entry in entries:
+        slot = (entry.predicate - 1) * tag_len
+        start = slot
+        while True:
+            pos = find(entry.net, start)
+            if pos < 0:
+                break
+            r0, misalign = divmod(pos - slot, stride)
+            start = (r0 + 1) * stride + slot
+            if misalign:
+                continue  # another slot, or across slot boundaries
+            if track:
+                stats.tag_hits += 1
+                stats.decrypt_attempts += 1
+                t0 = clock()
+            pk_cipher = opener.confirm(r0, entry.dec_cipher, entry.predicate)
+            if track:
+                crypto_time += clock() - t0
+            if pk_cipher is None:
+                continue  # truncation false positive; no state change
+            if track:
+                stats.decrypt_successes += 1
+            matched.setdefault(r0, pk_cipher)
+            entry.advance(tag_len)
+
+    t0 = clock()
+    out = [opener.decode(r0, matched[r0]) for r0 in sorted(matched)]
     if track:
-        stats.rows_scanned += len(enc_part.rows)
+        stats.rows_scanned += n_rows
         stats.rows_emitted += len(out)
-        stats.crypto_seconds += crypto_time
+        stats.crypto_seconds += crypto_time + clock() - t0
         for entry in entries:
             stats.final_counts[(entry.predicate, entry.key)] = entry.count
     return out

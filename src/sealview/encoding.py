@@ -60,7 +60,10 @@ def decode_utf8(data: bytes) -> str | None:
         return None
     if data[0] != 1:
         raise EncodingError(f"bad Utf8 tag byte {data[0]:#x}")
-    return data[1:].decode("utf-8")
+    try:
+        return data[1:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError("Utf8 payload is not valid UTF-8") from exc
 
 
 def encode_cell(value, column_type: str) -> bytes:

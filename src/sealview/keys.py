@@ -41,6 +41,8 @@ def read_key(path: str | Path) -> bytes:
     data = Path(path).read_bytes()
     if data[:4] != KEY_MAGIC:
         raise KeyFileError(f"{path}: not a key file")
+    if len(data) < 6:
+        raise KeyFileError(f"{path}: truncated key file header")
     (version,) = struct.unpack_from(">H", data, 4)
     if version != KEY_VERSION:
         raise KeyFileError(f"{path}: unsupported key file version {version}")

@@ -1,21 +1,29 @@
 """Partition file format and CSV ingestion/egress.
 
-One file per partition. Layout (all integers big-endian):
+One file per partition, format MEP2. All integers are big-endian:
 
-    magic "MEP1" | version u16 | flags u8 (0 plain, 1 encrypted)
+    magic "MEP2" | version u16 (2) | flags u8 (0 plain, 1 encrypted)
     partition_id u32 | row_count u32 | column_count u16
-    per column: name (u16 length + utf-8) | type u8 | nullable u8
-    row-major cells, each u32 length + bytes
-    family_count u16, then per family (sorted by id):
+    per column: name (u16 length + utf-8) | type u8 | nullable u8 (0 or 1)
+    per column, in schema order:
+        row_count x u32 cell end offsets, non-decreasing, relative to
+        the column's first cell byte | the cells, back to back
+    family_count u16, then per family (strictly ascending id):
         family_id (8 raw bytes) | projection/selection/tagging entry
-        widths u32 x3 | row-major (projection, selection, tagging) bytes
+        widths u32 x3 | projection column | selection column |
+        tagging column, each row_count x its width bytes
 
-Plain partitions store the canonical cell encodings; encrypted ones
-store ciphertexts (same lengths). Encrypted payloads do not benefit from
-compression, so none is applied. CSV (RFC 4180) is supported for
-plaintext ingestion and view egress only; the unquoted token NULL means
-a null cell, which makes the literal string "NULL" unrepresentable in
-CSV at this layer.
+A column's byte length is its last end offset, and a family section's
+is fixed by its widths, so the tagging column of any family and any
+single cell are found from the header fields alone, without reading
+other cells. Plain partitions store the canonical cell encodings and no
+families; encrypted ones store ciphertexts (same lengths). Encrypted
+payloads do not benefit from compression, so none is applied. MEP1, the
+row-major predecessor with a u32 length before every cell, is rejected.
+
+CSV (RFC 4180) is supported for plaintext ingestion and view egress
+only; the unquoted token NULL means a null cell, which makes the
+literal string "NULL" unrepresentable in CSV at this layer.
 """
 
 from __future__ import annotations
@@ -24,20 +32,24 @@ import csv
 import io
 import struct
 
-from .encoding import TYPE_INT64, TYPE_UTF8, decode_cell, encode_cell
+from .encoding import TYPE_INT64, TYPE_UTF8, EncodingError, decode_cell, encode_cell
 from .model import (
+    CellColumn,
     Column,
     EncryptedPartition,
     FamilyColumns,
+    FixedWidthColumn,
     PlainPartition,
     Schema,
+    SchemaError,
 )
 
-MAGIC = b"MEP1"
-VERSION = 1
+MAGIC = b"MEP2"
+VERSION = 2
 FLAG_PLAIN = 0
 FLAG_ENCRYPTED = 1
 
+_RETIRED_MAGIC = b"MEP1"
 _TYPE_CODES = {TYPE_INT64: 0, TYPE_UTF8: 1}
 _TYPE_NAMES = {v: k for k, v in _TYPE_CODES.items()}
 
@@ -48,70 +60,60 @@ class PartitionFormatError(Exception):
     pass
 
 
-def _write_header(out: list, flags: int, partition_id: int, n_rows: int, schema: Schema):
-    out.append(MAGIC)
-    out.append(struct.pack(">HBIIH", VERSION, flags, partition_id, n_rows, len(schema)))
+def _header(flags: int, partition_id: int, n_rows: int, schema: Schema) -> list[bytes]:
+    out = [MAGIC, struct.pack(">HBIIH", VERSION, flags, partition_id, n_rows, len(schema))]
     for col in schema.columns:
         name = col.name.encode("utf-8")
         out.append(struct.pack(">H", len(name)) + name)
         out.append(struct.pack(">BB", _TYPE_CODES[col.type], int(col.nullable)))
+    return out
+
+
+def _cell_section(col: CellColumn) -> bytes:
+    return struct.pack(f">{len(col.ends)}I", *col.ends) + col.data
 
 
 def serialize_plain(partition: PlainPartition, schema: Schema) -> bytes:
-    out: list[bytes] = []
-    _write_header(out, FLAG_PLAIN, partition.partition_id, len(partition.rows), schema)
-    types = [c.type for c in schema.columns]
-    for row in partition.rows:
-        for value, ctype in zip(row, types):
-            cell = encode_cell(value, ctype)
-            out.append(struct.pack(">I", len(cell)))
-            out.append(cell)
+    out = _header(FLAG_PLAIN, partition.partition_id, len(partition.rows), schema)
+    for c, col in enumerate(schema.columns):
+        cells = [encode_cell(row[c], col.type) for row in partition.rows]
+        out.append(_cell_section(CellColumn.from_cells(cells)))
     out.append(struct.pack(">H", 0))
     return b"".join(out)
 
 
 def serialize_encrypted(partition: EncryptedPartition, schema: Schema) -> bytes:
-    out: list[bytes] = []
-    _write_header(out, FLAG_ENCRYPTED, partition.partition_id, len(partition.rows), schema)
-    for row in partition.rows:
-        for cell in row:
-            out.append(struct.pack(">I", len(cell)))
-            out.append(cell)
+    n_rows = partition.n_rows
+    if len(partition.columns) != len(schema):
+        raise PartitionFormatError("partition column count does not match the schema")
+    out = _header(FLAG_ENCRYPTED, partition.partition_id, n_rows, schema)
+    out.extend(_cell_section(col) for col in partition.columns)
     family_ids = sorted(partition.families)
     out.append(struct.pack(">H", len(family_ids)))
     for family_id in family_ids:
-        cols = partition.families[family_id]
-        widths = _family_widths(cols, len(partition.rows))
+        fam = partition.families[family_id]
+        sections = (fam.projection, fam.selection, fam.tagging)
+        if any(len(col) != n_rows for col in sections):
+            raise PartitionFormatError("family columns out of step with partition rows")
         out.append(bytes.fromhex(family_id))
-        out.append(struct.pack(">III", *widths))
-        for r0 in range(len(partition.rows)):
-            out.append(cols.projection[r0])
-            out.append(cols.selection[r0])
-            out.append(cols.tagging[r0])
+        out.append(struct.pack(">III", *(col.width for col in sections)))
+        out.extend(col.data for col in sections)
     return b"".join(out)
 
 
-def _family_widths(cols: FamilyColumns, n_rows: int) -> tuple[int, int, int]:
-    if n_rows == 0:
-        return (0, 0, 0)
-    widths = (len(cols.projection[0]), len(cols.selection[0]), len(cols.tagging[0]))
-    for r0 in range(n_rows):
-        if (
-            len(cols.projection[r0]),
-            len(cols.selection[r0]),
-            len(cols.tagging[r0]),
-        ) != widths:
-            raise PartitionFormatError("family column entries must be fixed-width")
-    return widths
-
-
 class _Reader:
+    """Bounds-checked cursor: nothing is sliced or allocated before the
+    bytes it needs are known to be there."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.off = 0
 
+    def remaining(self) -> int:
+        return len(self.data) - self.off
+
     def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
+        if n > self.remaining():
             raise PartitionFormatError("truncated partition file")
         chunk = self.data[self.off : self.off + n]
         self.off += n
@@ -120,58 +122,91 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def cell_column(self, n_rows: int) -> CellColumn:
+        if 4 * n_rows > self.remaining():
+            raise PartitionFormatError("truncated partition file")
+        ends = struct.unpack_from(f">{n_rows}I", self.data, self.off)
+        self.off += 4 * n_rows
+        if list(ends) != sorted(ends):
+            raise PartitionFormatError("cell end offsets are not non-decreasing")
+        return CellColumn(self.take(ends[-1] if ends else 0), ends)
+
+
+def _read_schema(rd: _Reader, n_cols: int) -> Schema:
+    cols = []
+    for _ in range(n_cols):
+        (name_len,) = rd.unpack(">H")
+        raw_name = rd.take(name_len)
+        type_code, nullable = rd.unpack(">BB")
+        if type_code not in _TYPE_NAMES:
+            raise PartitionFormatError(f"unknown column type code {type_code}")
+        if nullable > 1:
+            raise PartitionFormatError(f"bad nullable flag {nullable}")
+        try:
+            cols.append(Column(raw_name.decode("utf-8"), _TYPE_NAMES[type_code], bool(nullable)))
+        except UnicodeDecodeError as exc:
+            raise PartitionFormatError("column name is not valid UTF-8") from exc
+        except SchemaError as exc:
+            raise PartitionFormatError(f"bad schema: {exc}") from exc
+    try:
+        return Schema(tuple(cols))
+    except SchemaError as exc:
+        raise PartitionFormatError(f"bad schema: {exc}") from exc
+
+
+def _read_family(rd: _Reader, n_rows: int) -> FamilyColumns:
+    widths = rd.unpack(">III")
+    if n_rows and not all(widths):
+        raise PartitionFormatError("family entry widths must be positive")
+    if n_rows * sum(widths) > rd.remaining():
+        raise PartitionFormatError("truncated partition file")
+    return FamilyColumns(*(FixedWidthColumn(rd.take(n_rows * w), w) for w in widths))
+
 
 def parse_partition(data: bytes) -> tuple[Schema, PlainPartition | EncryptedPartition]:
+    """Parse a MEP2 file; any malformation raises PartitionFormatError."""
     rd = _Reader(data)
-    if rd.take(4) != MAGIC:
+    magic = rd.take(4)
+    if magic == _RETIRED_MAGIC:
+        raise PartitionFormatError(
+            "partition format version 1 (MEP1) is no longer supported; "
+            "re-encrypt the table to write MEP2"
+        )
+    if magic != MAGIC:
         raise PartitionFormatError("bad partition magic")
     version, flags, partition_id, n_rows, n_cols = rd.unpack(">HBIIH")
     if version != VERSION:
         raise PartitionFormatError(f"unsupported partition version {version}")
-    cols = []
-    for _ in range(n_cols):
-        (name_len,) = rd.unpack(">H")
-        name = rd.take(name_len).decode("utf-8")
-        type_code, nullable = rd.unpack(">BB")
-        if type_code not in _TYPE_NAMES:
-            raise PartitionFormatError(f"unknown column type code {type_code}")
-        cols.append(Column(name, _TYPE_NAMES[type_code], bool(nullable)))
-    schema = Schema(tuple(cols))
-
-    cells: list[list[bytes]] = []
-    for _ in range(n_rows):
-        row = []
-        for _ in range(n_cols):
-            (cell_len,) = rd.unpack(">I")
-            row.append(rd.take(cell_len))
-        cells.append(row)
+    if flags not in (FLAG_PLAIN, FLAG_ENCRYPTED):
+        raise PartitionFormatError(f"unknown partition flags {flags}")
+    if partition_id < 1:
+        raise PartitionFormatError("partition ids start at 1")
+    schema = _read_schema(rd, n_cols)
+    columns = [rd.cell_column(n_rows) for _ in range(n_cols)]
 
     (n_families,) = rd.unpack(">H")
-    if flags == FLAG_PLAIN:
-        if n_families:
-            raise PartitionFormatError("plain partitions carry no family columns")
-        if rd.off != len(data):
-            raise PartitionFormatError("trailing bytes in partition file")
-        rows = [
-            [decode_cell(cell, col.type) for cell, col in zip(row, schema.columns)]
-            for row in cells
-        ]
-        return schema, PlainPartition(partition_id, rows)
-
     families: dict[str, FamilyColumns] = {}
+    family_id = ""
     for _ in range(n_families):
-        family_id = rd.take(8).hex()
-        proj_w, sel_w, tag_w = rd.unpack(">III")
-        fam = FamilyColumns([], [], [])
-        for _ in range(n_rows):
-            fam.projection.append(rd.take(proj_w))
-            fam.selection.append(rd.take(sel_w))
-            fam.tagging.append(rd.take(tag_w))
-        families[family_id] = fam
-    if rd.off != len(data):
+        previous, family_id = family_id, rd.take(8).hex()
+        if family_id <= previous:
+            raise PartitionFormatError("family sections out of order or repeated")
+        families[family_id] = _read_family(rd, n_rows)
+    if rd.remaining():
         raise PartitionFormatError("trailing bytes in partition file")
-    part = EncryptedPartition(partition_id, cells, families)
-    return schema, part
+
+    if flags == FLAG_ENCRYPTED:
+        return schema, EncryptedPartition(partition_id, columns, families)
+    if families:
+        raise PartitionFormatError("plain partitions carry no family columns")
+    try:
+        decoded = [
+            [decode_cell(cell, col.type) for cell in cells]
+            for cells, col in zip(columns, schema.columns)
+        ]
+    except EncodingError as exc:
+        raise PartitionFormatError(f"bad plain cell: {exc}") from exc
+    return schema, PlainPartition(partition_id, [list(row) for row in zip(*decoded)])
 
 
 def parse_encrypted(data: bytes, schema: Schema) -> EncryptedPartition:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 from .encoding import TYPE_INT64, TYPE_UTF8, encode_cell
 
@@ -86,13 +88,90 @@ class PlainPartition:
         )
 
 
+class CellColumn(Sequence):
+    """One column's variable-length cells, stored as in the file.
+
+    `data` holds the cells back to back and `ends[r]` is the end offset of
+    row r's cell within it, so any cell is one slice away.
+    """
+
+    __slots__ = ("data", "ends")
+
+    def __init__(self, data: bytes, ends: Sequence[int]):
+        if (ends[-1] if ends else 0) != len(data):
+            raise SchemaError("cell offsets do not cover the column bytes")
+        self.data = data
+        self.ends = ends
+
+    @classmethod
+    def from_cells(cls, cells: list[bytes]) -> "CellColumn":
+        return cls(b"".join(cells), tuple(accumulate(map(len, cells))))
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, r0: int) -> bytes:
+        if not -len(self.ends) <= r0 < len(self.ends):
+            raise IndexError("cell index out of range")
+        r0 %= len(self.ends)
+        return self.data[self.ends[r0 - 1] if r0 else 0 : self.ends[r0]]
+
+    def __iter__(self):
+        ends = self.ends
+        return map(self.data.__getitem__, map(slice, chain((0,), ends), ends))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CellColumn):
+            return NotImplemented
+        return self.data == other.data and tuple(self.ends) == tuple(other.ends)
+
+
+class FixedWidthColumn(Sequence):
+    """Per-row entries of one width, stored back to back in `data`."""
+
+    __slots__ = ("data", "width")
+
+    def __init__(self, data: bytes, width: int):
+        if width < 0 or (len(data) % width if width else len(data)):
+            raise SchemaError("column bytes are not a whole number of entries")
+        self.data = data
+        self.width = width
+
+    @classmethod
+    def from_entries(cls, entries: list[bytes]) -> "FixedWidthColumn":
+        width = len(entries[0]) if entries else 0
+        data = b"".join(entries)
+        if len(data) != width * len(entries):
+            raise SchemaError("family column entries must be fixed-width")
+        return cls(data, width)
+
+    def __len__(self) -> int:
+        return len(self.data) // self.width if self.width else 0
+
+    def __getitem__(self, r0: int) -> bytes:
+        n = len(self)
+        if not -n <= r0 < n:
+            raise IndexError("entry index out of range")
+        off = (r0 % n) * self.width
+        return self.data[off : off + self.width]
+
+    def __iter__(self):
+        w, data = self.width, self.data
+        return (data[off : off + w] for off in range(0, len(data), w or 1))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FixedWidthColumn):
+            return NotImplemented
+        return self.data == other.data and len(self) == len(other)
+
+
 @dataclass
 class FamilyColumns:
-    """Per-row projection / selection / tagging entries for one family."""
+    """One family's projection / selection / tagging columns, one entry per row."""
 
-    projection: list[bytes]
-    selection: list[bytes]
-    tagging: list[bytes]
+    projection: FixedWidthColumn
+    selection: FixedWidthColumn
+    tagging: FixedWidthColumn
 
     def row_count(self) -> int:
         return len(self.projection)
@@ -100,12 +179,23 @@ class FamilyColumns:
 
 @dataclass
 class EncryptedPartition:
-    """Per-cell ciphertexts plus the columns of each instantiated family."""
+    """Per-cell ciphertexts, column by column, plus each instantiated family."""
 
     partition_id: int
-    rows: list[list[bytes]]
+    columns: list[CellColumn]
     families: dict[str, FamilyColumns] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.partition_id < 1:
             raise SchemaError("partition ids start at 1")
+        if len({len(col) for col in self.columns}) > 1:
+            raise SchemaError("cell columns differ in length")
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    @property
+    def rows(self) -> list[list[bytes]]:
+        """Row-major copy of the cells; the protocol reads columns directly."""
+        return [list(row) for row in zip(*self.columns)]

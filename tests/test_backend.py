@@ -2,8 +2,11 @@
 randomized end-to-end completeness against the plaintext oracle."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sealview.backend import (
     AddFamilyStats,
@@ -18,6 +21,7 @@ from sealview.backend import (
     reveal_partition,
 )
 from sealview.encoding import TYPE_INT64, TYPE_UTF8, encode_cell
+from sealview.mep import parse_encrypted, serialize_encrypted
 from sealview.model import Column, PlainPartition, Schema
 from sealview.oracle import eval_view
 from sealview.planner import plan_family, plan_view
@@ -250,6 +254,41 @@ def test_cross_predicate_selection_keys_disjoint(rng):
 
 
 
+def test_view_key_blob_rejects_counts_past_the_end():
+    with pytest.raises(BackendError, match="truncated"):
+        ViewKeySet.deserialize(b"MVK1\x00\x01")
+    header = b"MVK1\x00\x01" + bytes(8) + b"\x04"
+    with pytest.raises(BackendError, match="truncated"):
+        ViewKeySet.deserialize(header + b"\xff\xff")  # 65,535 predicates, no bytes
+    with pytest.raises(BackendError, match="truncated"):
+        ViewKeySet.deserialize(header + b"\x00\x01\xff\xff\xff\xff")  # 2^32 - 1 keys
+    with pytest.raises(BackendError, match="tag length"):
+        ViewKeySet.deserialize(b"MVK1\x00\x01" + bytes(8) + b"\x00\x00\x00")
+
+
+_BLOB = ViewKeySet("0011223344556677", 4, ((bytes(16), bytes(range(16))), (), (b"k" * 16,))).serialize()
+
+
+@settings(max_examples=500, deadline=500, derandomize=True)
+@given(
+    st.one_of(
+        st.integers(0, len(_BLOB) - 1).map(lambda n: _BLOB[:n]),
+        st.binary(min_size=1, max_size=32).map(lambda tail: _BLOB + tail),
+        st.tuples(st.integers(0, len(_BLOB) - 1), st.integers(1, 255)).map(
+            lambda f: _BLOB[: f[0]] + bytes([_BLOB[f[0]] ^ f[1]]) + _BLOB[f[0] + 1 :]
+        ),
+    )
+)
+def test_mutated_view_key_blobs_raise_only_backend_errors(data):
+    started = time.perf_counter()
+    try:
+        keys = ViewKeySet.deserialize(data)
+    except BackendError:
+        return
+    assert all(len(k) == 16 for pred in keys.keys for k in pred)
+    assert time.perf_counter() - started < 0.5
+
+
 def test_view_key_blob_round_trip(boats_schema, boats_partition):
     family, _, _ = _setup_boats(boats_schema, boats_partition)
     view = plan_view(VIEW_SQL, family, boats_schema)
@@ -315,3 +354,101 @@ def test_family_overhead_is_additive(boats_schema, boats_partition):
     cols = enc_part.families[family.family_id]
     per_row = len(cols.projection[0]) + len(cols.selection[0]) + len(cols.tagging[0])
     assert grown == base + 8 + 12 + 4 * per_row  # id + widths + 4 rows
+
+
+# ------------------------------------------------ tag search vs reference
+
+
+def _reveal_checked(enc_part, schema, family, keys):
+    """Tagged reveal, asserted equal to the use_tags=False reference."""
+    stats = RevealStats()
+    tagged = reveal_partition(enc_part, schema, family, keys, stats=stats)
+    naive = reveal_partition(enc_part, schema, family, keys, use_tags=False)
+    assert tagged == naive
+    return tagged, stats
+
+
+def test_tag_search_matches_reference_in_memory_and_round_tripped():
+    rng = random.Random(34)
+    for trial in range(60):
+        schema = random_schema(rng)
+        rows = random_rows(rng, schema, max_rows=40)
+        _, view_sql, family, view = random_family_and_view(rng, schema)
+        tag_length = rng.choice((1, 2, 4, 16))
+        table_key, family_key = random_key(), random_key()
+        if sum(len(values) for values in view.values) > 256:
+            continue  # the reference tries every key on every row
+        enc_part = encrypt_partition(PlainPartition(1, [list(r) for r in rows]), schema, table_key)
+        add_stats = AddFamilyStats()
+        add_family(
+            enc_part, schema, table_key, family, family_key,
+            FamilyParams(tag_length=tag_length), stats=add_stats,
+        )
+        keys = generate_view_keys(view, family_key, tag_length=tag_length)
+        back = parse_encrypted(serialize_encrypted(enc_part, schema), schema)
+        expected = eval_view(schema, rows, view_sql)
+        for part in (enc_part, back):
+            got, stats = _reveal_checked(part, schema, family, keys)
+            assert got == expected, f"trial {trial}: {view_sql}"
+            for (_, key), count in stats.final_counts.items():
+                assert count == add_stats.tag_counts.get(key, 0)
+
+
+def test_one_byte_tags_confirm_false_positives():
+    rng = random.Random(35)
+    schema = Schema((Column("k", TYPE_INT64), Column("v", TYPE_UTF8)))
+    rows = [[rng.randint(0, 60), rng.choice("abcdef")] for _ in range(2000)]
+    family = plan_family("SELECT * FROM t WHERE k = ?a OR v = ?b", schema)
+    table_key, family_key = random_key(), random_key()
+    enc_part = encrypt_partition(PlainPartition(1, rows), schema, table_key)
+    add_family(enc_part, schema, table_key, family, family_key, FamilyParams(tag_length=1))
+    view_sql = "SELECT * FROM t WHERE k IN (3, 7) OR v = 'c'"
+    keys = generate_view_keys(plan_view(view_sql, family, schema), family_key, tag_length=1)
+    got, stats = _reveal_checked(enc_part, schema, family, keys)
+    assert got == eval_view(schema, rows, view_sql)
+    assert stats.tag_hits == stats.decrypt_attempts > stats.decrypt_successes
+
+
+def test_row_matched_by_two_predicates_emitted_once(boats_schema, boats_partition):
+    family, enc_part, _ = _setup_boats(boats_schema, boats_partition)
+    keys = generate_view_keys(plan_view(VIEW_SQL, family, boats_schema), FAMILY_KEY)
+    back = parse_encrypted(serialize_encrypted(enc_part, boats_schema), boats_schema)
+    for part in (enc_part, back):
+        rows, stats = _reveal_checked(part, boats_schema, family, keys)
+        # Row 2 (Interlake, red) is found by both keys.
+        assert rows == [("Interlake", "blue"), ("Interlake", "red"), ("Marine", "red")]
+        assert stats.decrypt_successes == 4
+        assert stats.rows_emitted == 3
+        by_pred = {pred: count for (pred, _), count in stats.final_counts.items()}
+        assert by_pred == {1: 2, 2: 2}
+
+
+def test_keys_with_colliding_truncated_first_tags():
+    schema = Schema((Column("k", TYPE_INT64),))
+    family = plan_family("SELECT * FROM t WHERE k = ?x", schema)
+    partition_id = 1
+    first_tags: dict[bytes, list[int]] = {}
+    for value in range(100):
+        view = plan_view(f"SELECT * FROM t WHERE k = {value}", family, schema)
+        (key,) = generate_view_keys(view, FAMILY_KEY, tag_length=1).keys[0]
+        tau = prf_block(key, pack_block(partition_id))
+        first_tags.setdefault(prf_block(tau, pack_block(0))[:1], []).append(value)
+    a, b = next(values for values in first_tags.values() if len(values) > 1)[:2]
+
+    rng = random.Random(36)
+    rows = [[rng.choice((a, b, a + 1000, b + 1000))] for _ in range(300)]
+    enc_part = encrypt_partition(PlainPartition(partition_id, rows), schema, TABLE_KEY)
+    add_stats = AddFamilyStats()
+    add_family(
+        enc_part, schema, TABLE_KEY, family, FAMILY_KEY, FamilyParams(tag_length=1),
+        stats=add_stats,
+    )
+    view_sql = f"SELECT * FROM t WHERE k IN ({a}, {b})"
+    keys = generate_view_keys(plan_view(view_sql, family, schema), FAMILY_KEY, tag_length=1)
+    got, stats = _reveal_checked(enc_part, schema, family, keys)
+    assert got == eval_view(schema, rows, view_sql)
+    # The first row holding a or b is an aligned hit for both keys.
+    assert stats.decrypt_attempts > stats.decrypt_successes == len(got)
+    assert sorted(stats.final_counts.values()) == sorted(
+        sum(1 for row in rows if row[0] == v) for v in (a, b)
+    )

@@ -1,9 +1,14 @@
 """Command-line surface: workflows, exit codes, and golden plan output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sealview
 from sealview.cli import build_parser, main
 
 SCHEMA_DOC = {
@@ -175,6 +180,37 @@ def test_data_errors_exit_two(tmp_path, capsys, src_dir):
         capsys, "plan", "--schema", str(bad_schema), "--family", "SELECT * FROM t WHERE a LIKE ?x"
     )
     assert rc == 2
+
+
+def _run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter, so a leaked exception shows as
+    a traceback on stderr rather than as a test error."""
+    src = str(Path(sealview.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sealview.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stderr
+
+
+def test_short_key_blobs_exit_two_without_traceback(tmp_path, capsys, src_dir):
+    table, keys = tmp_path / "table", tmp_path / "keys"
+    run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
+    view_keys = tmp_path / "short.viewkeys"
+    view_keys.write_bytes(b"MVK1\x00\x01")
+    rc, err = _run_cli_process(
+        "reveal-view", "--table", str(table), "--view-keys", str(view_keys), "--out", str(tmp_path / "o")
+    )
+    assert (rc, "Traceback" in err) == (2, False), err
+    assert "error: truncated view key blob" in err
+    table_key = tmp_path / "short.tablekey"
+    table_key.write_bytes(b"MKY1")
+    rc, err = _run_cli_process(
+        "add-family", "--table", str(table), "--table-key", str(table_key),
+        "--family", FAMILY_SQL, "--keys-dir", str(keys),
+    )
+    assert (rc, "Traceback" in err) == (2, False), err
+    assert "truncated key file" in err
 
 
 def test_keys_not_echoed_without_flag(tmp_path, capsys, src_dir):

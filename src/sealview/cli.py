@@ -54,14 +54,10 @@ _DATA_ERRORS = (
 
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--workers", type=int, default=0, help="worker processes (default: CPUs)")
-    p.add_argument("--batch-size", type=int, default=0, help="partitions per batch (default: workers)")
-    p.add_argument("--no-pipeline", action="store_true", help="disable fetch/compute/store overlap")
 
 
 def _config(args) -> OrchestratorConfig:
-    return OrchestratorConfig(
-        workers=args.workers, batch_size=args.batch_size, pipelined=not args.no_pipeline
-    )
+    return OrchestratorConfig(workers=args.workers)
 
 
 def _parse_fil(text: str) -> tuple[int, int]:
@@ -144,7 +140,7 @@ def _load_plan_schema(args) -> Schema:
         return Schema.from_json(doc["columns"] if "columns" in doc else doc)
     if args.table:
         storage = open_storage(args.table)
-        return TableManifest.from_json(storage.get(MANIFEST_NAME).decode()).schema
+        return TableManifest.from_json(storage.get(MANIFEST_NAME)).schema
     raise OrchestratorError("plan needs --schema or --table")
 
 
@@ -211,7 +207,7 @@ def cmd_reveal_view(args) -> int:
         config=_config(args),
         report=report,
     )
-    emitted = sum(entry[2] for entry in report.stats)
+    emitted = sum(stats.rows_emitted for stats in report.stats)
     print(f"revealed {emitted} rows across {len(paths)} partitions into {args.out}")
     return 0
 
@@ -286,7 +282,7 @@ def cmd_bench(args) -> int:
         reports = {}
         enc_report = RunReport()
         _, table_key = run_encrypt_table(src, storage, None, config, enc_report)
-        plain_bytes = sum(entry[1] for entry in enc_report.stats)
+        plain_bytes = sum(stats.plain_bytes for stats in enc_report.stats)
         reports["encrypt-table"] = enc_report
         if args.phase in ("add-family", "reveal-view"):
             fam_report = RunReport()

@@ -1,22 +1,32 @@
-"""Table-level driver: storage, batching, pipelining, and the four
+"""Table-level driver: storage, one partition-map driver, and the four
 table operations.
 
-Partitions move between a storage root and worker memory in batches;
-fetch, compute, and store stages overlap through bounded queues, and the
-compute stage fans partitions out across worker processes. A table's
-directory holds `manifest.json` plus one `part-%05d.mep` file per
-partition; in-flight outputs use a `.tmp` suffix until every partition
-has been processed, and the manifest is rewritten last, so a crash
-leaves the previous table version intact.
+Every table operation maps its partitions through `_map_partitions`:
+this process fetches each file and stores each result, in partition
+order, and the transform runs inline for one worker or in a process
+pool otherwise. A table's directory holds `manifest.json` plus one
+`part-%05d.g<N>.mep` file per partition, where N is the table-wide
+generation the manifest records. The manifest put is the only commit:
+
+- encrypt-table writes generation 0, then the manifest;
+- add-family reads generation g, writes every partition at g+1, then
+  puts the manifest naming g+1 and the new family; last, it deletes
+  every partition file the manifest does not name.
+
+A crash before the manifest put leaves the table at g, and a rerun
+overwrites the orphaned g+1 files; a crash after it leaves the table at
+g+1, and the next add-family deletes what the crash left behind.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import os
-import queue
+import re
 import secrets
-import threading
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +52,8 @@ from .mep import (
 from .model import Schema
 from .planner import CanonicalFamily, plan_family, plan_view
 
-PARTITION_NAME = "part-%05d.mep"
+PARTITION_NAME = "part-%05d.g%d.mep"
+PARTITION_FILE = re.compile(r"part-\d+\.g\d+\.mep")
 VIEW_PARTITION_NAME = "view-part-%05d.csv"
 HTTP_TOKEN_ENV = "SEALVIEW_STORAGE_TOKEN"
 
@@ -56,7 +67,7 @@ class OrchestratorError(Exception):
 
 
 class Storage:
-    """Whole-file get/put plus listing; puts are atomic per file."""
+    """Whole-file get/put/delete plus listing; puts are atomic per file."""
 
     def list_files(self) -> list[str]:
         raise NotImplementedError
@@ -67,15 +78,12 @@ class Storage:
     def put(self, name: str, data: bytes) -> None:
         raise NotImplementedError
 
+    def delete(self, name: str) -> None:
+        """Remove a file; a missing file is not an error."""
+        raise NotImplementedError
+
     def exists(self, name: str) -> bool:
         return name in self.list_files()
-
-    def rename(self, src: str, dst: str) -> None:
-        self.put(dst, self.get(src))
-        self.delete(src)
-
-    def delete(self, name: str) -> None:  # best-effort cleanup
-        pass
 
 
 class LocalDirStorage(Storage):
@@ -101,12 +109,6 @@ class LocalDirStorage(Storage):
 
     def exists(self, name: str) -> bool:
         return (self.root / name).is_file()
-
-    def rename(self, src: str, dst: str) -> None:
-        try:
-            os.replace(self.root / src, self.root / dst)
-        except FileNotFoundError as exc:
-            raise StorageError(f"missing file {src!r} in {self.root}") from exc
 
     def delete(self, name: str) -> None:
         try:
@@ -136,15 +138,12 @@ class MemoryStorage(Storage):
     def exists(self, name: str) -> bool:
         return name in self.files
 
-    def rename(self, src: str, dst: str) -> None:
-        self.files[dst] = self.files.pop(src)
-
     def delete(self, name: str) -> None:
         self.files.pop(name, None)
 
 
 class HttpStorage(Storage):
-    """Object-store endpoint speaking plain GET/PUT per file.
+    """Object-store endpoint speaking plain GET/PUT/DELETE per file.
 
     Listing is a GET of the base URL returning a JSON array of names.
     A bearer token is read from the environment, never from arguments.
@@ -180,7 +179,9 @@ class HttpStorage(Storage):
             raise StorageError(f"put {name!r} failed with status {resp.status_code}")
 
     def delete(self, name: str) -> None:
-        self._requests.delete(f"{self.base_url}/{name}", headers=self._headers, timeout=60)
+        resp = self._requests.delete(f"{self.base_url}/{name}", headers=self._headers, timeout=60)
+        if resp.status_code not in (200, 202, 204, 404):
+            raise StorageError(f"delete {name!r} failed with status {resp.status_code}")
 
 
 def open_storage(locator: str | Path) -> Storage:
@@ -193,21 +194,43 @@ def open_storage(locator: str | Path) -> Storage:
 @dataclass
 class OrchestratorConfig:
     workers: int = 0  # 0 means one per CPU
-    batch_size: int = 0  # 0 means one batch per worker set
-    pipelined: bool = True
-    queue_depth: int = 2
 
     def __post_init__(self):
         if self.workers == 0:
             self.workers = os.cpu_count() or 1
-        if self.batch_size == 0:
-            self.batch_size = self.workers
-        if self.workers < 1 or self.batch_size < 1 or self.queue_depth < 1:
-            raise OrchestratorError("workers, batch size, and queue depth must be >= 1")
+        if self.workers < 1:
+            raise OrchestratorError("workers must be >= 1")
+
+
+@dataclass
+class PartitionStats:
+    """One partition's counters; those its operation does not produce stay 0."""
+
+    pid: int
+    rows: int = 0
+    plain_bytes: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    rows_scanned: int = 0
+    rows_emitted: int = 0
+    decrypt_attempts: int = 0
+    crypto_seconds: float = 0.0
 
 
 @dataclass
 class RunReport:
+    """Totals of one table operation's partition map.
+
+    All three stage timers are measured in the driving process:
+    `fetch_seconds` is time spent reading inputs (storage gets or local
+    source files); `compute_seconds` is time spent running the partition
+    work inline (one worker) or waiting for a worker's result (a pool,
+    so work that overlaps fetching and storing is not in it);
+    `store_seconds` is time spent writing results (storage puts or local
+    CSV files). `wall_seconds` spans the whole map, and `stats` holds
+    one `PartitionStats` per partition, in partition order.
+    """
+
     partitions: int = 0
     input_bytes: int = 0
     output_bytes: int = 0
@@ -215,124 +238,66 @@ class RunReport:
     compute_seconds: float = 0.0
     store_seconds: float = 0.0
     wall_seconds: float = 0.0
-    stats: list = field(default_factory=list)
+    stats: list[PartitionStats] = field(default_factory=list)
 
 
-_SENTINEL = object()
+def _map_partitions(items, fetch, work, store, workers: int, report: RunReport) -> None:
+    """store(work(fetch(item))) for every item, stored in item order.
 
-
-def _run_batches(items, fetch, compute_batch, store, config: OrchestratorConfig, report: RunReport):
-    """fetch -> compute -> store over batches, optionally overlapped.
-
-    The pipelined path runs fetch and store on their own threads with
-    bounded hand-off queues; batch contents and outputs are identical to
-    the sequential path.
+    Storage I/O stays in this process. `work` runs inline for one worker;
+    otherwise it runs in a process pool with at most 2 * workers tasks in
+    flight, and on any error the pool is shut down with its queued tasks
+    cancelled.
     """
-    batches = [
-        items[i : i + config.batch_size] for i in range(0, len(items), config.batch_size)
-    ]
-    started = time.perf_counter()
-    if not config.pipelined:
-        for batch in batches:
-            t0 = time.perf_counter()
-            payloads = [fetch(item) for item in batch]
-            t1 = time.perf_counter()
-            results = compute_batch(list(zip(batch, payloads)))
-            t2 = time.perf_counter()
-            for result in results:
-                store(result)
-            t3 = time.perf_counter()
-            report.fetch_seconds += t1 - t0
-            report.compute_seconds += t2 - t1
-            report.store_seconds += t3 - t2
-        report.wall_seconds += time.perf_counter() - started
-        return
+    clock = time.perf_counter
+    started = clock()
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    in_flight: deque = deque()  # futures with a pool, payloads without
 
-    fetched: queue.Queue = queue.Queue(maxsize=config.queue_depth)
-    computed: queue.Queue = queue.Queue(maxsize=config.queue_depth)
-    failures: list[BaseException] = []
+    def store_oldest():
+        t0 = clock()
+        head = in_flight.popleft()
+        result = head.result() if pool else work(head)
+        t1 = clock()
+        store(result)
+        report.compute_seconds += t1 - t0
+        report.store_seconds += clock() - t1
 
-    def fetch_stage():
-        try:
-            for batch in batches:
-                t0 = time.perf_counter()
-                payloads = [fetch(item) for item in batch]
-                report.fetch_seconds += time.perf_counter() - t0
-                fetched.put(list(zip(batch, payloads)))
-        except BaseException as exc:  # propagate to the driver
-            failures.append(exc)
-        finally:
-            fetched.put(_SENTINEL)
-
-    def store_stage():
-        try:
-            while True:
-                results = computed.get()
-                if results is _SENTINEL:
-                    return
-                t0 = time.perf_counter()
-                for result in results:
-                    store(result)
-                report.store_seconds += time.perf_counter() - t0
-        except BaseException as exc:
-            failures.append(exc)
-            while computed.get() is not _SENTINEL:
-                pass
-
-    fetcher = threading.Thread(target=fetch_stage, name="sealview-fetch")
-    storer = threading.Thread(target=store_stage, name="sealview-store")
-    fetcher.start()
-    storer.start()
-    fetch_done = False
     try:
-        while True:
-            batch = fetched.get()
-            if batch is _SENTINEL:
-                fetch_done = True
-                break
-            if failures:
-                break
-            t0 = time.perf_counter()
-            results = compute_batch(batch)
-            report.compute_seconds += time.perf_counter() - t0
-            computed.put(results)
+        for item in items:
+            t0 = clock()
+            payload = fetch(item)
+            report.fetch_seconds += clock() - t0
+            in_flight.append(pool.submit(work, payload) if pool else payload)
+            if len(in_flight) >= (2 * workers if pool else 1):
+                store_oldest()
+        while in_flight:
+            store_oldest()
     finally:
-        computed.put(_SENTINEL)
-        if not fetch_done:  # unblock a fetcher waiting on a full queue
-            while fetched.get() is not _SENTINEL:
-                pass
-        fetcher.join()
-        storer.join()
-    report.wall_seconds += time.perf_counter() - started
-    if failures:
-        raise failures[0]
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    report.partitions = len(items)
+    report.wall_seconds += clock() - started
 
 
-class _ComputePool:
-    """Inline execution for one worker, a process pool otherwise."""
-
-    def __init__(self, workers: int):
-        self.workers = workers
-        self._pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def map(self, fn, args_list):
-        if self._pool is None:
-            return [fn(args) for args in args_list]
-        return list(self._pool.map(fn, args_list))
-
-    def close(self):
-        if self._pool is not None:
-            self._pool.shutdown()
-
-
-def partition_name(pid: int) -> str:
-    return PARTITION_NAME % pid
+def partition_name(pid: int, generation: int) -> str:
+    return PARTITION_NAME % (pid, generation)
 
 
 def _load_manifest(storage: Storage) -> TableManifest:
     if not storage.exists(MANIFEST_NAME):
         raise OrchestratorError("no manifest.json at the storage root")
-    return TableManifest.from_json(storage.get(MANIFEST_NAME).decode("utf-8"))
+    return TableManifest.from_json(storage.get(MANIFEST_NAME))
+
+
+def _commit(storage: Storage, manifest: TableManifest) -> None:
+    """Put the manifest (the commit), then delete every partition file
+    it does not name."""
+    storage.put(MANIFEST_NAME, manifest.to_json().encode("utf-8"))
+    live = {partition_name(pid, manifest.generation) for pid, _ in manifest.partitions}
+    for name in storage.list_files():
+        if PARTITION_FILE.fullmatch(name) and name not in live:
+            storage.delete(name)
 
 
 def _apply_filter(manifest: TableManifest, fil: tuple[int, int] | None) -> list[int]:
@@ -349,7 +314,7 @@ def _apply_filter(manifest: TableManifest, fil: tuple[int, int] | None) -> list[
 # ------------------------------------------------------------ worker bodies
 
 
-def _encrypt_worker(args) -> tuple[int, bytes, int, int]:
+def _encrypt_worker(args) -> tuple[PartitionStats, bytes]:
     pid, kind, payload, schema_json, table_key = args
     schema = Schema.from_json(schema_json)
     if kind == "csv":
@@ -358,37 +323,32 @@ def _encrypt_worker(args) -> tuple[int, bytes, int, int]:
         _, plain = parse_plain(payload, schema)
         if plain.partition_id != pid:
             raise OrchestratorError(f"partition file {pid} carries id {plain.partition_id}")
-    plain_bytes = plain.encoded_size(schema)
+    stats = PartitionStats(pid, rows=len(plain.rows), plain_bytes=plain.encoded_size(schema))
     enc_part = encrypt_partition(plain, schema, table_key)
-    return pid, serialize_encrypted(enc_part, schema), len(plain.rows), plain_bytes
+    return stats, serialize_encrypted(enc_part, schema)
 
 
-def _add_family_worker(args) -> tuple[int, bytes, tuple]:
-    pid, payload, schema_json, table_key, family_blob, family_key, params_tuple = args
+def _add_family_worker(args) -> tuple[PartitionStats, bytes]:
+    pid, payload, schema_json, table_key, family_blob, family_key, params = args
     schema = Schema.from_json(schema_json)
     family = CanonicalFamily.deserialize(family_blob)
-    tag_length, cache_capacity, rng_seed = params_tuple
     enc_part = parse_encrypted(payload, schema)
     if enc_part.partition_id != pid:
         raise OrchestratorError(f"partition file {pid} carries id {enc_part.partition_id}")
     stats = AddFamilyStats()
-    add_family(
-        enc_part,
-        schema,
-        table_key,
-        family,
-        family_key,
-        FamilyParams(tag_length=tag_length, cache_capacity=cache_capacity, rng_seed=rng_seed),
-        stats=stats,
+    add_family(enc_part, schema, table_key, family, family_key, params, stats=stats)
+    summary = PartitionStats(
+        pid,
+        rows=stats.rows,
+        cache_hits=stats.cache_hits,
+        cache_misses=stats.cache_misses,
+        crypto_seconds=stats.crypto_seconds,
     )
-    summary = (stats.rows, stats.cache_hits, stats.cache_misses, stats.crypto_seconds)
-    return pid, serialize_encrypted(enc_part, schema), summary
+    return summary, serialize_encrypted(enc_part, schema)
 
 
-def _reveal_worker(args) -> tuple[int, str, tuple]:
+def _reveal_worker(args) -> tuple[PartitionStats, str]:
     pid, payload, schema_json, family_blob, view_blob, use_tags = args
-    import io
-
     schema = Schema.from_json(schema_json)
     family = CanonicalFamily.deserialize(family_blob)
     view_keys = ViewKeySet.deserialize(view_blob)
@@ -397,8 +357,14 @@ def _reveal_worker(args) -> tuple[int, str, tuple]:
     rows = reveal_partition(enc_part, schema, family, view_keys, use_tags=use_tags, stats=stats)
     out = io.StringIO()
     partition_to_csv(rows, out)
-    summary = (stats.rows_scanned, stats.rows_emitted, stats.decrypt_attempts, stats.crypto_seconds)
-    return pid, out.getvalue(), summary
+    summary = PartitionStats(
+        pid,
+        rows_scanned=stats.rows_scanned,
+        rows_emitted=stats.rows_emitted,
+        decrypt_attempts=stats.decrypt_attempts,
+        crypto_seconds=stats.crypto_seconds,
+    )
+    return summary, out.getvalue()
 
 
 # -------------------------------------------------------- table operations
@@ -424,8 +390,6 @@ def discover_plain_partitions(src: Path) -> list[tuple[int, str, Path]]:
 
 
 def load_schema_descriptor(src: Path) -> tuple[str, Schema]:
-    import json
-
     desc_path = Path(src) / "schema.json"
     if not desc_path.is_file():
         raise OrchestratorError(f"missing schema.json in {src}")
@@ -440,7 +404,8 @@ def run_encrypt_table(
     config: OrchestratorConfig | None = None,
     report: RunReport | None = None,
 ) -> tuple[TableManifest, bytes]:
-    """Encrypt every partition under one fresh table key; write a manifest."""
+    """Encrypt every partition under one fresh table key into generation
+    0; the manifest put commits the table."""
     config = config or OrchestratorConfig()
     report = report if report is not None else RunReport()
     if dst.exists(MANIFEST_NAME):
@@ -451,41 +416,24 @@ def run_encrypt_table(
         table_key = secrets.token_bytes(16)
     schema_json = schema.to_json()
 
-    census: dict[int, int] = {}
-    pool = _ComputePool(config.workers)
-    try:
+    def fetch(item):
+        pid, kind, path = item
+        data = path.read_bytes()
+        report.input_bytes += len(data)
+        return pid, kind, data, schema_json, table_key
 
-        def fetch(item):
-            pid, kind, path = item
-            data = path.read_bytes()
-            report.input_bytes += len(data)
-            return data
+    census: list[tuple[int, int]] = []
 
-        def compute_batch(batch):
-            args = [
-                (item[0], item[1], payload, schema_json, table_key)
-                for item, payload in batch
-            ]
-            return pool.map(_encrypt_worker, args)
+    def store(result):
+        stats, blob = result
+        census.append((stats.pid, stats.rows))
+        report.stats.append(stats)
+        report.output_bytes += len(blob)
+        dst.put(partition_name(stats.pid, 0), blob)
 
-        def store(result):
-            pid, blob, n_rows, plain_bytes = result
-            census[pid] = n_rows
-            report.stats.append((pid, plain_bytes))
-            report.output_bytes += len(blob)
-            dst.put(partition_name(pid), blob)
-
-        _run_batches(sources, fetch, compute_batch, store, config, report)
-    finally:
-        pool.close()
-    report.partitions = len(sources)
-
-    manifest = TableManifest(
-        name=table_name,
-        schema=schema,
-        partitions=[(pid, census[pid]) for pid, _, _ in sources],
-    )
-    dst.put(MANIFEST_NAME, manifest.to_json().encode("utf-8"))
+    _map_partitions(sources, fetch, _encrypt_worker, store, config.workers, report)
+    manifest = TableManifest(table_name, schema, census, generation=0)
+    _commit(dst, manifest)
     return manifest, table_key
 
 
@@ -501,12 +449,8 @@ def run_add_family(
     config: OrchestratorConfig | None = None,
     report: RunReport | None = None,
 ) -> tuple[str, bytes]:
-    """Instantiate a family on every partition; commit, then register it.
-
-    Outputs are staged under a .tmp suffix and renamed only after every
-    partition processed; the manifest is rewritten last, so a failure at
-    any point leaves the prior table version fully intact.
-    """
+    """Instantiate a family on every partition as the next generation;
+    the manifest put that registers the family commits it."""
     config = config or OrchestratorConfig()
     report = report if report is not None else RunReport()
     manifest = _load_manifest(storage)
@@ -518,41 +462,25 @@ def run_add_family(
         family_key = secrets.token_bytes(16)
     schema_json = manifest.schema.to_json()
     family_blob = family.serialize()
-    params_tuple = (tag_length, cache_capacity, rng_seed)
+    params = FamilyParams(tag_length=tag_length, cache_capacity=cache_capacity, rng_seed=rng_seed)
+    current, following = manifest.generation, manifest.generation + 1
+
+    def fetch(pid):
+        data = storage.get(partition_name(pid, current))
+        report.input_bytes += len(data)
+        return pid, data, schema_json, table_key, family_blob, family_key, params
+
+    def store(result):
+        stats, blob = result
+        report.output_bytes += len(blob)
+        report.stats.append(stats)
+        storage.put(partition_name(stats.pid, following), blob)
+
     ids = [pid for pid, _ in manifest.partitions]
-
-    staged: list[int] = []
-    pool = _ComputePool(config.workers)
-    try:
-
-        def fetch(pid):
-            data = storage.get(partition_name(pid))
-            report.input_bytes += len(data)
-            return data
-
-        def compute_batch(batch):
-            args = [
-                (pid, payload, schema_json, table_key, family_blob, family_key, params_tuple)
-                for pid, payload in batch
-            ]
-            return pool.map(_add_family_worker, args)
-
-        def store(result):
-            pid, blob, summary = result
-            report.output_bytes += len(blob)
-            report.stats.append((pid,) + summary)
-            storage.put(partition_name(pid) + ".tmp", blob)
-            staged.append(pid)
-
-        _run_batches(ids, fetch, compute_batch, store, config, report)
-    finally:
-        pool.close()
-    report.partitions = len(ids)
-
-    for pid in staged:
-        storage.rename(partition_name(pid) + ".tmp", partition_name(pid))
+    _map_partitions(ids, fetch, _add_family_worker, store, config.workers, report)
+    manifest.generation = following
     manifest.families.append(FamilyRecord(family_id, family, tag_length, branching_bits))
-    storage.put(MANIFEST_NAME, manifest.to_json().encode("utf-8"))
+    _commit(storage, manifest)
     return family_id, family_key
 
 
@@ -596,31 +524,18 @@ def run_reveal_view(
     out_root.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    pool = _ComputePool(config.workers)
-    try:
+    def fetch(pid):
+        data = storage.get(partition_name(pid, manifest.generation))
+        report.input_bytes += len(data)
+        return pid, data, schema_json, family_blob, view_blob, use_tags
 
-        def fetch(pid):
-            data = storage.get(partition_name(pid))
-            report.input_bytes += len(data)
-            return data
+    def store(result):
+        stats, text = result
+        report.stats.append(stats)
+        path = out_root / (VIEW_PARTITION_NAME % stats.pid)
+        path.write_text(text)
+        report.output_bytes += len(text)
+        written.append(path)
 
-        def compute_batch(batch):
-            args = [
-                (pid, payload, schema_json, family_blob, view_blob, use_tags)
-                for pid, payload in batch
-            ]
-            return pool.map(_reveal_worker, args)
-
-        def store(result):
-            pid, text, summary = result
-            report.stats.append((pid,) + summary)
-            path = out_root / (VIEW_PARTITION_NAME % pid)
-            path.write_text(text)
-            report.output_bytes += len(text)
-            written.append(path)
-
-        _run_batches(ids, fetch, compute_batch, store, config, report)
-    finally:
-        pool.close()
-    report.partitions = len(ids)
+    _map_partitions(ids, fetch, _reveal_worker, store, config.workers, report)
     return sorted(written)

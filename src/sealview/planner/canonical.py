@@ -132,36 +132,50 @@ class CanonicalFamily:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "CanonicalFamily":
+        """Parse a serialized family; anything malformed raises PlannerError.
+
+        Every count is checked against the bytes that remain before it is
+        used, so work and memory stay bounded by the input size.
+        """
         if data[:4] != SERIAL_MAGIC:
             raise PlannerError("bad canonical family magic")
-        version, branching = struct.unpack_from(">HB", data, 4)
+        off = 4
+
+        def take(fmt: str) -> tuple:
+            nonlocal off
+            size = struct.calcsize(fmt)
+            if size > len(data) - off:
+                raise PlannerError("truncated canonical family")
+            values = struct.unpack_from(fmt, data, off)
+            off += size
+            return values
+
+        version, branching = take(">HB")
         if version != SERIAL_VERSION:
             raise PlannerError(f"unsupported canonical family version {version}")
-        off = 7
-        (n_proj,) = struct.unpack_from(">H", data, off)
-        off += 2
-        projected = struct.unpack_from(f">{n_proj}H", data, off)
-        off += 2 * n_proj
-        (n_pred,) = struct.unpack_from(">H", data, off)
-        off += 2
+        (n_proj,) = take(">H")
+        projected = take(f">{n_proj}H")
+        (n_pred,) = take(">H")
         predicates = []
         wildcard_names = []
         for _ in range(n_pred):
-            (n_atoms,) = struct.unpack_from(">H", data, off)
-            off += 2
+            (n_atoms,) = take(">H")
             atoms = []
             for _ in range(n_atoms):
-                code, col, bits, total = struct.unpack_from(">BHHH", data, off)
-                off += 7
+                code, col, bits, total = take(">BHHH")
+                if code not in _ATOM_NAMES:
+                    raise PlannerError(f"unknown atom kind {code}")
+                if bits > total:
+                    raise PlannerError(f"atom keeps {bits} of {total} bits")
                 atoms.append(Atom(_ATOM_NAMES[code], col, bits, total))
-            (n_names,) = struct.unpack_from(">H", data, off)
-            off += 2
+            (n_names,) = take(">H")
             names = []
             for _ in range(n_names):
-                (nlen,) = struct.unpack_from(">B", data, off)
-                off += 1
-                names.append(data[off : off + nlen].decode("utf-8"))
-                off += nlen
+                (nlen,) = take(">B")
+                try:
+                    names.append(take(f">{nlen}s")[0].decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise PlannerError("wildcard name is not UTF-8") from exc
             predicates.append(PredicateFn(tuple(atoms)))
             wildcard_names.append(tuple(names))
         if off != len(data):

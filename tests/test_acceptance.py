@@ -299,7 +299,7 @@ def _scaling_table(storage: MemoryStorage) -> bytes:
         from sealview.orchestrator import run_encrypt_table
 
         _, table_key = run_encrypt_table(
-            src, storage, None, OrchestratorConfig(workers=1, pipelined=False)
+            src, storage, None, OrchestratorConfig(workers=1)
         )
     return table_key
 
@@ -316,7 +316,7 @@ def test_criterion_8_multi_worker_scaling():
     for workers in (1, 4):
         storage = MemoryStorage()
         storage.files = dict(base.files)
-        config = OrchestratorConfig(workers=workers, batch_size=4, pipelined=True)
+        config = OrchestratorConfig(workers=workers)
         t0 = time.perf_counter()
         run_add_family(
             storage, table_key, "SELECT * FROM scale WHERE grp = ?x", config=config

@@ -213,6 +213,37 @@ def test_short_key_blobs_exit_two_without_traceback(tmp_path, capsys, src_dir):
     assert "truncated key file" in err
 
 
+def test_corrupted_manifest_exits_two_without_traceback(tmp_path, capsys, src_dir):
+    table, keys = tmp_path / "table", tmp_path / "keys"
+    run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
+    run_cli(
+        capsys, "add-family", "--table", str(table), "--table-key", str(keys / "boats.tablekey"),
+        "--family", FAMILY_SQL, "--keys-dir", str(keys),
+    )
+    view_keys = tmp_path / "analyst.viewkeys"
+    family_key = next(keys.glob("fam-*.familykey"))
+    run_cli(
+        capsys, "view-gen", "--table", str(table), "--family-id", family_key.name[4:20],
+        "--family-key", str(family_key), "--view", VIEW_SQL, "--out", str(view_keys),
+    )
+    manifest = (table / "manifest.json").read_bytes()
+    for corrupted, message in [
+        (manifest[: len(manifest) // 2], "not valid JSON"),
+        (b"\xff\xfe" + manifest, "not valid JSON"),
+        (b"[1]", "must be a JSON object"),
+        (b'{"format_version": 1}', "version 1"),
+        (manifest.replace(b'"canonical": "', b'"canonical": "zz'), "bad canonical form"),
+        (manifest.replace(b'"generation": 1', b'"generation": -1'), "generation"),
+    ]:
+        (table / "manifest.json").write_bytes(corrupted)
+        rc, err = _run_cli_process(
+            "reveal-view", "--table", str(table), "--view-keys", str(view_keys),
+            "--out", str(tmp_path / "o"),
+        )
+        assert (rc, "Traceback" in err) == (2, False), err
+        assert message in err
+
+
 def test_keys_not_echoed_without_flag(tmp_path, capsys, src_dir):
     table, keys = tmp_path / "table", tmp_path / "keys"
     rc, out, _ = run_cli(
@@ -234,7 +265,7 @@ def test_every_documented_flag_in_help(capsys):
     sub_actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]
     commands = sub_actions[0].choices
     expected = {
-        "encrypt-table": ["--src", "--dst", "--keys-dir", "--workers", "--batch-size", "--no-pipeline", "--insecure-print-keys"],
+        "encrypt-table": ["--src", "--dst", "--keys-dir", "--workers", "--insecure-print-keys"],
         "add-family": ["--table", "--table-key", "--family", "--keys-dir", "--tag-length", "--branching-bits", "--cache-capacity", "--rng-seed"],
         "view-gen": ["--table", "--family-id", "--family-key", "--view", "--out"],
         "reveal-view": ["--table", "--view-keys", "--out", "--fil", "--no-tags"],
@@ -246,6 +277,7 @@ def test_every_documented_flag_in_help(capsys):
         help_text = commands[command].format_help()
         for flag in flags:
             assert flag in help_text, f"{command} help lacks {flag}"
+        assert "--batch-size" not in help_text and "--no-pipeline" not in help_text
 
 
 def test_bench_smoke_json(capsys):

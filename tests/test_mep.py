@@ -2,6 +2,8 @@
 
 import hashlib
 import io
+import json
+import re
 import struct
 import time
 
@@ -121,6 +123,7 @@ def test_manifest_round_trip(boats_schema):
     assert back.schema == boats_schema
     assert back.partitions == [(1, 4), (2, 0)]
     assert back.families[0].family == family
+    assert back.generation == 0
     assert back.to_json() == text
 
 
@@ -138,6 +141,73 @@ def test_manifest_rejects_out_of_schema_family(boats_schema):
     small = Schema((Column("only", TYPE_INT64),))
     with pytest.raises(ManifestError, match="outside the schema"):
         TableManifest("t", small, [(1, 4)], [FamilyRecord(family.family_id, family, 4, 8)])
+
+
+def _manifest_doc(boats_schema) -> dict:
+    family = plan_family("SELECT * FROM t WHERE color = ?x", boats_schema)
+    manifest = TableManifest("boats", boats_schema, [(1, 4), (2, 0)], [FamilyRecord(family.family_id, family, 4, 8)], 3)
+    return json.loads(manifest.to_json())
+
+
+def test_manifest_rejects_ill_typed_fields(boats_schema):
+    doc = _manifest_doc(boats_schema)
+    assert TableManifest.from_json(json.dumps(doc)).generation == 3
+    family = doc["families"][0]
+    bad = {
+        "version 1": {**doc, "format_version": 1},
+        "version True": {**doc, "format_version": True},
+        "lacks 'generation'": {k: v for k, v in doc.items() if k != "generation"},
+        "'generation' must be >= 0": {**doc, "generation": -1},
+        "'generation' must be of type int": {**doc, "generation": 1.0},
+        "'table' must be of type str": {**doc, "table": 7},
+        "'id' must be >= 1": {**doc, "partitions": [{"id": 0, "rows": 1}]},
+        "'rows' must be of type int": {**doc, "partitions": [{"id": 1, "rows": True}]},
+        "partition entry must be a JSON object": {**doc, "partitions": [[1, 2]]},
+        "schema column must be a JSON object": {**doc, "schema": [1]},
+        "bad manifest schema": {**doc, "schema": [{"name": "a", "type": "float"}]},
+        "bad canonical form": {**doc, "families": [{**family, "canonical": "zz"}]},
+        "does not match": {**doc, "families": [{**family, "family_id": "00" * 8}]},
+        "'tag_length_bytes' must be in 1..16": {**doc, "families": [{**family, "tag_length_bytes": 17}]},
+    }
+    for message, broken in bad.items():
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            TableManifest.from_json(json.dumps(broken))
+    for text in ('{"format_version":1}', "[1]", "[" * 100_000, b"\xff"):
+        with pytest.raises(ManifestError):
+            TableManifest.from_json(text)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _manifest_texts(draw):
+    """Arbitrary text, or a valid manifest with one field replaced or dropped."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=200))
+    doc = _manifest_doc(Schema((Column("bid", TYPE_INT64), Column("bname", TYPE_UTF8), Column("color", TYPE_UTF8))))
+    target = draw(st.sampled_from([doc, doc["partitions"][0], doc["schema"][0], doc["families"][0]]))
+    key = draw(st.sampled_from(sorted(target)))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(_JSON_VALUES)
+    return json.dumps(doc)
+
+
+@settings(max_examples=1000, deadline=500, derandomize=True)
+@given(_manifest_texts())
+def test_any_manifest_text_raises_only_manifest_errors(text):
+    started = time.perf_counter()
+    try:
+        TableManifest.from_json(text)
+    except ManifestError:
+        pass
+    assert time.perf_counter() - started < 0.5
 
 
 # ------------------------------------------------------------------ MEP2

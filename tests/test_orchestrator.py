@@ -1,6 +1,7 @@
-"""Table-level flows: storage, staging, filters, and pipelining."""
+"""Table-level flows: storage, generations and commits, filters, workers."""
 
 import json
+import re
 import threading
 
 import pytest
@@ -65,8 +66,8 @@ def all_rows(csv_parts):
     return out
 
 
-def sequential_config(**kw):
-    return OrchestratorConfig(workers=1, batch_size=kw.pop("batch_size", 2), pipelined=kw.pop("pipelined", True))
+def sequential_config():
+    return OrchestratorConfig(workers=1)
 
 
 def test_encrypt_table_end_to_end(tmp_path):
@@ -76,7 +77,7 @@ def test_encrypt_table_end_to_end(tmp_path):
     assert key == TABLE_KEY
     assert manifest.partitions == [(1, 2), (2, 2), (3, 1), (4, 0)]
     assert dst.exists(MANIFEST_NAME)
-    assert all(dst.exists(partition_name(pid)) for pid in (1, 2, 3, 4))
+    assert all(dst.exists(partition_name(pid, 0)) for pid in (1, 2, 3, 4))
 
 
 def test_encrypt_table_refuses_overwrite(tmp_path):
@@ -173,7 +174,7 @@ def test_partition_filter_fetches_exactly_matching(tmp_path):
     dst.gets.clear()
     paths = run_reveal_view(dst, keys, tmp_path / "out", fil=(2, 3), config=sequential_config())
     fetched = [n for n in dst.gets if n.startswith("part-")]
-    assert sorted(fetched) == [partition_name(2), partition_name(3)]
+    assert sorted(fetched) == [partition_name(2, 1), partition_name(3, 1)]
     assert [p.name for p in paths] == ["view-part-00002.csv", "view-part-00003.csv"]
 
 
@@ -187,7 +188,7 @@ def test_filter_outside_census_rejected(tmp_path):
 def test_missing_partition_detected(tmp_path):
     dst, family_id = _encrypted_table(tmp_path)
     keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
-    dst.delete(partition_name(2))
+    dst.delete(partition_name(2, 1))
     with pytest.raises(StorageError, match="missing"):
         run_reveal_view(dst, keys, tmp_path / "out", config=sequential_config())
 
@@ -223,17 +224,12 @@ def _file_snapshot(storage):
     return {name: storage.get(name) for name in storage.list_files()}
 
 
-def test_pipelining_and_batching_do_not_change_bytes(tmp_path):
+def test_worker_count_does_not_change_bytes(tmp_path):
     src = make_src(tmp_path)
     snapshots = []
-    for i, config in enumerate(
-        [
-            OrchestratorConfig(workers=1, batch_size=1, pipelined=False),
-            OrchestratorConfig(workers=1, batch_size=3, pipelined=True),
-            OrchestratorConfig(workers=2, batch_size=2, pipelined=True),
-        ]
-    ):
-        dst = LocalDirStorage(tmp_path / f"table{i}")
+    for workers in (1, 2):
+        dst = LocalDirStorage(tmp_path / f"table{workers}")
+        config = OrchestratorConfig(workers=workers)
         run_encrypt_table(src, dst, TABLE_KEY, config)
         run_add_family(
             dst,
@@ -244,59 +240,142 @@ def test_pipelining_and_batching_do_not_change_bytes(tmp_path):
             config=config,
         )
         snapshots.append(_file_snapshot(dst))
-    assert snapshots[0] == snapshots[1] == snapshots[2]
+    assert snapshots[0] == snapshots[1]
 
 
-def test_reveal_output_identical_with_and_without_pipelining(tmp_path):
+def test_reveal_output_identical_for_one_and_two_workers(tmp_path):
     dst, family_id = _encrypted_table(tmp_path)
     keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
     texts = []
-    for pipelined in (False, True):
-        out = tmp_path / f"out-{pipelined}"
-        paths = run_reveal_view(
-            dst,
-            keys,
-            out,
-            config=OrchestratorConfig(workers=1, batch_size=1, pipelined=pipelined),
-        )
+    for workers in (1, 2):
+        out = tmp_path / f"out-{workers}"
+        paths = run_reveal_view(dst, keys, out, config=OrchestratorConfig(workers=workers))
         texts.append([p.read_text() for p in paths])
     assert texts[0] == texts[1]
 
 
-class FailingStorage(LocalDirStorage):
-    """Raises on the nth staged put, standing in for a mid-run crash."""
+class CrashingStorage(LocalDirStorage):
+    """Raises on the n-th put or delete of a matching file, standing in
+    for a crash at that point of a table operation."""
 
-    def __init__(self, root, fail_on_put: int):
+    def __init__(self, root):
         super().__init__(root)
-        self.staged_puts = 0
-        self.fail_on_put = fail_on_put
+        self.crash = None
+
+    def arm(self, operation, pattern, n):
+        self.crash = [operation, re.compile(pattern), n]
+
+    def _step(self, operation, name):
+        if self.crash and self.crash[0] == operation and self.crash[1].fullmatch(name):
+            self.crash[2] -= 1
+            if self.crash[2] == 0:
+                self.crash = None
+                raise RuntimeError(f"injected crash on {operation} {name}")
 
     def put(self, name, data):
-        if name.endswith(".tmp"):
-            self.staged_puts += 1
-            if self.staged_puts >= self.fail_on_put:
-                raise RuntimeError("injected storage failure")
+        self._step("put", name)
         super().put(name, data)
+
+    def delete(self, name):
+        self._step("delete", name)
+        super().delete(name)
+
+
+SECOND_FAMILY_SQL = "SELECT * FROM boats WHERE bid = ?z"
+SECOND_FAMILY_KEY = bytes(range(32, 48))
+PRE_COMMIT_CRASHES = [("put", r"part-.*", k) for k in (1, 2, 3, 4)] + [("put", "manifest.json", 1)]
+
+
+def _two_family_table(storage, second=True):
+    """Encrypt the boats table and add one family, then (optionally) a second."""
+    storage.root.parent.mkdir(parents=True, exist_ok=True)
+    run_encrypt_table(make_src(storage.root.parent), storage, TABLE_KEY, sequential_config())
+    run_add_family(storage, TABLE_KEY, FAMILY_SQL, FAMILY_KEY, rng_seed=3, config=sequential_config())
+    if second:
+        _add_second_family(storage)
+
+
+def _add_second_family(storage):
+    return run_add_family(
+        storage, TABLE_KEY, SECOND_FAMILY_SQL, SECOND_FAMILY_KEY, rng_seed=5, config=sequential_config()
+    )
+
+
+def _assert_reveals_oracle(storage, out):
+    manifest = TableManifest.from_json(storage.get(MANIFEST_NAME))
+    keys = run_view_gen(storage, manifest.families[0].family_id, FAMILY_KEY, VIEW_SQL)
+    paths = run_reveal_view(storage, keys, out, config=sequential_config())
+    got = []
+    for path in paths:
+        part = csv_to_partition(path.read_text(), _view_schema(manifest), int(path.stem.split("-")[-1]))
+        got.extend(tuple(r) for r in part.rows)
+    assert got == eval_view(manifest.schema, all_rows(BOATS_CSV), VIEW_SQL)
+
+
+def _unreferenced_partitions(storage):
+    manifest = TableManifest.from_json(storage.get(MANIFEST_NAME))
+    live = {partition_name(pid, manifest.generation) for pid, _ in manifest.partitions}
+    return [n for n in storage.list_files() if n.startswith("part-") and n not in live]
+
+
+def _uncrashed_snapshot(tmp_path):
+    reference = LocalDirStorage(tmp_path / "reference" / "table")
+    _two_family_table(reference)
+    return _file_snapshot(reference)
 
 
 def test_add_family_crash_leaves_prior_version(tmp_path):
-    src = make_src(tmp_path)
-    dst = FailingStorage(tmp_path / "table", fail_on_put=3)
-    run_encrypt_table(src, dst, TABLE_KEY, sequential_config())
-    before = _file_snapshot(dst)
+    """A crash at any put before the commit: the table stays at its prior
+    version, and the same command then succeeds as if it never crashed."""
+    expected = _uncrashed_snapshot(tmp_path)
+    for case, (operation, pattern, n) in enumerate(PRE_COMMIT_CRASHES):
+        dst = CrashingStorage(tmp_path / f"crash{case}" / "table")
+        _two_family_table(dst, second=False)
+        before = _file_snapshot(dst)
+        dst.arm(operation, pattern, n)
+        with pytest.raises(RuntimeError, match="injected"):
+            _add_second_family(dst)
+        orphans = _unreferenced_partitions(dst)
+        assert {n: b for n, b in _file_snapshot(dst).items() if n not in orphans} == before
+        assert len(TableManifest.from_json(dst.get(MANIFEST_NAME)).families) == 1
+        _assert_reveals_oracle(dst, tmp_path / f"crash{case}" / "out-crashed")
+
+        _add_second_family(dst)  # the same command again
+        assert _file_snapshot(dst) == expected
+        assert _unreferenced_partitions(dst) == []
+        _assert_reveals_oracle(dst, tmp_path / f"crash{case}" / "out-rerun")
+
+
+def test_add_family_crash_during_cleanup_leaves_committed_version(tmp_path):
+    dst = CrashingStorage(tmp_path / "crashed" / "table")
+    _two_family_table(dst, second=False)
+    dst.arm("delete", r"part-.*", 2)
     with pytest.raises(RuntimeError, match="injected"):
-        run_add_family(
-            dst,
-            TABLE_KEY,
-            FAMILY_SQL,
-            FAMILY_KEY,
-            config=OrchestratorConfig(workers=1, batch_size=1, pipelined=True),
-        )
-    after = _file_snapshot(dst)
-    committed = {n: b for n, b in after.items() if not n.endswith(".tmp")}
-    assert committed == before  # manifest and partitions untouched
-    manifest = TableManifest.from_json(dst.get(MANIFEST_NAME).decode())
-    assert manifest.families == []
+        _add_second_family(dst)
+    # The manifest put had committed: the table is whole at the new
+    # generation, and only the partitions of the old one are left over.
+    manifest = TableManifest.from_json(dst.get(MANIFEST_NAME))
+    assert (manifest.generation, len(manifest.families)) == (2, 2)
+    assert all(dst.exists(partition_name(pid, 2)) for pid, _ in manifest.partitions)
+    assert _unreferenced_partitions(dst) == [partition_name(pid, 1) for pid in (2, 3, 4)]
+    _assert_reveals_oracle(dst, tmp_path / "out-crashed")
+    with pytest.raises(OrchestratorError, match="already instantiated"):
+        _add_second_family(dst)
+
+    expected = _uncrashed_snapshot(tmp_path)
+    assert {n: b for n, b in _file_snapshot(dst).items() if n.endswith(".g2.mep")} == {
+        n: b for n, b in expected.items() if n.endswith(".g2.mep")
+    }
+    run_add_family(dst, TABLE_KEY, "SELECT bid, color FROM boats WHERE color = ?c", config=sequential_config())
+    assert _unreferenced_partitions(dst) == []
+
+
+def test_manifest_names_the_only_partition_files(tmp_path):
+    dst = LocalDirStorage(tmp_path / "table")
+    _two_family_table(dst)
+    manifest = TableManifest.from_json(dst.get(MANIFEST_NAME))
+    assert manifest.generation == 2
+    assert dst.list_files() == [MANIFEST_NAME] + [partition_name(pid, 2) for pid in (1, 2, 3, 4)]
 
 
 def test_key_files_round_trip(tmp_path):
@@ -317,8 +396,9 @@ def test_memory_storage_roundtrip():
     store.put("a", b"1")
     store.put("b", b"2")
     assert store.list_files() == ["a", "b"]
-    store.rename("a", "c")
-    assert store.get("c") == b"1"
+    store.delete("a")
+    store.delete("a")  # a missing file is not an error
+    assert store.list_files() == ["b"]
     assert not store.exists("a")
     with pytest.raises(StorageError):
         store.get("zz")
@@ -368,30 +448,38 @@ def test_http_storage_round_trip(tmp_path):
         from sealview.orchestrator import HttpStorage
 
         store = HttpStorage(f"http://127.0.0.1:{server.server_address[1]}")
-        store.put("part-00001.mep", b"payload")
-        assert store.get("part-00001.mep") == b"payload"
-        assert store.list_files() == ["part-00001.mep"]
-        store.rename("part-00001.mep", "part-00002.mep")
-        assert store.list_files() == ["part-00002.mep"]
+        store.put("part-00001.g0.mep", b"payload")
+        store.put("part-00002.g0.mep", b"other")
+        assert store.get("part-00001.g0.mep") == b"payload"
+        assert store.list_files() == ["part-00001.g0.mep", "part-00002.g0.mep"]
+        store.delete("part-00001.g0.mep")
+        store.delete("part-00001.g0.mep")  # a missing file is not an error
+        assert store.list_files() == ["part-00002.g0.mep"]
     finally:
         server.shutdown()
 
 
-def test_pipeline_failure_does_not_deadlock(tmp_path):
-    # Eight single-partition batches against a depth-2 queue: the fetcher
-    # is still blocked when the failure hits, and must be released.
+def test_failure_mid_run_does_not_hang(tmp_path):
+    # Eight partitions through two workers: the failure hits while later
+    # partitions are still queued, and the pool must be shut down.
     parts = {pid: f"{100 + pid},Name{pid},blue\n" for pid in range(1, 9)}
     src = make_src(tmp_path, parts)
-    dst = FailingStorage(tmp_path / "table", fail_on_put=2)
+    dst = CrashingStorage(tmp_path / "table")
     run_encrypt_table(src, dst, TABLE_KEY, sequential_config())
     before = _file_snapshot(dst)
-    with pytest.raises(RuntimeError, match="injected"):
-        run_add_family(
-            dst,
-            TABLE_KEY,
-            FAMILY_SQL,
-            FAMILY_KEY,
-            config=OrchestratorConfig(workers=1, batch_size=1, pipelined=True, queue_depth=2),
-        )
-    committed = {n: b for n, b in _file_snapshot(dst).items() if not n.endswith(".tmp")}
+    dst.arm("put", r"part-.*", 2)
+    failures = []
+
+    def add_family():
+        try:
+            run_add_family(dst, TABLE_KEY, FAMILY_SQL, FAMILY_KEY, config=OrchestratorConfig(workers=2))
+        except RuntimeError as exc:
+            failures.append(exc)
+
+    thread = threading.Thread(target=add_family, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "add-family hung after a mid-run failure"
+    assert [str(exc) for exc in failures] == [f"injected crash on put {partition_name(2, 1)}"]
+    committed = {n: b for n, b in _file_snapshot(dst).items() if n in before}
     assert committed == before

@@ -1,8 +1,11 @@
 """Planner passes, golden covers, and planner-vs-oracle equivalence."""
 
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sealview.encoding import TYPE_INT64, TYPE_UTF8
 from sealview.model import Column, Schema
@@ -344,6 +347,44 @@ def test_serialization_round_trip():
         back = CanonicalFamily.deserialize(blob)
         assert back == family
         assert back.serialize() == blob
+
+
+_MCF_BLOBS = (
+    plan_family("SELECT bname, color FROM boats WHERE bname IN ?x1 OR color IN ?x2", BOATS).serialize(),
+    plan_family("SELECT * FROM boats WHERE bid >= ?lo AND bid <= ?hi OR color = ?c", BOATS).serialize(),
+)
+
+
+@st.composite
+def _mutated_families(draw):
+    blob = draw(st.sampled_from(_MCF_BLOBS))
+    kind = draw(st.sampled_from(("truncate", "flip", "append")))
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    if kind == "append":
+        return blob + draw(st.binary(min_size=1, max_size=32))
+    at = draw(st.integers(0, len(blob) - 1))
+    return blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1 :]
+
+
+@settings(max_examples=1500, deadline=500, derandomize=True)
+@given(_mutated_families())
+def test_mutated_families_raise_only_planner_errors(data):
+    started = time.perf_counter()
+    try:
+        family = CanonicalFamily.deserialize(data)
+    except PlannerError:
+        return
+    assert family.serialize() == data  # whatever parses is the one encoding of itself
+    assert time.perf_counter() - started < 0.5
+
+
+def test_family_counts_past_the_end_rejected():
+    blob = _MCF_BLOBS[0]
+    with pytest.raises(PlannerError, match="truncated"):
+        CanonicalFamily.deserialize(blob[:7] + b"\xff\xff")  # 65,535 projected columns
+    with pytest.raises(PlannerError, match="unknown atom kind"):
+        CanonicalFamily.deserialize(blob.replace(b"\x00\x01\x01\x00\x01", b"\x00\x01\x09\x00\x01", 1))
 
 
 # ------------------------------------------------- planner-sound randomized

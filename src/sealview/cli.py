@@ -161,6 +161,12 @@ def cmd_add_family(args) -> int:
     storage = open_storage(args.table)
     table_key = read_key(args.table_key)
     report = RunReport()
+    key_dir = Path(args.keys_dir)
+
+    def save_key(family_id, family_key):
+        # Before the commit: a registered family always has its key on disk.
+        write_key(key_dir / f"fam-{family_id}.familykey", family_key)
+
     family_id, family_key = run_add_family(
         storage,
         table_key,
@@ -172,9 +178,9 @@ def cmd_add_family(args) -> int:
         rng_seed=args.rng_seed,
         config=_config(args),
         report=report,
+        before_commit=save_key,
     )
-    key_path = Path(args.keys_dir) / f"fam-{family_id}.familykey"
-    write_key(key_path, family_key)
+    key_path = key_dir / f"fam-{family_id}.familykey"
     print(f"family {family_id} instantiated on {report.partitions} partitions")
     print(f"family key written to {key_path}")
     if args.insecure_print_keys:

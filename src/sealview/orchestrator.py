@@ -15,7 +15,9 @@ generation the manifest records. The manifest put is the only commit:
 
 A crash before the manifest put leaves the table at g, and a rerun
 overwrites the orphaned g+1 files; a crash after it leaves the table at
-g+1, and the next add-family deletes what the crash left behind.
+g+1, and the next add-family deletes what the crash left behind. The
+cleanup is best effort: once the manifest is put, a failed delete is
+left for the next commit and does not fail the operation.
 """
 
 from __future__ import annotations
@@ -27,14 +29,13 @@ import re
 import secrets
 import time
 from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backend import (
-    AddFamilyStats,
     FamilyParams,
-    RevealStats,
     ViewKeySet,
     add_family,
     encrypt_partition,
@@ -209,12 +210,7 @@ class PartitionStats:
     pid: int
     rows: int = 0
     plain_bytes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    rows_scanned: int = 0
     rows_emitted: int = 0
-    decrypt_attempts: int = 0
-    crypto_seconds: float = 0.0
 
 
 @dataclass
@@ -292,12 +288,20 @@ def _load_manifest(storage: Storage) -> TableManifest:
 
 def _commit(storage: Storage, manifest: TableManifest) -> None:
     """Put the manifest (the commit), then delete every partition file
-    it does not name."""
+    it does not name. A storage failure in that cleanup cannot undo the
+    commit, so it is not raised: the next commit deletes what is left."""
     storage.put(MANIFEST_NAME, manifest.to_json().encode("utf-8"))
     live = {partition_name(pid, manifest.generation) for pid, _ in manifest.partitions}
-    for name in storage.list_files():
+    try:
+        names = storage.list_files()
+    except (StorageError, OSError):
+        return
+    for name in names:
         if PARTITION_FILE.fullmatch(name) and name not in live:
-            storage.delete(name)
+            try:
+                storage.delete(name)
+            except (StorageError, OSError):
+                pass
 
 
 def _apply_filter(manifest: TableManifest, fil: tuple[int, int] | None) -> list[int]:
@@ -335,16 +339,8 @@ def _add_family_worker(args) -> tuple[PartitionStats, bytes]:
     enc_part = parse_encrypted(payload, schema)
     if enc_part.partition_id != pid:
         raise OrchestratorError(f"partition file {pid} carries id {enc_part.partition_id}")
-    stats = AddFamilyStats()
-    add_family(enc_part, schema, table_key, family, family_key, params, stats=stats)
-    summary = PartitionStats(
-        pid,
-        rows=stats.rows,
-        cache_hits=stats.cache_hits,
-        cache_misses=stats.cache_misses,
-        crypto_seconds=stats.crypto_seconds,
-    )
-    return summary, serialize_encrypted(enc_part, schema)
+    add_family(enc_part, schema, table_key, family, family_key, params)
+    return PartitionStats(pid, rows=enc_part.n_rows), serialize_encrypted(enc_part, schema)
 
 
 def _reveal_worker(args) -> tuple[PartitionStats, str]:
@@ -353,18 +349,10 @@ def _reveal_worker(args) -> tuple[PartitionStats, str]:
     family = CanonicalFamily.deserialize(family_blob)
     view_keys = ViewKeySet.deserialize(view_blob)
     enc_part = parse_encrypted(payload, schema)
-    stats = RevealStats()
-    rows = reveal_partition(enc_part, schema, family, view_keys, use_tags=use_tags, stats=stats)
+    rows = reveal_partition(enc_part, schema, family, view_keys, use_tags=use_tags)
     out = io.StringIO()
     partition_to_csv(rows, out)
-    summary = PartitionStats(
-        pid,
-        rows_scanned=stats.rows_scanned,
-        rows_emitted=stats.rows_emitted,
-        decrypt_attempts=stats.decrypt_attempts,
-        crypto_seconds=stats.crypto_seconds,
-    )
-    return summary, out.getvalue()
+    return PartitionStats(pid, rows_emitted=len(rows)), out.getvalue()
 
 
 # -------------------------------------------------------- table operations
@@ -448,9 +436,14 @@ def run_add_family(
     rng_seed: int | None = None,
     config: OrchestratorConfig | None = None,
     report: RunReport | None = None,
+    before_commit: Callable[[str, bytes], None] | None = None,
 ) -> tuple[str, bytes]:
     """Instantiate a family on every partition as the next generation;
-    the manifest put that registers the family commits it."""
+    the manifest put that registers the family commits it.
+
+    `before_commit(family_id, family_key)` runs once every partition is
+    stored and before the manifest put, so a caller can save the key
+    before the family it opens exists; if it raises, nothing commits."""
     config = config or OrchestratorConfig()
     report = report if report is not None else RunReport()
     manifest = _load_manifest(storage)
@@ -478,6 +471,8 @@ def run_add_family(
 
     ids = [pid for pid, _ in manifest.partitions]
     _map_partitions(ids, fetch, _add_family_worker, store, config.workers, report)
+    if before_commit is not None:
+        before_commit(family_id, family_key)
     manifest.generation = following
     manifest.families.append(FamilyRecord(family_id, family, tag_length, branching_bits))
     _commit(storage, manifest)

@@ -10,6 +10,7 @@ import pytest
 
 import sealview
 from sealview.cli import build_parser, main
+from sealview.orchestrator import LocalDirStorage, StorageError
 
 SCHEMA_DOC = {
     "table": "boats",
@@ -242,6 +243,61 @@ def test_corrupted_manifest_exits_two_without_traceback(tmp_path, capsys, src_di
         )
         assert (rc, "Traceback" in err) == (2, False), err
         assert message in err
+
+
+def _add_family_and_reveal(capsys, tmp_path, table, keys):
+    """add-family then a reveal; an exception from add-family is raised
+    only after the reveal ran with the key left on disk."""
+    add_family = (
+        "add-family", "--table", str(table), "--table-key", str(keys / "boats.tablekey"),
+        "--family", FAMILY_SQL, "--keys-dir", str(keys),
+    )
+    try:
+        rc, _, err = run_cli(capsys, *add_family)
+        crash = None
+    except RuntimeError as exc:
+        rc, err, crash = None, "", exc
+    (family_key,) = keys.glob("fam-*.familykey")
+    view_keys = tmp_path / "analyst.viewkeys"
+    assert run_cli(
+        capsys, "view-gen", "--table", str(table), "--family-id", family_key.name[4:20],
+        "--family-key", str(family_key), "--view", VIEW_SQL, "--out", str(view_keys),
+    )[0] == 0
+    out_dir = tmp_path / "revealed"
+    assert run_cli(
+        capsys, "reveal-view", "--table", str(table), "--view-keys", str(view_keys), "--out", str(out_dir)
+    )[0] == 0
+    assert (out_dir / "view-part-00002.csv").read_text() == "Marine,red\n"
+    if crash is not None:
+        raise crash
+    return rc, err
+
+
+def test_failed_cleanup_delete_keeps_the_family_and_its_key(tmp_path, capsys, src_dir, monkeypatch):
+    table, keys = tmp_path / "table", tmp_path / "keys"
+    run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
+
+    def failing_delete(self, name):
+        raise StorageError(f"delete {name!r} failed with status 503")
+
+    monkeypatch.setattr(LocalDirStorage, "delete", failing_delete)
+    rc, err = _add_family_and_reveal(capsys, tmp_path, table, keys)
+    assert (rc, err) == (0, "")
+    assert sorted(p.name for p in table.glob("part-*")) == [
+        "part-00001.g0.mep", "part-00001.g1.mep", "part-00002.g0.mep", "part-00002.g1.mep",
+    ]
+
+
+def test_crash_after_commit_leaves_the_family_key_on_disk(tmp_path, capsys, src_dir, monkeypatch):
+    table, keys = tmp_path / "table", tmp_path / "keys"
+    run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
+
+    def crash(self, name):
+        raise RuntimeError("process killed")
+
+    monkeypatch.setattr(LocalDirStorage, "delete", crash)
+    with pytest.raises(RuntimeError, match="killed"):
+        _add_family_and_reveal(capsys, tmp_path, table, keys)
 
 
 def test_keys_not_echoed_without_flag(tmp_path, capsys, src_dir):

@@ -255,22 +255,23 @@ def test_reveal_output_identical_for_one_and_two_workers(tmp_path):
 
 
 class CrashingStorage(LocalDirStorage):
-    """Raises on the n-th put or delete of a matching file, standing in
-    for a crash at that point of a table operation."""
+    """Raises on the n-th put or delete of a matching file: a RuntimeError
+    stands in for a crash at that point of a table operation, a
+    StorageError for a failed request."""
 
     def __init__(self, root):
         super().__init__(root)
         self.crash = None
 
-    def arm(self, operation, pattern, n):
-        self.crash = [operation, re.compile(pattern), n]
+    def arm(self, operation, pattern, n, error=RuntimeError):
+        self.crash = [operation, re.compile(pattern), n, error]
 
     def _step(self, operation, name):
         if self.crash and self.crash[0] == operation and self.crash[1].fullmatch(name):
             self.crash[2] -= 1
             if self.crash[2] == 0:
-                self.crash = None
-                raise RuntimeError(f"injected crash on {operation} {name}")
+                error, self.crash = self.crash[3], None
+                raise error(f"injected failure on {operation} {name}")
 
     def put(self, name, data):
         self._step("put", name)
@@ -346,27 +347,68 @@ def test_add_family_crash_leaves_prior_version(tmp_path):
         _assert_reveals_oracle(dst, tmp_path / f"crash{case}" / "out-rerun")
 
 
+THIRD_FAMILY_SQL = "SELECT bid, color FROM boats WHERE color = ?c"
+
+
+def test_add_family_survives_failed_cleanup_delete(tmp_path):
+    """A failed delete after the commit does not fail the command: the
+    family is added, and the next commit deletes the file left over."""
+    expected = _uncrashed_snapshot(tmp_path)
+    for k in (1, 2, 3, 4):
+        dst = CrashingStorage(tmp_path / f"cleanup{k}" / "table")
+        _two_family_table(dst, second=False)
+        dst.arm("delete", r"part-.*", k, StorageError)
+        family_id, family_key = _add_second_family(dst)
+        assert family_key == SECOND_FAMILY_KEY
+        assert dst.crash is None  # the delete did fail
+        leftover = [partition_name(k, 1)]
+        assert _unreferenced_partitions(dst) == leftover
+        assert {n: b for n, b in _file_snapshot(dst).items() if n not in leftover} == expected
+        _assert_reveals_oracle(dst, tmp_path / f"cleanup{k}" / "out")
+
+        run_add_family(dst, TABLE_KEY, THIRD_FAMILY_SQL, config=sequential_config())
+        assert _unreferenced_partitions(dst) == []
+
+
 def test_add_family_crash_during_cleanup_leaves_committed_version(tmp_path):
     dst = CrashingStorage(tmp_path / "crashed" / "table")
     _two_family_table(dst, second=False)
+    saved = []
     dst.arm("delete", r"part-.*", 2)
     with pytest.raises(RuntimeError, match="injected"):
-        _add_second_family(dst)
+        run_add_family(
+            dst, TABLE_KEY, SECOND_FAMILY_SQL, rng_seed=5, config=sequential_config(),
+            before_commit=lambda *id_and_key: saved.append(id_and_key),
+        )
     # The manifest put had committed: the table is whole at the new
-    # generation, and only the partitions of the old one are left over.
+    # generation, only the partitions of the old one are left over, and
+    # the new family's key was handed out before the commit.
     manifest = TableManifest.from_json(dst.get(MANIFEST_NAME))
     assert (manifest.generation, len(manifest.families)) == (2, 2)
+    assert [family_id for family_id, _ in saved] == [manifest.families[1].family_id]
     assert all(dst.exists(partition_name(pid, 2)) for pid, _ in manifest.partitions)
     assert _unreferenced_partitions(dst) == [partition_name(pid, 1) for pid in (2, 3, 4)]
     _assert_reveals_oracle(dst, tmp_path / "out-crashed")
     with pytest.raises(OrchestratorError, match="already instantiated"):
         _add_second_family(dst)
 
-    expected = _uncrashed_snapshot(tmp_path)
-    assert {n: b for n, b in _file_snapshot(dst).items() if n.endswith(".g2.mep")} == {
-        n: b for n, b in expected.items() if n.endswith(".g2.mep")
-    }
-    run_add_family(dst, TABLE_KEY, "SELECT bid, color FROM boats WHERE color = ?c", config=sequential_config())
+    run_add_family(dst, TABLE_KEY, THIRD_FAMILY_SQL, config=sequential_config())
+    assert _unreferenced_partitions(dst) == []
+
+
+def test_failing_before_commit_commits_nothing(tmp_path):
+    dst = LocalDirStorage(tmp_path / "table")
+    _two_family_table(dst, second=False)
+    before = _file_snapshot(dst)
+
+    def refuse(family_id, family_key):
+        raise OSError("key directory is read-only")
+
+    with pytest.raises(OSError, match="read-only"):
+        run_add_family(dst, TABLE_KEY, SECOND_FAMILY_SQL, config=sequential_config(), before_commit=refuse)
+    orphans = _unreferenced_partitions(dst)
+    assert {n: b for n, b in _file_snapshot(dst).items() if n not in orphans} == before
+    _add_second_family(dst)
     assert _unreferenced_partitions(dst) == []
 
 
@@ -480,6 +522,6 @@ def test_failure_mid_run_does_not_hang(tmp_path):
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive(), "add-family hung after a mid-run failure"
-    assert [str(exc) for exc in failures] == [f"injected crash on put {partition_name(2, 1)}"]
+    assert [str(exc) for exc in failures] == [f"injected failure on put {partition_name(2, 1)}"]
     committed = {n: b for n, b in _file_snapshot(dst).items() if n in before}
     assert committed == before

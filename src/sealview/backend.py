@@ -5,23 +5,30 @@ a view family by appending projection, selection, and tagging columns;
 mint view keys from a family key; and reveal a view by scanning tags and
 decrypting matching rows.
 
-Key derivation chains (all 16-byte keys):
+Key derivation chains (all 16-byte keys). Each line is implemented once,
+by the code named on its right, which the owner's writer and the reader
+both call:
 
-    row key        = PRF(table key, partition || row)
-    cell key       = PRF(row key, column)
-    predicate key  = PRF(family key, predicate index)
-    selection key  = PRF_var(predicate key, g(row))
-    view key       = PRF_var(predicate key, bound value)
-    tagging key    = PRF(selection key, partition)
-    tag            = PRF(tagging key, count)[:tag_length]
+    row key        = PRF(table key, partition || row)      _row_keys
+    cell key       = PRF(row key, column)                  _cell_keys
+    predicate key  = PRF(family key, predicate index)      _predicate_ciphers
+    selection key  = PRF_var(predicate key, g(row))        add_family
+    view key       = PRF_var(predicate key, bound value)   generate_view_keys
+    slot key       = PRF(selection key, 0)                 _SelectionKey
+    tagging key    = PRF(selection key, partition)         _SelectionKey
+    tag            = PRF(tagging key, count)[:tag_length]  _SelectionKey.tag
+    selection slot = CTR(slot key, projection key)         _SelectionKey.slot
+    projection key and projection entry                    _Projection
 
-Indices are 1-based inside PRF inputs; partition ids never equal 0, so
-the tagging key input never collides with the selection-column
-encryption key input PRF(selection key, 0).
+Indices are 0-based everywhere but inside PRF inputs and cell positions,
+where they are 1-based; the code named above converts. Partition ids
+never equal 0, so the tagging key input never collides with the slot key
+input PRF(selection key, 0).
 """
 
 from __future__ import annotations
 
+import random
 import secrets
 import struct
 import time
@@ -47,8 +54,7 @@ from .primitives import (
     DOMAIN_SELECTION,
     KEY_LEN,
     ZERO_BLOCK,
-    ote_dec,
-    ote_enc,
+    ote,
     pack_block,
     secure_concat,
     split_concat,
@@ -79,36 +85,160 @@ class FamilyParams:
             raise BackendError("cache capacity must be non-negative")
 
 
-class SelectionCache:
-    """Bounded LRU from selection key to prepared key material.
+def _prf_keys(cipher: BlockCipher, blocks) -> list[bytes]:
+    """The cipher's PRF of each 16-byte input block, in one batch."""
+    flat = cipher.prf_many(b"".join(blocks))
+    return [flat[off : off + 16] for off in range(0, len(flat), 16)]
 
-    A hit returns the selection-column encryption key and the partition's
-    tagging key with their AES schedules already expanded; recomputing
-    them costs three key schedules per row and predicate, which dominates
-    instantiation time when a column repeats values.
+
+def _row_keys(table_key: bytes, partition_id: int, n_rows: int) -> list[bytes]:
+    """Row keys of rows 0..n_rows-1 of a partition."""
+    return _prf_keys(BlockCipher(table_key), (pack_block(partition_id, r0 + 1) for r0 in range(n_rows)))
+
+
+def _cell_keys(row_cipher: BlockCipher, columns) -> list[bytes]:
+    """Cell keys of the given 0-based columns, in their order."""
+    return _prf_keys(row_cipher, (pack_block(c + 1) for c in columns))
+
+
+def _predicate_ciphers(family_key: bytes, n_pred: int) -> list[BlockCipher]:
+    """Ciphers under the predicate keys of predicates 0..n_pred-1."""
+    keys = _prf_keys(BlockCipher(family_key), (pack_block(j0 + 1) for j0 in range(n_pred)))
+    return [BlockCipher(k) for k in keys]
+
+
+class _SelectionKey:
+    """The two keys a selection key derives in one partition: the slot key,
+    which encrypts the projection key into a row's selection slot, and the
+    tagging key, which makes the tags."""
+
+    __slots__ = ("partition_id", "_slot_key", "_slot_cipher", "tag_cipher")
+
+    def __init__(self, selection_key: bytes, partition_id: int):
+        self.partition_id = partition_id
+        self._slot_key, tag_key = _prf_keys(
+            BlockCipher(selection_key), (ZERO_BLOCK, pack_block(partition_id))
+        )
+        self._slot_cipher = None  # built on first use; most reader keys never need it
+        self.tag_cipher = BlockCipher(tag_key)
+
+    def tag(self, count: int, tag_length: int) -> bytes:
+        """The tag of this key's occurrence number `count` (0-based)."""
+        return self.tag_cipher.prf(pack_block(count))[:tag_length]
+
+    def slot(self, r0: int, j0: int, data: bytes) -> bytes:
+        """CTR transform (its own inverse) of row r0's slot for predicate j0."""
+        if self._slot_cipher is None:
+            self._slot_cipher = BlockCipher(self._slot_key)
+        pos = CellPosition(DOMAIN_SELECTION, self.partition_id, r0 + 1, j0 + 1)
+        return self._slot_cipher.ctr(pos, data)
+
+
+class SelectionCache:
+    """Bounded LRU from selection key to its prepared `_SelectionKey`.
+
+    A hit returns the slot and tagging keys with their AES schedules
+    already expanded; deriving them costs three key schedules per row and
+    predicate, which dominates instantiation time when a column repeats
+    values. Capacity 0 means no reuse.
     """
 
     def __init__(self, capacity: int, partition_id: int):
         self.capacity = capacity
-        self._partition_block = pack_block(partition_id)
-        self._entries: OrderedDict[bytes, tuple[BlockCipher, BlockCipher]] = OrderedDict()
+        self.partition_id = partition_id
+        self._entries: OrderedDict[bytes, _SelectionKey] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, selection_key: bytes) -> tuple[BlockCipher, BlockCipher]:
+    def lookup(self, selection_key: bytes) -> _SelectionKey:
         entry = self._entries.get(selection_key) if self.capacity else None
         if entry is not None:
             self.hits += 1
             self._entries.move_to_end(selection_key)
             return entry
         self.misses += 1
-        derived = BlockCipher(selection_key).prf_many(ZERO_BLOCK + self._partition_block)
-        entry = (BlockCipher(derived[:16]), BlockCipher(derived[16:]))
+        entry = _SelectionKey(selection_key, self.partition_id)
         if self.capacity:
             if len(self._entries) >= self.capacity:
                 self._entries.popitem(last=False)
             self._entries[selection_key] = entry
         return entry
+
+
+_ONE_COLUMN, _WHOLE_ROW, _KEY_BLOB = range(3)
+
+
+class _Projection:
+    """One family's projection entries in one partition: the writer seals
+    them, the reader confirms and opens them.
+
+    A row's projection key opens every projected cell of the row. What it
+    is follows from the projection alone:
+    - one column: that column's cell key;
+    - every column: the row key, from which each cell key derives;
+    - otherwise: a fresh key, under which the entry carries the projected
+      cell keys.
+    A key is confirmed by its check value: PRF(key, 0), which is the whole
+    entry in the first two kinds, or in the third CTR(key, 0) at the check
+    position, which follows the encrypted cell keys.
+    """
+
+    def __init__(self, family: CanonicalFamily, n_col: int, partition_id: int):
+        self.projected = family.projected
+        self.partition_id = partition_id
+        n_proj = family.n_proj
+        self.kind = _ONE_COLUMN if n_proj == 1 else _WHOLE_ROW if n_proj == n_col else _KEY_BLOB
+        # The cell keys `seal` takes, unless the row key opens the cells.
+        self.key_columns = () if self.kind == _WHOLE_ROW else self.projected
+
+    def _check(self, r0: int, pk_cipher: BlockCipher) -> bytes:
+        if self.kind == _KEY_BLOB:
+            pos = CellPosition(DOMAIN_PROJECTION_CHECK, self.partition_id, r0 + 1)
+            return pk_cipher.ctr(pos, ZERO_BLOCK)
+        return pk_cipher.prf(ZERO_BLOCK)
+
+    def _blob(self, r0: int, pk_cipher: BlockCipher, data: bytes) -> bytes:
+        """CTR transform (its own inverse) of row r0's cell-key blob."""
+        pos = CellPosition(DOMAIN_PROJECTION_BLOB, self.partition_id, r0 + 1)
+        return pk_cipher.ctr(pos, data)
+
+    def seal(
+        self, r0: int, row_cipher: BlockCipher, cell_keys: dict[int, bytes], rng: random.Random
+    ) -> tuple[bytes, bytes]:
+        """Row r0's projection key and entry, from the cell keys of at
+        least the `key_columns`; `rng` draws a fresh key."""
+        if self.kind == _WHOLE_ROW:
+            return row_cipher.key, self._check(r0, row_cipher)
+        keys = [cell_keys[c] for c in self.projected]
+        if self.kind == _ONE_COLUMN:
+            return keys[0], self._check(r0, BlockCipher(keys[0]))
+        pk = rng.randbytes(KEY_LEN)
+        pk_cipher = BlockCipher(pk)
+        blob = self._blob(r0, pk_cipher, secure_concat(keys))
+        return pk, secure_concat([blob, self._check(r0, pk_cipher)])
+
+    def confirm(self, r0: int, pk: bytes, entry: bytes) -> BlockCipher | None:
+        """A cipher under `pk` if it is row r0's projection key, else None."""
+        pk_cipher = BlockCipher(pk)
+        check = entry
+        if self.kind == _KEY_BLOB:
+            parts = split_concat(entry)
+            if len(parts) != 2:
+                raise BackendError("malformed projection entry")
+            check = parts[1]
+        return pk_cipher if check == self._check(r0, pk_cipher) else None
+
+    def cell_keys(self, r0: int, pk_cipher: BlockCipher, entry: bytes) -> list[bytes]:
+        """The projected cells' keys, in projection order, under a
+        confirmed projection key."""
+        if self.kind == _ONE_COLUMN:
+            return [pk_cipher.key]
+        if self.kind == _WHOLE_ROW:
+            return _cell_keys(pk_cipher, self.projected)
+        keys = split_concat(self._blob(r0, pk_cipher, split_concat(entry)[0]))
+        if len(keys) != len(self.projected):
+            raise BackendError("projection blob key count mismatch")
+        return keys
 
 
 @dataclass
@@ -193,32 +323,27 @@ class ViewKeySet:
         return cls(family_id, tag_length, tuple(preds))
 
 
-def _row_keys(table_cipher: BlockCipher, partition_id: int, n_rows: int) -> list[bytes]:
-    packed = b"".join(pack_block(partition_id, r) for r in range(1, n_rows + 1))
-    flat = table_cipher.prf_many(packed)
-    return [flat[i * 16 : (i + 1) * 16] for i in range(n_rows)]
-
-
-def _cell_keys(row_cipher: BlockCipher, columns: list[int]) -> dict[int, bytes]:
-    """Cell keys for 1-based column indices, derived in one batch."""
-    flat = row_cipher.prf_many(b"".join(pack_block(c) for c in columns))
-    return {c: flat[i * 16 : (i + 1) * 16] for i, c in enumerate(columns)}
-
-
 def encrypt_partition(
     plain: PlainPartition, schema: Schema, table_key: bytes
 ) -> EncryptedPartition:
-    """Encrypt every cell under its own key; no family columns yet."""
-    plain.validate(schema)
+    """Encrypt every cell under its own key; no family columns yet.
+
+    Each cell is encoded once, and checked as it is: a row of the wrong
+    length or a NULL in a non-nullable column raises SchemaError, and a
+    value of the wrong type EncodingError.
+    """
     n_col = len(schema)
-    columns = list(range(1, n_col + 1))
-    types = [c.type for c in schema.columns]
-    row_keys = _row_keys(BlockCipher(table_key), plain.partition_id, len(plain.rows))
-    cells: list[list[bytes]] = [[] for _ in range(n_col)]
-    for row, row_key in zip(plain.rows, row_keys):
+    columns = range(n_col)
+    cells: list[list[bytes]] = [[] for _ in columns]
+    row_keys = _row_keys(table_key, plain.partition_id, len(plain.rows))
+    for r0, (row, row_key) in enumerate(zip(plain.rows, row_keys)):
+        if len(row) != n_col:
+            raise SchemaError(f"row {r0} has {len(row)} cells, schema has {n_col}")
         keys = _cell_keys(BlockCipher(row_key), columns)
-        for c, value in enumerate(row):
-            cells[c].append(ote_enc(keys[c + 1], encode_cell(value, types[c])))
+        for value, col, key, out in zip(row, schema.columns, keys, cells):
+            if value is None and not col.nullable:
+                raise SchemaError(f"null in non-nullable column {col.name!r}")
+            out.append(ote(key, encode_cell(value, col.type)))
     return EncryptedPartition(plain.partition_id, [CellColumn.from_cells(col) for col in cells])
 
 
@@ -253,81 +378,48 @@ def add_family(
         raise SchemaError("family references a column outside the schema")
 
     p = enc_part.partition_id
-    n_proj = family.n_proj
-    general_case = not (n_proj == 1 or n_proj == n_col)
+    projection = _Projection(family, n_col, p)
     where_cols = sorted(family.where_columns())
-    # Columns whose cell keys are needed: WHERE evaluation always, plus the
-    # projected cell keys when they go into the encrypted projection blob.
-    key_cols = set(where_cols)
-    if general_case:
-        key_cols.update(family.projected)
-    elif n_proj == 1:
-        key_cols.add(family.projected[0])
-    key_cols_1b = sorted(c + 1 for c in key_cols)
+    key_cols = sorted(set(where_cols) | set(projection.key_columns))
     types = [c.type for c in schema.columns]
-
-    family_cipher = BlockCipher(family_key)
-    pred_ciphers = [
-        BlockCipher(family_cipher.prf(pack_block(j))) for j in range(1, family.n_pred + 1)
-    ]
+    pred_ciphers = _predicate_ciphers(family_key, family.n_pred)
     cache = SelectionCache(params.cache_capacity, p)
     counts: dict[bytes, int] = {}
-    rng = None
-    if params.rng_seed is not None:
-        import random as _random
+    if params.rng_seed is None:
+        rng = random.SystemRandom()
+    else:
+        rng = random.Random(params.rng_seed * 1_000_003 + p)
 
-        rng = _random.Random(params.rng_seed * 1_000_003 + p)
-
-    row_keys = _row_keys(BlockCipher(table_key), p, enc_part.n_rows)
+    row_keys = _row_keys(table_key, p, enc_part.n_rows)
     where_cells = {c: list(enc_part.columns[c]) for c in where_cols}
     tag_len = params.tag_length
-    projection: list[bytes] = []
-    selection: list[bytes] = []
-    tagging: list[bytes] = []
+    proj_entries: list[bytes] = []
+    sel_entries: list[bytes] = []
+    tag_entries: list[bytes] = []
     started = time.perf_counter()
 
     for r0, row_key in enumerate(row_keys):
-        r = r0 + 1
         row_cipher = BlockCipher(row_key)
-        keys = _cell_keys(row_cipher, key_cols_1b)
+        keys = dict(zip(key_cols, _cell_keys(row_cipher, key_cols)))
         values: list = [_MISSING] * n_col
         for c in where_cols:
-            values[c] = decode_cell(ote_dec(keys[c + 1], where_cells[c][r0]), types[c])
-
-        if n_proj == 1:
-            pk = keys[family.projected[0] + 1]
-            projection.append(BlockCipher(pk).prf(ZERO_BLOCK))
-        elif n_proj == n_col:
-            pk = row_key
-            projection.append(row_cipher.prf(ZERO_BLOCK))
-        else:
-            pk = rng.randbytes(16) if rng is not None else secrets.token_bytes(16)
-            pk_cipher = BlockCipher(pk)
-            blob = secure_concat([keys[c + 1] for c in family.projected])
-            projection.append(
-                secure_concat(
-                    [
-                        pk_cipher.ctr(CellPosition(DOMAIN_PROJECTION_BLOB, p, r), blob),
-                        pk_cipher.ctr(CellPosition(DOMAIN_PROJECTION_CHECK, p, r), ZERO_BLOCK),
-                    ]
-                )
-            )
-
-        sel_entries = []
-        tag_entries = []
-        for j0, pred in enumerate(family.predicates):
-            g_value = pred.evaluate(values, schema)
-            s = pred_ciphers[j0].mac(g_value)
-            enc_cipher, tau_cipher = cache.lookup(s)
-            sel_entries.append(enc_cipher.ctr(CellPosition(DOMAIN_SELECTION, p, r, j0 + 1), pk))
+            values[c] = decode_cell(ote(keys[c], where_cells[c][r0]), types[c])
+        pk, proj_entry = projection.seal(r0, row_cipher, keys, rng)
+        slots = []
+        tags = []
+        for j0, (pred, pred_cipher) in enumerate(zip(family.predicates, pred_ciphers)):
+            s = pred_cipher.mac(pred.evaluate(values, schema))
+            sel = cache.lookup(s)
+            slots.append(sel.slot(r0, j0, pk))
             count = counts.get(s, 0)
-            tag_entries.append(tau_cipher.prf(pack_block(count))[:tag_len])
+            tags.append(sel.tag(count, tag_len))
             counts[s] = count + 1
-        selection.append(b"".join(sel_entries))
-        tagging.append(b"".join(tag_entries))
+        proj_entries.append(proj_entry)
+        sel_entries.append(b"".join(slots))
+        tag_entries.append(b"".join(tags))
 
     enc_part.families[family_id] = FamilyColumns(
-        *map(FixedWidthColumn.from_entries, (projection, selection, tagging))
+        *map(FixedWidthColumn.from_entries, (proj_entries, sel_entries, tag_entries))
     )
     if stats is not None:
         stats.rows += enc_part.n_rows
@@ -341,44 +433,32 @@ def add_family(
 def generate_view_keys(
     view: CanonicalView, family_key: bytes, tag_length: int = DEFAULT_TAG_LENGTH
 ) -> ViewKeySet:
-    """Derive one key per bound value per predicate."""
-    family_cipher = BlockCipher(family_key)
-    preds = []
-    for j0, values in enumerate(view.values):
-        pred_cipher = BlockCipher(family_cipher.prf(pack_block(j0 + 1)))
-        seen = set()
-        keys = []
-        for value in values:
-            k = pred_cipher.mac(value)
-            if k not in seen:
-                seen.add(k)
-                keys.append(k)
-        preds.append(tuple(keys))
-    return ViewKeySet(view.family.family_id, tag_length, tuple(preds))
+    """Derive one key per distinct bound value per predicate."""
+    pred_ciphers = _predicate_ciphers(family_key, len(view.values))
+    keys = (
+        tuple(dict.fromkeys(pred_cipher.mac(value) for value in values))
+        for pred_cipher, values in zip(pred_ciphers, view.values)
+    )
+    return ViewKeySet(view.family.family_id, tag_length, tuple(keys))
 
 
-class _KeyEntry:
-    __slots__ = ("key", "predicate", "dec_key", "_dec_cipher", "tau_cipher", "count", "net")
+class _KeyEntry(_SelectionKey):
+    """A view key in one partition: its occurrence count so far and the
+    tag its next occurrence carries."""
 
-    def __init__(self, key: bytes, predicate: int, partition_id: int, tag_length: int):
+    __slots__ = ("key", "j0", "tag_length", "count", "net")
+
+    def __init__(self, key: bytes, j0: int, partition_id: int, tag_length: int):
+        super().__init__(key, partition_id)
         self.key = key
-        self.predicate = predicate  # 1-based
-        derived = BlockCipher(key).prf_many(ZERO_BLOCK + pack_block(partition_id))
-        self.dec_key = derived[:16]
-        self._dec_cipher = None  # built on first tag hit; most keys never hit
-        self.tau_cipher = BlockCipher(derived[16:])
-        self.count = 0
-        self.net = self.tau_cipher.prf(ZERO_BLOCK)[:tag_length]
+        self.j0 = j0
+        self.tag_length = tag_length
+        self.count = -1
+        self.advance()
 
-    @property
-    def dec_cipher(self) -> BlockCipher:
-        if self._dec_cipher is None:
-            self._dec_cipher = BlockCipher(self.dec_key)
-        return self._dec_cipher
-
-    def advance(self, tag_length: int) -> None:
+    def advance(self) -> None:
         self.count += 1
-        self.net = self.tau_cipher.prf(pack_block(self.count))[:tag_length]
+        self.net = self.tag(self.count, self.tag_length)
 
 
 def _family_columns(enc_part: EncryptedPartition, family_id: str) -> FamilyColumns:
@@ -388,68 +468,6 @@ def _family_columns(enc_part: EncryptedPartition, family_id: str) -> FamilyColum
     if cols.row_count() != enc_part.n_rows:
         raise BackendError("family columns out of step with partition rows")
     return cols
-
-
-class _RowOpener:
-    """Confirms view keys against rows, then decrypts the confirmed rows.
-
-    Confirmation decrypts the key's selection slot and checks the
-    projection entry; that zero check is what turns a truncated-tag false
-    positive into a clean failure. It yields the row's projection key,
-    the same for every predicate, from which the row is decoded once.
-    """
-
-    def __init__(self, enc_part: EncryptedPartition, cols: FamilyColumns,
-                 schema: Schema, family: CanonicalFamily):
-        if enc_part.n_rows and cols.selection.width < 16 * family.n_pred:
-            raise BackendError("selection column too short")
-        self.enc_part = enc_part
-        self.cols = cols
-        self.schema = schema
-        self.family = family
-        n_proj = family.n_proj
-        self.general_case = not (n_proj == 1 or n_proj == len(schema))
-
-    def confirm(self, r0: int, dec_cipher: BlockCipher, predicate: int) -> BlockCipher | None:
-        """The row's projection-key cipher, or None on a wrong key."""
-        p = self.enc_part.partition_id
-        sel = self.cols.selection
-        off = r0 * sel.width + 16 * (predicate - 1)
-        pk = dec_cipher.ctr(
-            CellPosition(DOMAIN_SELECTION, p, r0 + 1, predicate), sel.data[off : off + 16]
-        )
-        pk_cipher = BlockCipher(pk)
-        proj_entry = self.cols.projection[r0]
-        if not self.general_case:
-            return pk_cipher if pk_cipher.prf(ZERO_BLOCK) == proj_entry else None
-        parts = split_concat(proj_entry)
-        if len(parts) != 2:
-            raise BackendError("malformed projection entry")
-        check = pk_cipher.ctr(CellPosition(DOMAIN_PROJECTION_CHECK, p, r0 + 1), parts[1])
-        return pk_cipher if check == ZERO_BLOCK else None
-
-    def decode(self, r0: int, pk_cipher: BlockCipher) -> tuple:
-        """The projected plaintext row, under a confirmed projection key."""
-        family = self.family
-        projected = family.projected
-        if family.n_proj == 1:
-            cell_keys = {projected[0]: pk_cipher.key}
-        elif not self.general_case:
-            flat = pk_cipher.prf_many(b"".join(pack_block(c + 1) for c in projected))
-            cell_keys = {c: flat[i * 16 : (i + 1) * 16] for i, c in enumerate(projected)}
-        else:
-            blob_ct = split_concat(self.cols.projection[r0])[0]
-            p = self.enc_part.partition_id
-            blob = pk_cipher.ctr(CellPosition(DOMAIN_PROJECTION_BLOB, p, r0 + 1), blob_ct)
-            key_list = split_concat(blob)
-            if len(key_list) != family.n_proj:
-                raise BackendError("projection blob key count mismatch")
-            cell_keys = dict(zip(projected, key_list))
-        columns = self.enc_part.columns
-        types = self.schema.columns
-        return tuple(
-            decode_cell(ote_dec(cell_keys[c], columns[c][r0]), types[c].type) for c in projected
-        )
 
 
 def reveal_partition(
@@ -472,80 +490,87 @@ def reveal_partition(
     matching several predicates is emitted once while every matching key
     still advances. With tags disabled, every key is tried against every
     row: the reference the tagged path must agree with.
+
+    A key is confirmed against a row by decrypting its selection slot and
+    checking the projection key that yields against the row's projection
+    entry; that check is what turns a truncated-tag false positive into a
+    clean failure.
     """
     if view_keys.family_id != family.family_id:
         raise BackendError("view keys were minted for a different family")
     cols = _family_columns(enc_part, family.family_id)
     if len(view_keys.keys) != family.n_pred:
         raise BackendError("view key set predicate count mismatch")
-    p = enc_part.partition_id
+    if enc_part.n_rows and cols.selection.width < 16 * family.n_pred:
+        raise BackendError("selection column too short")
+    stats = stats if stats is not None else RevealStats()
     n_rows = enc_part.n_rows
     tag_len = view_keys.tag_length
-    opener = _RowOpener(enc_part, cols, schema, family)
-    track = stats is not None
+    projection = _Projection(family, len(schema), enc_part.partition_id)
+    sel_width, sel_data = cols.selection.width, cols.selection.data
+
+    def confirm(r0: int, entry: _KeyEntry) -> BlockCipher | None:
+        """The row's projection-key cipher, or None on a wrong key."""
+        off = r0 * sel_width + 16 * entry.j0
+        pk = entry.slot(r0, entry.j0, sel_data[off : off + 16])
+        return projection.confirm(r0, pk, cols.projection[r0])
+
     entries = [
-        _KeyEntry(key, j0 + 1, p, tag_len)
+        _KeyEntry(key, j0, enc_part.partition_id, tag_len)
         for j0, pred_keys in enumerate(view_keys.keys)
         for key in pred_keys
     ]
-    out: list[tuple] = []
+    clock = time.perf_counter
+    matched: dict[int, BlockCipher] = {}  # row -> its projection-key cipher, from any key
 
     if not use_tags:
-        started = time.perf_counter()
+        started = clock()
         for r0 in range(n_rows):
             for entry in entries:
-                if track:
-                    stats.decrypt_attempts += 1
-                pk_cipher = opener.confirm(r0, entry.dec_cipher, entry.predicate)
+                stats.decrypt_attempts += 1
+                pk_cipher = confirm(r0, entry)
                 if pk_cipher is not None:
-                    out.append(opener.decode(r0, pk_cipher))
-                    if track:
-                        stats.decrypt_successes += 1
+                    stats.decrypt_successes += 1
+                    matched[r0] = pk_cipher
                     break
-        if track:
-            stats.rows_scanned += n_rows
-            stats.rows_emitted += len(out)
-            stats.crypto_seconds += time.perf_counter() - started
-        return out
-
-    stride = family.n_pred * tag_len
-    if n_rows and cols.tagging.width != stride:
-        raise BackendError("tagging column does not match the tag length")
-    find = cols.tagging.data.find
-    clock = time.perf_counter
-    crypto_time = 0.0
-    matched: dict[int, BlockCipher] = {}
-    for entry in entries:
-        slot = (entry.predicate - 1) * tag_len
-        start = slot
-        while True:
-            pos = find(entry.net, start)
-            if pos < 0:
-                break
-            r0, misalign = divmod(pos - slot, stride)
-            start = (r0 + 1) * stride + slot
-            if misalign:
-                continue  # another slot, or across slot boundaries
-            if track:
+        crypto_time = clock() - started
+    else:
+        stride = family.n_pred * tag_len
+        if n_rows and cols.tagging.width != stride:
+            raise BackendError("tagging column does not match the tag length")
+        find = cols.tagging.data.find
+        crypto_time = 0.0
+        for entry in entries:
+            slot = entry.j0 * tag_len
+            start = slot
+            while (pos := find(entry.net, start)) >= 0:
+                r0, misalign = divmod(pos - slot, stride)
+                start = (r0 + 1) * stride + slot
+                if misalign:
+                    continue  # another slot, or across slot boundaries
                 stats.tag_hits += 1
                 stats.decrypt_attempts += 1
                 t0 = clock()
-            pk_cipher = opener.confirm(r0, entry.dec_cipher, entry.predicate)
-            if track:
+                pk_cipher = confirm(r0, entry)
                 crypto_time += clock() - t0
-            if pk_cipher is None:
-                continue  # truncation false positive; no state change
-            if track:
+                if pk_cipher is None:
+                    continue  # truncation false positive; no state change
                 stats.decrypt_successes += 1
-            matched.setdefault(r0, pk_cipher)
-            entry.advance(tag_len)
+                matched.setdefault(r0, pk_cipher)
+                entry.advance()
+        for entry in entries:
+            stats.final_counts[(entry.j0 + 1, entry.key)] = entry.count
 
     t0 = clock()
-    out = [opener.decode(r0, matched[r0]) for r0 in sorted(matched)]
-    if track:
-        stats.rows_scanned += n_rows
-        stats.rows_emitted += len(out)
-        stats.crypto_seconds += crypto_time + clock() - t0
-        for entry in entries:
-            stats.final_counts[(entry.predicate, entry.key)] = entry.count
+    types = [schema.columns[c].type for c in family.projected]
+    out = []
+    for r0 in sorted(matched):
+        keys = projection.cell_keys(r0, matched[r0], cols.projection[r0])
+        out.append(tuple(
+            decode_cell(ote(key, enc_part.columns[c][r0]), ctype)
+            for c, key, ctype in zip(family.projected, keys, types)
+        ))
+    stats.rows_scanned += n_rows
+    stats.rows_emitted += len(out)
+    stats.crypto_seconds += crypto_time + clock() - t0
     return out

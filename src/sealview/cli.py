@@ -29,6 +29,7 @@ from .orchestrator import (
     StorageError,
     load_schema_descriptor,
     open_storage,
+    parse_schema_descriptor,
     run_add_family,
     run_encrypt_table,
     run_reveal_view,
@@ -136,8 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_plan_schema(args) -> Schema:
     if args.schema:
-        doc = json.loads(Path(args.schema).read_text())
-        return Schema.from_json(doc["columns"] if "columns" in doc else doc)
+        return parse_schema_descriptor(Path(args.schema).read_bytes(), "")[1]
     if args.table:
         storage = open_storage(args.table)
         return TableManifest.from_json(storage.get(MANIFEST_NAME)).schema

@@ -50,15 +50,8 @@ def _object(value, where: str) -> dict:
 
 
 def _schema(doc: dict) -> Schema:
-    columns = _field(doc, "schema", list, "manifest")
-    for column in columns:
-        column = _object(column, "schema column")
-        _field(column, "name", str, "schema column")
-        _field(column, "type", str, "schema column")
-        if "nullable" in column:
-            _field(column, "nullable", bool, "schema column")
     try:
-        return Schema.from_json(columns)
+        return Schema.from_json(_field(doc, "schema", list, "manifest"))
     except SchemaError as exc:
         raise ManifestError(f"bad manifest schema: {exc}") from exc
 

@@ -6,7 +6,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
-from .encoding import TYPE_INT64, TYPE_UTF8, encode_cell
+from .encoding import TYPE_INT64, TYPE_UTF8
 
 
 class SchemaError(ValueError):
@@ -52,12 +52,23 @@ class Schema:
         ]
 
     @classmethod
-    def from_json(cls, data: list[dict]) -> "Schema":
-        return cls(
-            tuple(
-                Column(d["name"], d["type"], bool(d.get("nullable", False))) for d in data
-            )
-        )
+    def from_json(cls, data) -> "Schema":
+        """Parse a column list: JSON objects, each with a str "name", a str
+        "type" and an optional bool "nullable". Anything else raises
+        SchemaError."""
+        if not isinstance(data, list):
+            raise SchemaError("schema columns must be a JSON list")
+        columns = []
+        for d in data:
+            if not isinstance(d, dict):
+                raise SchemaError("schema column must be a JSON object")
+            name, ctype, nullable = d.get("name"), d.get("type"), d.get("nullable", False)
+            if type(name) is not str or type(ctype) is not str or type(nullable) is not bool:
+                raise SchemaError(
+                    "schema column needs a str 'name', a str 'type' and an optional bool 'nullable'"
+                )
+            columns.append(Column(name, ctype, nullable))
+        return cls(tuple(columns))
 
 
 @dataclass
@@ -70,22 +81,6 @@ class PlainPartition:
     def __post_init__(self):
         if self.partition_id < 1:
             raise SchemaError("partition ids start at 1")
-
-    def validate(self, schema: Schema) -> None:
-        for r, row in enumerate(self.rows):
-            if len(row) != len(schema):
-                raise SchemaError(f"row {r} has {len(row)} cells, schema has {len(schema)}")
-            for value, col in zip(row, schema.columns):
-                if value is None and not col.nullable:
-                    raise SchemaError(f"null in non-nullable column {col.name!r}")
-                encode_cell(value, col.type)
-
-    def encoded_size(self, schema: Schema) -> int:
-        return sum(
-            len(encode_cell(v, c.type))
-            for row in self.rows
-            for v, c in zip(row, schema.columns)
-        )
 
 
 class CellColumn(Sequence):

@@ -50,8 +50,8 @@ from .mep import (
     partition_to_csv,
     serialize_encrypted,
 )
-from .model import Schema
-from .planner import CanonicalFamily, plan_family, plan_view
+from .model import Schema, SchemaError
+from .planner import plan_family, plan_view
 
 PARTITION_NAME = "part-%05d.g%d.mep"
 PARTITION_FILE = re.compile(r"part-\d+\.g\d+\.mep")
@@ -319,23 +319,22 @@ def _apply_filter(manifest: TableManifest, fil: tuple[int, int] | None) -> list[
 
 
 def _encrypt_worker(args) -> tuple[PartitionStats, bytes]:
-    pid, kind, payload, schema_json, table_key = args
-    schema = Schema.from_json(schema_json)
+    pid, kind, payload, schema, table_key = args
     if kind == "csv":
         plain = csv_to_partition(payload.decode("utf-8"), schema, pid)
     else:
         _, plain = parse_plain(payload, schema)
         if plain.partition_id != pid:
             raise OrchestratorError(f"partition file {pid} carries id {plain.partition_id}")
-    stats = PartitionStats(pid, rows=len(plain.rows), plain_bytes=plain.encoded_size(schema))
     enc_part = encrypt_partition(plain, schema, table_key)
+    # One-time encryption preserves length, so the ciphertexts measure the plaintext.
+    plain_bytes = sum(len(column.data) for column in enc_part.columns)
+    stats = PartitionStats(pid, rows=enc_part.n_rows, plain_bytes=plain_bytes)
     return stats, serialize_encrypted(enc_part, schema)
 
 
 def _add_family_worker(args) -> tuple[PartitionStats, bytes]:
-    pid, payload, schema_json, table_key, family_blob, family_key, params = args
-    schema = Schema.from_json(schema_json)
-    family = CanonicalFamily.deserialize(family_blob)
+    pid, payload, schema, table_key, family, family_key, params = args
     enc_part = parse_encrypted(payload, schema)
     if enc_part.partition_id != pid:
         raise OrchestratorError(f"partition file {pid} carries id {enc_part.partition_id}")
@@ -344,10 +343,7 @@ def _add_family_worker(args) -> tuple[PartitionStats, bytes]:
 
 
 def _reveal_worker(args) -> tuple[PartitionStats, str]:
-    pid, payload, schema_json, family_blob, view_blob, use_tags = args
-    schema = Schema.from_json(schema_json)
-    family = CanonicalFamily.deserialize(family_blob)
-    view_keys = ViewKeySet.deserialize(view_blob)
+    pid, payload, schema, family, view_keys, use_tags = args
     enc_part = parse_encrypted(payload, schema)
     rows = reveal_partition(enc_part, schema, family, view_keys, use_tags=use_tags)
     out = io.StringIO()
@@ -377,12 +373,30 @@ def discover_plain_partitions(src: Path) -> list[tuple[int, str, Path]]:
     return [found[pid] for pid in sorted(found)]
 
 
+def parse_schema_descriptor(data: bytes, default_name: str) -> tuple[str, Schema]:
+    """The table name and schema of a schema.json document: a JSON object
+    with a "columns" list (see `Schema.from_json`) and an optional str
+    "table", which defaults to `default_name`. Anything else raises
+    SchemaError."""
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
+        raise SchemaError(f"schema descriptor is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or "columns" not in doc:
+        raise SchemaError('schema descriptor must be a JSON object with a "columns" list')
+    name = doc.get("table", default_name)
+    if not isinstance(name, str):
+        raise SchemaError('schema descriptor field "table" must be a string')
+    return name, Schema.from_json(doc["columns"])
+
+
 def load_schema_descriptor(src: Path) -> tuple[str, Schema]:
+    """The table name and schema in `src/schema.json`; the name defaults
+    to the directory's."""
     desc_path = Path(src) / "schema.json"
     if not desc_path.is_file():
         raise OrchestratorError(f"missing schema.json in {src}")
-    doc = json.loads(desc_path.read_text())
-    return doc.get("table", Path(src).name), Schema.from_json(doc["columns"])
+    return parse_schema_descriptor(desc_path.read_bytes(), Path(src).name)
 
 
 def run_encrypt_table(
@@ -402,13 +416,12 @@ def run_encrypt_table(
     sources = discover_plain_partitions(Path(src))
     if table_key is None:
         table_key = secrets.token_bytes(16)
-    schema_json = schema.to_json()
 
     def fetch(item):
         pid, kind, path = item
         data = path.read_bytes()
         report.input_bytes += len(data)
-        return pid, kind, data, schema_json, table_key
+        return pid, kind, data, schema, table_key
 
     census: list[tuple[int, int]] = []
 
@@ -453,15 +466,13 @@ def run_add_family(
         raise OrchestratorError(f"family {family_id} is already instantiated")
     if family_key is None:
         family_key = secrets.token_bytes(16)
-    schema_json = manifest.schema.to_json()
-    family_blob = family.serialize()
     params = FamilyParams(tag_length=tag_length, cache_capacity=cache_capacity, rng_seed=rng_seed)
     current, following = manifest.generation, manifest.generation + 1
 
     def fetch(pid):
         data = storage.get(partition_name(pid, current))
         report.input_bytes += len(data)
-        return pid, data, schema_json, table_key, family_blob, family_key, params
+        return pid, data, manifest.schema, table_key, family, family_key, params
 
     def store(result):
         stats, blob = result
@@ -512,9 +523,6 @@ def run_reveal_view(
             f"the family uses {record.tag_length}-byte tags"
         )
     ids = _apply_filter(manifest, fil)
-    schema_json = manifest.schema.to_json()
-    family_blob = record.family.serialize()
-    view_blob = view_keys.serialize()
     out_root = Path(out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -522,7 +530,7 @@ def run_reveal_view(
     def fetch(pid):
         data = storage.get(partition_name(pid, manifest.generation))
         report.input_bytes += len(data)
-        return pid, data, schema_json, family_blob, view_blob, use_tags
+        return pid, data, manifest.schema, record.family, view_keys, use_tags
 
     def store(result):
         stats, text = result

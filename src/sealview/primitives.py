@@ -10,9 +10,11 @@ short messages and zero-nonce counter mode for long ones.
 
 Everything here is a pure function of its inputs and safe to call from
 any number of workers; there is no shared mutable state. Preparing an
-AES key schedule dominates the cost of small operations, so callers that
-reuse a key should hold a BlockCipher; the bytes-keyed module functions
-build a fresh schedule per call.
+AES key schedule dominates the cost of small operations, so every keyed
+primitive is a method of BlockCipher, which prepares its schedule once
+and should be held by callers that reuse a key. The one exception is
+`ote`, which takes the raw key, so that a message of 16 bytes or less,
+padded by the key itself, costs no key schedule at all.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ DOMAIN_SELECTION = 0x03
 DOMAIN_CELL = 0x04
 
 _MAX_CTR_BLOCKS = 1 << 24  # 3-byte in-message block counter
+_FOUR_U32 = struct.Struct(">4I")  # pack_block's layout, compiled once: it runs per row
 _OTE_PREFIX = b"\x00" * 13
 
 
@@ -91,7 +94,12 @@ class BlockCipher:
         return self._raw(blocks)
 
     def mac(self, data: bytes) -> bytes:
-        """CBC-MAC with a length prefix: a PRF over arbitrary-length input."""
+        """CBC-MAC with a length prefix: a PRF over arbitrary-length input.
+
+        The 8-byte big-endian length prefix makes the padded encoding
+        prefix-free, which is what makes CBC-MAC a PRF over inputs of any
+        length. The output is 16 bytes and usable directly as a key.
+        """
         buf = struct.pack(">Q", len(data)) + data
         rem = len(buf) % BLOCK_LEN
         if rem:
@@ -112,34 +120,26 @@ class BlockCipher:
         return self._raw(blocks)[:length]
 
     def ctr(self, pos: CellPosition, data: bytes) -> bytes:
-        """Counter-mode transform (its own inverse) at a cell position."""
+        """Counter-mode transform (its own inverse) at a cell position.
+
+        A (key, position) pair must never transform two different
+        messages. No expansion: the output is as long as the input.
+        """
         return xor_bytes(data, self.keystream(pos.prefix(), len(data)))
 
-    def ote(self, msg: bytes) -> bytes:
-        """One-time transform: pad for short messages, zero-nonce CTR after."""
-        if len(msg) <= KEY_LEN:
-            return xor_bytes(msg, self.key[: len(msg)])
-        return xor_bytes(msg, self.keystream(_OTE_PREFIX, len(msg)))
 
+def ote(key: bytes, msg: bytes) -> bytes:
+    """One-time transform (its own inverse); a key must transform one message, ever.
 
-def prf_block(key: bytes, block: bytes) -> bytes:
-    """Fixed-length PRF: AES-128 of one 16-byte block."""
-    return BlockCipher(key).prf(block)
-
-
-def prf_blocks(key: bytes, blocks: bytes) -> bytes:
-    """prf_block applied to each 16-byte block of `blocks` in one call."""
-    return BlockCipher(key).prf_many(blocks)
-
-
-def prf_var(key: bytes, data: bytes) -> bytes:
-    """Variable-length PRF: CBC-MAC over AES with a length prefix.
-
-    The 8-byte big-endian length prefix makes the padded encoding
-    prefix-free, which is what makes CBC-MAC a PRF over arbitrary-length
-    inputs. Output is 16 bytes and usable directly as a key.
+    A message of up to 16 bytes is XORed with the key itself, so it costs
+    no key schedule; a longer one is counter mode under the key with the
+    all-zero prefix, which no cell position uses.
     """
-    return BlockCipher(key).mac(data)
+    if len(key) != KEY_LEN:
+        raise CryptoError(f"key must be {KEY_LEN} bytes, got {len(key)}")
+    if len(msg) <= KEY_LEN:
+        return xor_bytes(msg, key[: len(msg)])
+    return xor_bytes(msg, BlockCipher(key).keystream(_OTE_PREFIX, len(msg)))
 
 
 def pack_block(*fields: int) -> bytes:
@@ -151,35 +151,7 @@ def pack_block(*fields: int) -> bytes:
     """
     if len(fields) > 4:
         raise CryptoError("pack_block holds at most four u32 fields")
-    out = b"".join(struct.pack(">I", f) for f in fields)
-    return out + b"\x00" * (BLOCK_LEN - len(out))
-
-
-def enc(key: bytes, pos: CellPosition, msg: bytes) -> bytes:
-    """Counter-mode encryption with a position-derived nonce.
-
-    The caller must never reuse a (key, position) pair for a different
-    message. No expansion: |ciphertext| == |message|.
-    """
-    return BlockCipher(key).ctr(pos, msg)
-
-
-def dec(key: bytes, pos: CellPosition, ct: bytes) -> bytes:
-    """Inverse of enc. A wrong key yields garbage bytes, not an error."""
-    return BlockCipher(key).ctr(pos, ct)
-
-
-def ote_enc(key: bytes, msg: bytes) -> bytes:
-    """One-time encryption; the key must encrypt exactly one message, ever."""
-    if len(msg) <= KEY_LEN:
-        if len(key) != KEY_LEN:
-            raise CryptoError(f"key must be {KEY_LEN} bytes, got {len(key)}")
-        return xor_bytes(msg, key[: len(msg)])
-    return BlockCipher(key).ote(msg)
-
-
-def ote_dec(key: bytes, ct: bytes) -> bytes:
-    return ote_enc(key, ct)
+    return _FOUR_U32.pack(*fields, *(0,) * (4 - len(fields)))
 
 
 def secure_concat(parts: list[bytes] | tuple[bytes, ...]) -> bytes:

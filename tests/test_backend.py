@@ -20,17 +20,12 @@ from sealview.backend import (
     random_key,
     reveal_partition,
 )
-from sealview.encoding import TYPE_INT64, TYPE_UTF8, encode_cell
+from sealview.encoding import TYPE_INT64, TYPE_UTF8, EncodingError, encode_cell
 from sealview.mep import parse_encrypted, serialize_encrypted
-from sealview.model import Column, PlainPartition, Schema
+from sealview.model import Column, PlainPartition, Schema, SchemaError
 from sealview.oracle import eval_view
 from sealview.planner import plan_family, plan_view
-from sealview.primitives import (
-    pack_block,
-    prf_block,
-    prf_var,
-    secure_concat,
-)
+from sealview.primitives import BlockCipher, pack_block, secure_concat
 
 from gen_random import random_family_and_view, random_rows, random_schema
 
@@ -76,16 +71,16 @@ def test_tagging_column_matches_manual_derivation(boats_schema, boats_partition)
     # and compare against what the instantiation wrote.
     family, enc_part, _ = _setup_boats(boats_schema, boats_partition)
     cols = enc_part.families[family.family_id]
-    pred2_key = prf_block(FAMILY_KEY, pack_block(2))
+    pred2_key = BlockCipher(FAMILY_KEY).prf(pack_block(2))
     color_values = ["blue", "red", "green", "red"]
     counts = {}
     for r0, color in enumerate(color_values):
         g_value = secure_concat([encode_cell(color, TYPE_UTF8)])
-        s = prf_var(pred2_key, g_value)
-        tau = prf_block(s, pack_block(1))
+        s = BlockCipher(pred2_key).mac(g_value)
+        tau = BlockCipher(s).prf(pack_block(1))
         count = counts.get(s, 0)
         counts[s] = count + 1
-        expected_tag = prf_block(tau, pack_block(count))[:4]
+        expected_tag = BlockCipher(tau).prf(pack_block(count))[:4]
         assert cols.tagging[r0][4:8] == expected_tag
 
 
@@ -100,6 +95,18 @@ def test_rows_sharing_a_value_share_selection_key_but_not_tags(boats_schema, boa
 def test_identical_plaintext_cells_encrypt_differently(boats_schema, boats_partition):
     enc_part = encrypt_partition(boats_partition, boats_schema, TABLE_KEY)
     assert enc_part.rows[0][1] != enc_part.rows[1][1]  # both "Interlake"
+
+
+def test_encrypt_partition_rejects_bad_rows():
+    schema = Schema((Column("n", TYPE_INT64), Column("s", TYPE_UTF8, nullable=True)))
+    for rows, error, message in [
+        ([[1, "a"], [2]], SchemaError, "row 1 has 1 cells, schema has 2"),
+        ([[1, None], [None, "b"]], SchemaError, "null in non-nullable column 'n'"),
+        ([[1, "a"], ["2", "b"]], EncodingError, "expected int, got str"),
+        ([[1, 2]], EncodingError, "expected str, got int"),
+    ]:
+        with pytest.raises(error, match=message):
+            encrypt_partition(PlainPartition(1, rows), schema, TABLE_KEY)
 
 
 def test_zero_row_partition(boats_schema):
@@ -247,9 +254,9 @@ def test_cross_predicate_selection_keys_disjoint(rng):
         family_key = random_key()
         seen: dict[bytes, int] = {}
         for j0, pred in enumerate(family.predicates):
-            pred_key = prf_block(family_key, pack_block(j0 + 1))
+            pred_key = BlockCipher(family_key).prf(pack_block(j0 + 1))
             for row in rows:
-                s = prf_var(pred_key, pred.evaluate(row, schema))
+                s = BlockCipher(pred_key).mac(pred.evaluate(row, schema))
                 assert seen.setdefault(s, j0) == j0
 
 
@@ -431,8 +438,8 @@ def test_keys_with_colliding_truncated_first_tags():
     for value in range(100):
         view = plan_view(f"SELECT * FROM t WHERE k = {value}", family, schema)
         (key,) = generate_view_keys(view, FAMILY_KEY, tag_length=1).keys[0]
-        tau = prf_block(key, pack_block(partition_id))
-        first_tags.setdefault(prf_block(tau, pack_block(0))[:1], []).append(value)
+        tau = BlockCipher(key).prf(pack_block(partition_id))
+        first_tags.setdefault(BlockCipher(tau).prf(pack_block(0))[:1], []).append(value)
     a, b = next(values for values in first_tags.values() if len(values) > 1)[:2]
 
     rng = random.Random(36)

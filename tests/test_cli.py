@@ -214,6 +214,31 @@ def test_short_key_blobs_exit_two_without_traceback(tmp_path, capsys, src_dir):
     assert "truncated key file" in err
 
 
+@pytest.mark.parametrize(
+    "text", ['{"table": "t"}', '{"columns": [{"name": "a"}]}', "not json"]
+)
+def test_bad_schema_descriptor_exits_two_without_traceback(tmp_path, src_dir, text):
+    (src_dir / "schema.json").write_text(text)
+    for argv in [
+        ("encrypt-table", "--src", str(src_dir), "--dst", str(tmp_path / "table"),
+         "--keys-dir", str(tmp_path / "keys")),
+        ("plan", "--schema", str(src_dir / "schema.json"), "--family", FAMILY_SQL),
+    ]:
+        rc, err = _run_cli_process(*argv)
+        assert (rc, "Traceback" in err) == (2, False), err
+        assert "error: schema" in err
+
+
+def test_null_in_non_nullable_column_exits_two(tmp_path, src_dir):
+    (src_dir / "part-00002.csv").write_text("103,NULL,green\n")
+    rc, err = _run_cli_process(
+        "encrypt-table", "--src", str(src_dir), "--dst", str(tmp_path / "table"),
+        "--keys-dir", str(tmp_path / "keys"),
+    )
+    assert (rc, "Traceback" in err) == (2, False), err
+    assert "null in non-nullable column 'bname'" in err
+
+
 def test_corrupted_manifest_exits_two_without_traceback(tmp_path, capsys, src_dir):
     table, keys = tmp_path / "table", tmp_path / "keys"
     run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))

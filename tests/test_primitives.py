@@ -1,24 +1,21 @@
 """Known-answer vectors, round trips, and statistical smoke tests."""
 
 import random
+import struct
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from sealview.primitives import (
+    BlockCipher,
     CellPosition,
     CryptoError,
     DOMAIN_CELL,
     DOMAIN_SELECTION,
     ZERO_BLOCK,
-    dec,
-    enc,
     hash_string,
-    ote_dec,
-    ote_enc,
+    ote,
     pack_block,
-    prf_block,
-    prf_blocks,
-    prf_var,
     secure_concat,
     split_concat,
     xor_bytes,
@@ -33,12 +30,12 @@ SHA256_EMPTY = 0xE3B0C44298FC1C149AFBF4C8996FB92427AE41E4649B934CA495991B7852B85
 
 
 def test_prf_block_known_answer():
-    assert prf_block(AES_KAT_KEY, AES_KAT_IN) == AES_KAT_OUT
+    assert BlockCipher(AES_KAT_KEY).prf(AES_KAT_IN) == AES_KAT_OUT
 
 
 def test_prf_block_deterministic():
-    out1 = prf_block(AES_KAT_KEY, AES_KAT_IN)
-    out2 = prf_block(AES_KAT_KEY, AES_KAT_IN)
+    out1 = BlockCipher(AES_KAT_KEY).prf(AES_KAT_IN)
+    out2 = BlockCipher(AES_KAT_KEY).prf(AES_KAT_IN)
     assert out1 == out2
 
 
@@ -49,36 +46,39 @@ def test_prf_block_key_sensitivity():
         bit = 1 << rng.randrange(128)
         key2 = (int.from_bytes(key, "big") ^ bit).to_bytes(16, "big")
         block = rng.randbytes(16)
-        assert prf_block(key, block) != prf_block(key2, block)
+        assert BlockCipher(key).prf(block) != BlockCipher(key2).prf(block)
 
 
 def test_prf_block_rejects_bad_length():
     with pytest.raises(CryptoError):
-        prf_block(AES_KAT_KEY, b"short")
+        BlockCipher(AES_KAT_KEY).prf(b"short")
     with pytest.raises(CryptoError):
-        prf_block(b"short", AES_KAT_IN)
+        BlockCipher(b"short")
+    with pytest.raises(CryptoError):
+        ote(b"short", b"x")
 
 
 def test_prf_blocks_matches_single_calls():
     rng = random.Random(2)
     key = rng.randbytes(16)
     blocks = [rng.randbytes(16) for _ in range(20)]
-    batched = prf_blocks(key, b"".join(blocks))
+    batched = BlockCipher(key).prf_many(b"".join(blocks))
     for i, block in enumerate(blocks):
-        assert batched[i * 16 : (i + 1) * 16] == prf_block(key, block)
+        assert batched[i * 16 : (i + 1) * 16] == BlockCipher(key).prf(block)
 
 
 def test_prf_var_length_prefix_separates_inputs():
     key = AES_KAT_KEY
-    assert prf_var(key, b"") != prf_var(key, b"\x00")
-    assert prf_var(key, b"ab") != prf_var(key, b"a")
+    cipher = BlockCipher(key)
+    assert cipher.mac(b"") != cipher.mac(b"\x00")
+    assert cipher.mac(b"ab") != cipher.mac(b"a")
 
 
 def test_prf_var_deterministic_and_fixed_width():
     key = AES_KAT_KEY
     for msg in [b"", b"x", b"hello world", b"A" * 100]:
-        out = prf_var(key, msg)
-        assert out == prf_var(key, msg)
+        out = BlockCipher(key).mac(msg)
+        assert out == BlockCipher(key).mac(msg)
         assert len(out) == 16
 
 
@@ -86,7 +86,7 @@ def test_prf_var_differs_from_prf_block_on_block_input():
     # The variable-length PRF includes a length prefix; it is a separate
     # function, not an extension of the fixed-length one.
     block = AES_KAT_IN
-    assert prf_var(AES_KAT_KEY, block) != prf_block(AES_KAT_KEY, block)
+    assert BlockCipher(AES_KAT_KEY).mac(block) != BlockCipher(AES_KAT_KEY).prf(block)
 
 
 def test_enc_dec_round_trip_random():
@@ -95,14 +95,15 @@ def test_enc_dec_round_trip_random():
         key = rng.randbytes(16)
         msg = rng.randbytes(rng.randrange(0, 64))
         pos = CellPosition(DOMAIN_CELL, rng.randrange(1, 100), rng.randrange(100), rng.randrange(8))
-        assert dec(key, pos, enc(key, pos, msg)) == msg
+        cipher = BlockCipher(key)
+        assert cipher.ctr(pos, cipher.ctr(pos, msg)) == msg
 
 
 def test_enc_no_expansion():
     key = AES_KAT_KEY
     pos = CellPosition(DOMAIN_CELL, 1, 0, 1)
     for n in (1, 16, 17, 1000):
-        assert len(enc(key, pos, b"\x00" * n)) == n
+        assert len(BlockCipher(key).ctr(pos, b"\x00" * n)) == n
 
 
 def test_enc_key_privacy_sample():
@@ -110,22 +111,22 @@ def test_enc_key_privacy_sample():
     pos = CellPosition(DOMAIN_SELECTION, 1, 0, 1)
     for _ in range(100):
         k1, k2 = rng.randbytes(16), rng.randbytes(16)
-        assert enc(k1, pos, ZERO_BLOCK) != enc(k2, pos, ZERO_BLOCK)
+        assert BlockCipher(k1).ctr(pos, ZERO_BLOCK) != BlockCipher(k2).ctr(pos, ZERO_BLOCK)
 
 
 def test_enc_position_changes_ciphertext():
-    key = AES_KAT_KEY
-    a = enc(key, CellPosition(DOMAIN_CELL, 1, 5, 2), ZERO_BLOCK)
-    b = enc(key, CellPosition(DOMAIN_CELL, 1, 5, 3), ZERO_BLOCK)
-    c = enc(key, CellPosition(DOMAIN_SELECTION, 1, 5, 2), ZERO_BLOCK)
+    cipher = BlockCipher(AES_KAT_KEY)
+    a = cipher.ctr(CellPosition(DOMAIN_CELL, 1, 5, 2), ZERO_BLOCK)
+    b = cipher.ctr(CellPosition(DOMAIN_CELL, 1, 5, 3), ZERO_BLOCK)
+    c = cipher.ctr(CellPosition(DOMAIN_SELECTION, 1, 5, 2), ZERO_BLOCK)
     assert len({a, b, c}) == 3
 
 
 def test_ote_short_is_pad():
     key = AES_KAT_KEY
     msg = b"12345678"
-    assert xor_bytes(ote_enc(key, msg), key[:8]) == msg
-    assert ote_enc(key, ZERO_BLOCK) == key
+    assert xor_bytes(ote(key, msg), key[:8]) == msg
+    assert ote(key, ZERO_BLOCK) == key
 
 
 def test_ote_round_trip_long():
@@ -133,9 +134,52 @@ def test_ote_round_trip_long():
     for n in (17, 300, 5000):
         key = rng.randbytes(16)
         msg = rng.randbytes(n)
-        ct = ote_enc(key, msg)
+        ct = ote(key, msg)
         assert len(ct) == n
-        assert ote_dec(key, ct) == msg
+        assert ote(key, ct) == msg
+
+
+# Independent recomputations from raw AES, at lengths around one block.
+KAT_LENGTHS = (0, 1, 15, 16, 17, 100)
+
+
+def _aes_ecb(key: bytes, data: bytes) -> bytes:
+    return Cipher(algorithms.AES(key), modes.ECB()).encryptor().update(data)
+
+
+def _counter_keystream(key: bytes, prefix: bytes, length: int) -> bytes:
+    """AES of the counter blocks prefix || u24 index, truncated."""
+    blocks = b"".join(prefix + i.to_bytes(3, "big") for i in range(-(-length // 16)))
+    return _aes_ecb(key, blocks)[:length]
+
+
+@pytest.mark.parametrize("length", KAT_LENGTHS)
+def test_mac_matches_raw_aes_cbc_mac(length):
+    rng = random.Random(length)
+    key, msg = rng.randbytes(16), rng.randbytes(length)
+    buf = struct.pack(">Q", length) + msg
+    buf += b"\x00" * (-len(buf) % 16)
+    state = bytes(16)
+    for off in range(0, len(buf), 16):
+        state = _aes_ecb(key, bytes(a ^ b for a, b in zip(state, buf[off : off + 16])))
+    assert BlockCipher(key).mac(msg) == state
+
+
+@pytest.mark.parametrize("length", KAT_LENGTHS)
+def test_ctr_matches_raw_aes_counter_blocks(length):
+    rng = random.Random(100 + length)
+    key, msg = rng.randbytes(16), rng.randbytes(length)
+    pos = CellPosition(DOMAIN_SELECTION, 3, 7, 2)
+    stream = _counter_keystream(key, pos.prefix(), length)
+    assert BlockCipher(key).ctr(pos, msg) == bytes(a ^ b for a, b in zip(msg, stream))
+
+
+@pytest.mark.parametrize("length", KAT_LENGTHS)
+def test_ote_matches_key_pad_or_zero_prefix_ctr(length):
+    rng = random.Random(200 + length)
+    key, msg = rng.randbytes(16), rng.randbytes(length)
+    pad = key if length <= 16 else _counter_keystream(key, bytes(13), length)
+    assert ote(key, msg) == bytes(a ^ b for a, b in zip(msg, pad))
 
 
 def test_secure_concat_injective_basics():
@@ -189,7 +233,7 @@ def test_prf_output_byte_uniformity():
     for _ in range(n_blocks // per_key):
         key = rng.randbytes(16)
         blocks = b"".join(pack_block(9, i) for i in range(per_key))
-        for byte in prf_blocks(key, blocks):
+        for byte in BlockCipher(key).prf_many(blocks):
             counts[byte] += 1
     total = sum(counts)
     expected = total / 256

@@ -16,8 +16,8 @@ both call:
     view key       = PRF_var(predicate key, bound value)   generate_view_keys
     slot key       = PRF(selection key, 0)                 _SelectionKey
     tagging key    = PRF(selection key, partition)         _SelectionKey
-    tag            = PRF(tagging key, count)[:tag_length]  _SelectionKey.tag
-    selection slot = CTR(slot key, projection key)         _SelectionKey.slot
+    tag            = PRF(tagging key, count)[:tag_length]  _SelectionKey.tags
+    selection slot = CTR(slot key, projection key)         _SelectionKey.slots
     projection key and projection entry                    _Projection
 
 Indices are 0-based everywhere but inside PRF inputs and cell positions,
@@ -32,7 +32,6 @@ import random
 import secrets
 import struct
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from .encoding import decode_cell, encode_cell
@@ -54,10 +53,12 @@ from .primitives import (
     DOMAIN_SELECTION,
     KEY_LEN,
     ZERO_BLOCK,
+    first_counter_block,
     ote,
     pack_block,
     secure_concat,
     split_concat,
+    xor_bytes,
 )
 
 DEFAULT_TAG_LENGTH = 4
@@ -74,6 +75,14 @@ def random_key() -> bytes:
 
 @dataclass
 class FamilyParams:
+    """How `add_family` writes a family.
+
+    `cache_capacity` sets selection-key reuse: 0 derives a selection
+    key's slot and tagging keys afresh for every row that uses it, and any
+    positive value derives them once per distinct key and partition. It
+    changes time only, never bytes.
+    """
+
     tag_length: int = DEFAULT_TAG_LENGTH
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
     rng_seed: int | None = None  # deterministic projection keys when set
@@ -109,8 +118,9 @@ def _predicate_ciphers(family_key: bytes, n_pred: int) -> list[BlockCipher]:
 
 class _SelectionKey:
     """The two keys a selection key derives in one partition: the slot key,
-    which encrypts the projection key into a row's selection slot, and the
-    tagging key, which makes the tags."""
+    which encrypts projection keys into selection slots, and the tagging
+    key, which makes the tags. Both work on batches: the writer passes
+    every occurrence of the key in a partition, the reader one at a time."""
 
     __slots__ = ("partition_id", "_slot_key", "_slot_cipher", "tag_cipher")
 
@@ -122,47 +132,19 @@ class _SelectionKey:
         self._slot_cipher = None  # built on first use; most reader keys never need it
         self.tag_cipher = BlockCipher(tag_key)
 
-    def tag(self, count: int, tag_length: int) -> bytes:
-        """The tag of this key's occurrence number `count` (0-based)."""
-        return self.tag_cipher.prf(pack_block(count))[:tag_length]
+    def tags(self, counts, tag_length: int) -> list[bytes]:
+        """The tags of this key's occurrence numbers `counts` (0-based)."""
+        flat = self.tag_cipher.prf_many(b"".join(map(pack_block, counts)))
+        return [flat[off : off + tag_length] for off in range(0, len(flat), 16)]
 
-    def slot(self, r0: int, j0: int, data: bytes) -> bytes:
-        """CTR transform (its own inverse) of row r0's slot for predicate j0."""
+    def slots(self, positions, data: bytes) -> bytes:
+        """CTR transform (its own inverse) of the 16-byte selection slots
+        at the 0-based (row, predicate) `positions`, given back to back."""
         if self._slot_cipher is None:
             self._slot_cipher = BlockCipher(self._slot_key)
-        pos = CellPosition(DOMAIN_SELECTION, self.partition_id, r0 + 1, j0 + 1)
-        return self._slot_cipher.ctr(pos, data)
-
-
-class SelectionCache:
-    """Bounded LRU from selection key to its prepared `_SelectionKey`.
-
-    A hit returns the slot and tagging keys with their AES schedules
-    already expanded; deriving them costs three key schedules per row and
-    predicate, which dominates instantiation time when a column repeats
-    values. Capacity 0 means no reuse.
-    """
-
-    def __init__(self, capacity: int, partition_id: int):
-        self.capacity = capacity
-        self.partition_id = partition_id
-        self._entries: OrderedDict[bytes, _SelectionKey] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, selection_key: bytes) -> _SelectionKey:
-        entry = self._entries.get(selection_key) if self.capacity else None
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(selection_key)
-            return entry
-        self.misses += 1
-        entry = _SelectionKey(selection_key, self.partition_id)
-        if self.capacity:
-            if len(self._entries) >= self.capacity:
-                self._entries.popitem(last=False)
-            self._entries[selection_key] = entry
-        return entry
+        p = self.partition_id
+        blocks = b"".join(first_counter_block(DOMAIN_SELECTION, p, r0 + 1, j0 + 1) for r0, j0 in positions)
+        return xor_bytes(data, self._slot_cipher.prf_many(blocks))
 
 
 _ONE_COLUMN, _WHOLE_ROW, _KEY_BLOB = range(3)
@@ -243,6 +225,10 @@ class _Projection:
 
 @dataclass
 class AddFamilyStats:
+    """Counters of one or more family instantiations. `cache_misses`
+    counts selection-key derivations (three key setups each), and
+    `cache_hits` the (row, predicate) occurrences that reused one."""
+
     rows: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -378,55 +364,74 @@ def add_family(
         raise SchemaError("family references a column outside the schema")
 
     p = enc_part.partition_id
+    n_rows, n_pred = enc_part.n_rows, family.n_pred
     projection = _Projection(family, n_col, p)
     where_cols = sorted(family.where_columns())
     key_cols = sorted(set(where_cols) | set(projection.key_columns))
     types = [c.type for c in schema.columns]
-    pred_ciphers = _predicate_ciphers(family_key, family.n_pred)
-    cache = SelectionCache(params.cache_capacity, p)
-    counts: dict[bytes, int] = {}
     if params.rng_seed is None:
         rng = random.SystemRandom()
     else:
         rng = random.Random(params.rng_seed * 1_000_003 + p)
-
-    row_keys = _row_keys(table_key, p, enc_part.n_rows)
     where_cells = {c: list(enc_part.columns[c]) for c in where_cols}
-    tag_len = params.tag_length
-    proj_entries: list[bytes] = []
-    sel_entries: list[bytes] = []
-    tag_entries: list[bytes] = []
     started = time.perf_counter()
 
-    for r0, row_key in enumerate(row_keys):
+    # Pass 1, row by row: projection keys and entries, and the inputs of
+    # every predicate's selection-key MAC.
+    proj_keys: list[bytes] = []
+    proj_entries: list[bytes] = []
+    pred_inputs: list[list[bytes]] = [[] for _ in range(n_pred)]
+    for r0, row_key in enumerate(_row_keys(table_key, p, n_rows)):
         row_cipher = BlockCipher(row_key)
         keys = dict(zip(key_cols, _cell_keys(row_cipher, key_cols)))
         values: list = [_MISSING] * n_col
         for c in where_cols:
             values[c] = decode_cell(ote(keys[c], where_cells[c][r0]), types[c])
         pk, proj_entry = projection.seal(r0, row_cipher, keys, rng)
-        slots = []
-        tags = []
-        for j0, (pred, pred_cipher) in enumerate(zip(family.predicates, pred_ciphers)):
-            s = pred_cipher.mac(pred.evaluate(values, schema))
-            sel = cache.lookup(s)
-            slots.append(sel.slot(r0, j0, pk))
-            count = counts.get(s, 0)
-            tags.append(sel.tag(count, tag_len))
-            counts[s] = count + 1
+        proj_keys.append(pk)
         proj_entries.append(proj_entry)
-        sel_entries.append(b"".join(slots))
-        tag_entries.append(b"".join(tags))
+        for pred, inputs in zip(family.predicates, pred_inputs):
+            inputs.append(pred.evaluate(values, schema))
+
+    # Pass 2, key by key: each predicate's selection keys in one batch,
+    # then each distinct key's occurrences, in row-major order, so that an
+    # occurrence's index in its group is its tag count.
+    sel_keys = [
+        pred_cipher.mac_many(inputs)
+        for pred_cipher, inputs in zip(_predicate_ciphers(family_key, n_pred), pred_inputs)
+    ]
+    groups: dict[bytes, list[tuple[int, int]]] = {}
+    for r0, row_sel_keys in enumerate(zip(*sel_keys)):
+        for j0, s in enumerate(row_sel_keys):
+            groups.setdefault(s, []).append((r0, j0))
+    tag_len = params.tag_length
+    slots: list[bytes] = [b""] * (n_rows * n_pred)  # row-major, like the tags
+    tags: list[bytes] = [b""] * (n_rows * n_pred)
+    derivations = 0
+    for s, occurrences in groups.items():
+        # Capacity 0 derives the key afresh for every occurrence.
+        step = len(occurrences) if params.cache_capacity else 1
+        for start in range(0, len(occurrences), step):
+            chunk = occurrences[start : start + step]
+            sel = _SelectionKey(s, p)
+            derivations += 1
+            sealed = sel.slots(chunk, b"".join(proj_keys[r0] for r0, _ in chunk))
+            chunk_tags = sel.tags(range(start, start + len(chunk)), tag_len)
+            for k, ((r0, j0), tag) in enumerate(zip(chunk, chunk_tags)):
+                slots[r0 * n_pred + j0] = sealed[16 * k : 16 * k + 16]
+                tags[r0 * n_pred + j0] = tag
 
     enc_part.families[family_id] = FamilyColumns(
-        *map(FixedWidthColumn.from_entries, (proj_entries, sel_entries, tag_entries))
+        FixedWidthColumn.from_entries(proj_entries),
+        FixedWidthColumn(b"".join(slots), 16 * n_pred if n_rows else 0),
+        FixedWidthColumn(b"".join(tags), tag_len * n_pred if n_rows else 0),
     )
     if stats is not None:
-        stats.rows += enc_part.n_rows
-        stats.cache_hits = cache.hits
-        stats.cache_misses = cache.misses
+        stats.rows += n_rows
+        stats.cache_hits = n_rows * n_pred - derivations
+        stats.cache_misses = derivations
         stats.crypto_seconds += time.perf_counter() - started
-        stats.tag_counts = counts
+        stats.tag_counts = {s: len(occurrences) for s, occurrences in groups.items()}
     return enc_part
 
 
@@ -436,7 +441,7 @@ def generate_view_keys(
     """Derive one key per distinct bound value per predicate."""
     pred_ciphers = _predicate_ciphers(family_key, len(view.values))
     keys = (
-        tuple(dict.fromkeys(pred_cipher.mac(value) for value in values))
+        tuple(dict.fromkeys(pred_cipher.mac_many(values)))
         for pred_cipher, values in zip(pred_ciphers, view.values)
     )
     return ViewKeySet(view.family.family_id, tag_length, tuple(keys))
@@ -458,7 +463,7 @@ class _KeyEntry(_SelectionKey):
 
     def advance(self) -> None:
         self.count += 1
-        self.net = self.tag(self.count, self.tag_length)
+        self.net = self.tags((self.count,), self.tag_length)[0]
 
 
 def _family_columns(enc_part: EncryptedPartition, family_id: str) -> FamilyColumns:
@@ -512,7 +517,7 @@ def reveal_partition(
     def confirm(r0: int, entry: _KeyEntry) -> BlockCipher | None:
         """The row's projection-key cipher, or None on a wrong key."""
         off = r0 * sel_width + 16 * entry.j0
-        pk = entry.slot(r0, entry.j0, sel_data[off : off + 16])
+        pk = entry.slots(((r0, entry.j0),), sel_data[off : off + 16])
         return projection.confirm(r0, pk, cols.projection[r0])
 
     entries = [

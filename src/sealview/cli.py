@@ -49,7 +49,7 @@ _DATA_ERRORS = (
     PlannerError,
     SchemaError,
     StorageError,
-    FileNotFoundError,
+    OSError,  # a missing, unreadable or directory file argument
 )
 
 
@@ -91,7 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keys-dir", required=True, help="directory that receives the family key file")
     p.add_argument("--tag-length", type=int, default=4)
     p.add_argument("--branching-bits", type=int, default=8)
-    p.add_argument("--cache-capacity", type=int, default=512)
+    p.add_argument(
+        "--cache-capacity", type=int, default=512,
+        help="0 derives each selection key afresh for every row; any positive value "
+        "derives each distinct key once per partition",
+    )
     p.add_argument("--rng-seed", type=int, default=None, help="deterministic projection keys")
     p.add_argument("--insecure-print-keys", action="store_true")
     _add_run_flags(p)
@@ -239,14 +243,14 @@ def cmd_plan(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .mep import csv_to_partition, partition_to_csv
+    from .mep import csv_to_partition, decode_csv, partition_to_csv
     from .orchestrator import discover_plain_partitions
 
     _, schema = load_schema_descriptor(Path(args.src))
     rows = []
     for pid, kind, path in discover_plain_partitions(Path(args.src)):
         if kind == "csv":
-            part = csv_to_partition(path.read_text(), schema, pid)
+            part = csv_to_partition(decode_csv(path.read_bytes(), str(path)), schema, pid)
         else:
             _, part = parse_plain(path.read_bytes(), schema)
         rows.extend(part.rows)

@@ -230,6 +230,14 @@ def parse_plain(data: bytes, schema: Schema | None = None) -> tuple[Schema, Plai
 # ---------------------------------------------------------------------- CSV
 
 
+def decode_csv(data: bytes, name: str) -> str:
+    """The text of CSV file `name`; EncodingError if it is not UTF-8."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{name} is not UTF-8: {exc}") from None
+
+
 def csv_to_partition(text: str, schema: Schema, partition_id: int) -> PlainPartition:
     rows = []
     for line_no, record in enumerate(csv.reader(io.StringIO(text)), start=1):

@@ -45,6 +45,7 @@ from .backend import (
 from .manifest import MANIFEST_NAME, FamilyRecord, ManifestError, TableManifest
 from .mep import (
     csv_to_partition,
+    decode_csv,
     parse_encrypted,
     parse_plain,
     partition_to_csv,
@@ -319,9 +320,9 @@ def _apply_filter(manifest: TableManifest, fil: tuple[int, int] | None) -> list[
 
 
 def _encrypt_worker(args) -> tuple[PartitionStats, bytes]:
-    pid, kind, payload, schema, table_key = args
+    pid, kind, name, payload, schema, table_key = args
     if kind == "csv":
-        plain = csv_to_partition(payload.decode("utf-8"), schema, pid)
+        plain = csv_to_partition(decode_csv(payload, name), schema, pid)
     else:
         _, plain = parse_plain(payload, schema)
         if plain.partition_id != pid:
@@ -421,7 +422,7 @@ def run_encrypt_table(
         pid, kind, path = item
         data = path.read_bytes()
         report.input_bytes += len(data)
-        return pid, kind, data, schema, table_key
+        return pid, kind, str(path), data, schema, table_key
 
     census: list[tuple[int, int]] = []
 

@@ -23,7 +23,9 @@ import hashlib
 import struct
 from dataclasses import dataclass
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.hazmat.primitives.ciphers import Cipher
+from cryptography.hazmat.primitives.ciphers.algorithms import AES
+from cryptography.hazmat.primitives.ciphers.modes import ECB
 
 KEY_LEN = 16
 BLOCK_LEN = 16
@@ -37,8 +39,14 @@ DOMAIN_SELECTION = 0x03
 DOMAIN_CELL = 0x04
 
 _MAX_CTR_BLOCKS = 1 << 24  # 3-byte in-message block counter
+_LENGTH = struct.Struct(">Q")  # mac's length prefix
 _FOUR_U32 = struct.Struct(">4I")  # pack_block's layout, compiled once: it runs per row
 _OTE_PREFIX = b"\x00" * 13
+_FIRST_COUNTER = struct.Struct(">BIII3x")  # a position prefix and block index 0
+# ECB here is the raw block permutation; every mode this module offers
+# (PRF, CBC-MAC, CTR) is built from it explicitly. ECB has no state, so
+# one instance serves every cipher and saves building one per key.
+_ECB = ECB()
 
 
 class CryptoError(Exception):
@@ -64,6 +72,13 @@ class CellPosition:
         return struct.pack(">BIII", self.domain, self.partition, self.row, self.slot)
 
 
+def first_counter_block(domain: int, partition: int, row: int, slot: int = 0) -> bytes:
+    """Counter block 0 at CellPosition(domain, partition, row, slot),
+    without building one: the whole keystream input of a message of up
+    to 16 bytes there, for callers that batch many positions."""
+    return _FIRST_COUNTER.pack(domain, partition, row, slot)
+
+
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise CryptoError("xor_bytes length mismatch")
@@ -79,9 +94,7 @@ class BlockCipher:
         if len(key) != KEY_LEN:
             raise CryptoError(f"key must be {KEY_LEN} bytes, got {len(key)}")
         self.key = key
-        # ECB here is the raw block permutation; every mode this module
-        # offers (PRF, CBC-MAC, CTR) is built from it explicitly.
-        self._raw = Cipher(algorithms.AES(key), modes.ECB()).encryptor().update
+        self._raw = Cipher(AES(key), _ECB).encryptor().update
 
     def prf(self, block: bytes) -> bytes:
         if len(block) != BLOCK_LEN:
@@ -100,7 +113,7 @@ class BlockCipher:
         prefix-free, which is what makes CBC-MAC a PRF over inputs of any
         length. The output is 16 bytes and usable directly as a key.
         """
-        buf = struct.pack(">Q", len(data)) + data
+        buf = _LENGTH.pack(len(data)) + data
         rem = len(buf) % BLOCK_LEN
         if rem:
             buf += b"\x00" * (BLOCK_LEN - rem)
@@ -109,6 +122,30 @@ class BlockCipher:
         for off in range(0, len(buf), BLOCK_LEN):
             state = raw(xor_bytes(state, buf[off : off + BLOCK_LEN]))
         return state
+
+    def mac_many(self, messages: list[bytes] | tuple[bytes, ...]) -> list[bytes]:
+        """`mac` of each message, in input order, computed column-wise.
+
+        Messages of the same padded length are chained side by side: each
+        CBC step XORs the group's next blocks into its states as one
+        integer and encrypts them in one ECB call, so a batch costs one
+        AES call per block step instead of one per block.
+        """
+        groups: dict[int, list[int]] = {}
+        for i, data in enumerate(messages):
+            groups.setdefault(-(-(len(data) + 8) // BLOCK_LEN), []).append(i)
+        out: list[bytes] = [b""] * len(messages)
+        raw = self._raw
+        for nblocks, members in groups.items():
+            width = nblocks * BLOCK_LEN
+            bufs = [_LENGTH.pack(len(messages[i])) + messages[i] for i in members]
+            bufs = [buf + b"\x00" * (width - len(buf)) for buf in bufs]
+            state = bytes(len(members) * BLOCK_LEN)
+            for off in range(0, width, BLOCK_LEN):
+                state = raw(xor_bytes(state, b"".join(buf[off : off + BLOCK_LEN] for buf in bufs)))
+            for k, i in enumerate(members):
+                out[i] = state[k * BLOCK_LEN : (k + 1) * BLOCK_LEN]
+        return out
 
     def keystream(self, prefix: bytes, length: int) -> bytes:
         nblocks = -(-length // BLOCK_LEN)

@@ -25,7 +25,16 @@ from sealview.mep import parse_encrypted, serialize_encrypted
 from sealview.model import Column, PlainPartition, Schema, SchemaError
 from sealview.oracle import eval_view
 from sealview.planner import plan_family, plan_view
-from sealview.primitives import BlockCipher, pack_block, secure_concat
+from sealview.primitives import (
+    DOMAIN_PROJECTION_BLOB,
+    DOMAIN_PROJECTION_CHECK,
+    DOMAIN_SELECTION,
+    ZERO_BLOCK,
+    BlockCipher,
+    CellPosition,
+    pack_block,
+    secure_concat,
+)
 
 from gen_random import random_family_and_view, random_rows, random_schema
 
@@ -202,6 +211,97 @@ def test_cache_capacity_transparent(boats_schema, boats_partition):
         cols = enc_part.families[family.family_id]
         outputs.append((cols.projection, cols.selection, cols.tagging))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _reference_family_columns(rows, schema, partition_id, table_key, family, family_key, tag_length, rng_seed):
+    """A family's projection, selection and tagging data, and its tag
+    counts, re-derived row by row and predicate by predicate from the
+    derivation rules with BlockCipher alone."""
+    p = partition_id
+    rng = random.Random(rng_seed * 1_000_003 + p)
+    n_proj = len(family.projected)
+    pred_keys = [BlockCipher(family_key).prf(pack_block(j0 + 1)) for j0 in range(family.n_pred)]
+    proj, sel, tags, counts = [], [], [], {}
+    for r0, row in enumerate(rows):
+        row_key = BlockCipher(table_key).prf(pack_block(p, r0 + 1))
+        cell_keys = [BlockCipher(row_key).prf(pack_block(c + 1)) for c in family.projected]
+        if n_proj == 1:
+            pk, entry = cell_keys[0], BlockCipher(cell_keys[0]).prf(ZERO_BLOCK)
+        elif n_proj == len(schema):
+            pk, entry = row_key, BlockCipher(row_key).prf(ZERO_BLOCK)
+        else:
+            pk = rng.randbytes(16)
+            blob = BlockCipher(pk).ctr(CellPosition(DOMAIN_PROJECTION_BLOB, p, r0 + 1), secure_concat(cell_keys))
+            check = BlockCipher(pk).ctr(CellPosition(DOMAIN_PROJECTION_CHECK, p, r0 + 1), ZERO_BLOCK)
+            entry = secure_concat([blob, check])
+        proj.append(entry)
+        for j0, pred in enumerate(family.predicates):
+            s = BlockCipher(pred_keys[j0]).mac(pred.evaluate(row, schema))
+            slot_key = BlockCipher(s).prf(ZERO_BLOCK)
+            tag_key = BlockCipher(s).prf(pack_block(p))
+            sel.append(BlockCipher(slot_key).ctr(CellPosition(DOMAIN_SELECTION, p, r0 + 1, j0 + 1), pk))
+            count = counts.get(s, 0)
+            tags.append(BlockCipher(tag_key).prf(pack_block(count))[:tag_length])
+            counts[s] = count + 1
+    return b"".join(proj), b"".join(sel), b"".join(tags), counts
+
+
+_REFERENCE_SCHEMA = Schema(
+    (Column("a", TYPE_INT64), Column("b", TYPE_UTF8, nullable=True), Column("c", TYPE_INT64))
+)
+_REFERENCE_FAMILIES = (
+    "SELECT a FROM t WHERE a >= ?lo AND a <= ?hi",  # one column: a cell key
+    "SELECT * FROM t WHERE a = ?x OR b = ?y",  # every column: the row key
+    "SELECT b, c FROM t WHERE c IN ?x OR b = ?y",  # a key blob under a fresh key
+)
+
+
+def _reference_cases():
+    """Random partitions over small value pools, so every selection key
+    repeats across rows and each row holds occurrences of several repeated
+    keys (one per predicate; predicate keys differ, so no key repeats
+    inside one row), plus random schemas and families."""
+    rng = random.Random(0x5E1EC7)
+    for sql in _REFERENCE_FAMILIES:
+        rows = [
+            [rng.randrange(6), rng.choice(["x", "yy", None]), rng.randrange(3)]
+            for _ in range(rng.randint(20, 40))
+        ]
+        yield _REFERENCE_SCHEMA, rows, plan_family(sql, _REFERENCE_SCHEMA)
+    for _ in range(4):
+        schema = random_schema(rng, max_columns=4)
+        rows = random_rows(rng, schema, max_rows=20)
+        rows = rows + [list(rng.choice(rows)) for _ in rows]
+        family = random_family_and_view(rng, schema)[2]
+        if family.n_pred <= 40:
+            yield schema, rows, family
+
+
+@pytest.mark.parametrize("tag_length", [1, 16])
+@pytest.mark.parametrize("capacity", [0, 1, 512])
+def test_grouped_writer_matches_row_by_row_reference(tag_length, capacity):
+    kinds = set()
+    for case, (schema, rows, family) in enumerate(_reference_cases()):
+        partition_id, table_key, family_key = case + 1, bytes([case]) * 16, bytes([case + 100]) * 16
+        enc_part = encrypt_partition(PlainPartition(partition_id, [list(r) for r in rows]), schema, table_key)
+        stats = AddFamilyStats()
+        add_family(
+            enc_part, schema, table_key, family, family_key,
+            FamilyParams(tag_length=tag_length, cache_capacity=capacity, rng_seed=case), stats=stats,
+        )
+        cols = enc_part.families[family.family_id]
+        proj, sel, tags, counts = _reference_family_columns(
+            rows, schema, partition_id, table_key, family, family_key, tag_length, case
+        )
+        assert (cols.projection.data, cols.selection.data, cols.tagging.data) == (proj, sel, tags)
+        assert stats.tag_counts == counts
+        occurrences = len(rows) * family.n_pred
+        assert stats.cache_hits + stats.cache_misses == occurrences
+        assert stats.cache_misses == (len(counts) if capacity else occurrences)
+        assert occurrences > len(counts), "no selection key repeats"
+        n_proj = len(family.projected)
+        kinds.add("one column" if n_proj == 1 else "every column" if n_proj == len(schema) else "key blob")
+    assert kinds == {"one column", "every column", "key blob"}
 
 
 def test_short_tags_match_long_tags():

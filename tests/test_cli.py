@@ -239,6 +239,31 @@ def test_null_in_non_nullable_column_exits_two(tmp_path, src_dir):
     assert "null in non-nullable column 'bname'" in err
 
 
+def test_non_utf8_csv_exits_two_without_traceback(tmp_path, src_dir):
+    (src_dir / "part-00001.csv").write_bytes(b"ab\xff\n")
+    for argv in [
+        ("encrypt-table", "--src", str(src_dir), "--dst", str(tmp_path / "table"),
+         "--keys-dir", str(tmp_path / "keys")),
+        ("check", "--src", str(src_dir), "--view", VIEW_SQL),
+    ]:
+        rc, err = _run_cli_process(*argv)
+        assert (rc, "Traceback" in err) == (2, False), err
+        assert "part-00001.csv is not UTF-8" in err
+
+
+def test_directory_file_arguments_exit_two_without_traceback(tmp_path, capsys, src_dir):
+    table, keys = tmp_path / "table", tmp_path / "keys"
+    run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
+    for argv in [
+        ("plan", "--schema", str(tmp_path), "--family", FAMILY_SQL),
+        ("add-family", "--table", str(table), "--table-key", str(tmp_path),
+         "--family", FAMILY_SQL, "--keys-dir", str(keys)),
+    ]:
+        rc, err = _run_cli_process(*argv)
+        assert (rc, "Traceback" in err) == (2, False), err
+        assert "error: [Errno" in err and "Is a directory" in err
+
+
 def test_corrupted_manifest_exits_two_without_traceback(tmp_path, capsys, src_dir):
     table, keys = tmp_path / "table", tmp_path / "keys"
     run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))

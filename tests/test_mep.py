@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sealview.backend import FamilyParams, add_family, encrypt_partition, random_key
+from sealview.backend import (
+    DEFAULT_CACHE_CAPACITY,
+    FamilyParams,
+    add_family,
+    encrypt_partition,
+    random_key,
+)
 from sealview.encoding import TYPE_INT64, TYPE_UTF8, encode_cell
 from sealview.manifest import FamilyRecord, ManifestError, TableManifest
 from sealview.mep import (
@@ -255,7 +261,9 @@ _KA_FAMILIES = (
 )
 
 
-def _known_answer_partition(n_rows: int = 40) -> EncryptedPartition:
+def _known_answer_partition(
+    n_rows: int = 40, cache_capacity: int = DEFAULT_CACHE_CAPACITY
+) -> EncryptedPartition:
     """NULL cells, 1-byte cells and cells longer than 16 bytes, under
     fixed keys and a fixed projection-key seed; three families cover the
     SELECT-*, general and single-column projection paths."""
@@ -265,7 +273,7 @@ def _known_answer_partition(n_rows: int = 40) -> EncryptedPartition:
     for sql, key in _KA_FAMILIES:
         add_family(
             part, _KA_SCHEMA, table_key, plan_family(sql, _KA_SCHEMA), key,
-            FamilyParams(tag_length=3, rng_seed=11),
+            FamilyParams(tag_length=3, cache_capacity=cache_capacity, rng_seed=11),
         )
     return part
 
@@ -279,6 +287,12 @@ def test_ciphertexts_and_family_entries_unchanged_for_fixed_keys():
     back = parse_encrypted(serialize_encrypted(part, _KA_SCHEMA), _KA_SCHEMA)
     assert _digest(back) == expected
     _assert_same_partition(part, back)
+
+
+@pytest.mark.parametrize("cache_capacity", [0, 1])
+def test_cache_capacity_leaves_the_known_answer_digest(cache_capacity):
+    part = _known_answer_partition(cache_capacity=cache_capacity)
+    assert _digest(part) == "3d796a5a76d23d5ee14796b5b08dbbea6a7d96a9f533d0f2c34f95e83d2c59a7"
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 40])

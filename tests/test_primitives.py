@@ -13,6 +13,7 @@ from sealview.primitives import (
     DOMAIN_CELL,
     DOMAIN_SELECTION,
     ZERO_BLOCK,
+    first_counter_block,
     hash_string,
     ote,
     pack_block,
@@ -165,6 +166,17 @@ def test_mac_matches_raw_aes_cbc_mac(length):
     assert BlockCipher(key).mac(msg) == state
 
 
+def test_mac_many_matches_mac_in_input_order():
+    # Mixed lengths put messages of 1, 2, 3 and 7 blocks side by side in one
+    # batch, and interleave them, so a reordered result shows.
+    rng = random.Random(300)
+    key = rng.randbytes(16)
+    cipher = BlockCipher(key)
+    messages = [rng.randbytes(n) for n in (0, 1, 7, 8, 9, 23, 24, 25, 100, 8, 0, 24)]
+    assert cipher.mac_many(messages) == [cipher.mac(m) for m in messages]
+    assert cipher.mac_many([]) == []
+
+
 @pytest.mark.parametrize("length", KAT_LENGTHS)
 def test_ctr_matches_raw_aes_counter_blocks(length):
     rng = random.Random(100 + length)
@@ -172,6 +184,14 @@ def test_ctr_matches_raw_aes_counter_blocks(length):
     pos = CellPosition(DOMAIN_SELECTION, 3, 7, 2)
     stream = _counter_keystream(key, pos.prefix(), length)
     assert BlockCipher(key).ctr(pos, msg) == bytes(a ^ b for a, b in zip(msg, stream))
+
+
+def test_first_counter_block_is_block_zero_at_the_position():
+    for fields in [(DOMAIN_SELECTION, 3, 7, 2), (DOMAIN_CELL, 1, 0, 0), (0xFF, 2**32 - 1, 2**32 - 1, 2**32 - 1)]:
+        assert first_counter_block(*fields) == CellPosition(*fields).prefix() + bytes(3)
+    key, msg = AES_KAT_KEY, bytes(range(16))
+    stream = BlockCipher(key).prf(first_counter_block(DOMAIN_SELECTION, 3, 7, 2))
+    assert BlockCipher(key).ctr(CellPosition(DOMAIN_SELECTION, 3, 7, 2), msg) == xor_bytes(msg, stream)
 
 
 @pytest.mark.parametrize("length", KAT_LENGTHS)

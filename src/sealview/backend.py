@@ -10,7 +10,7 @@ by the code named on its right, which the owner's writer and the reader
 both call:
 
     row key        = PRF(table key, partition || row)      _row_keys
-    cell key       = PRF(row key, column)                  _cell_keys
+    cell key       = PRF(row key, column)                  _cell_key_inputs
     predicate key  = PRF(family key, predicate index)      _predicate_ciphers
     selection key  = PRF_var(predicate key, g(row))        add_family
     view key       = PRF_var(predicate key, bound value)   generate_view_keys
@@ -18,7 +18,7 @@ both call:
     tagging key    = PRF(selection key, partition)         _SelectionKey
     tag            = PRF(tagging key, count)[:tag_length]  _SelectionKey.tags
     selection slot = CTR(slot key, projection key)         _SelectionKey.slots
-    projection key and projection entry                    _Projection
+    projection key and entry                               _Projection.seal, .open
 
 Indices are 0-based everywhere but inside PRF inputs and cell positions,
 where they are 1-based; the code named above converts. Partition ids
@@ -47,12 +47,12 @@ from .model import (
 from .planner.canonical import CanonicalFamily, CanonicalView
 from .primitives import (
     BlockCipher,
-    CellPosition,
     DOMAIN_PROJECTION_BLOB,
     DOMAIN_PROJECTION_CHECK,
     DOMAIN_SELECTION,
     KEY_LEN,
     ZERO_BLOCK,
+    counter_blocks,
     first_counter_block,
     ote,
     pack_block,
@@ -94,25 +94,28 @@ class FamilyParams:
             raise BackendError("cache capacity must be non-negative")
 
 
-def _prf_keys(cipher: BlockCipher, blocks) -> list[bytes]:
-    """The cipher's PRF of each 16-byte input block, in one batch."""
-    flat = cipher.prf_many(b"".join(blocks))
+def _prf_keys(cipher: BlockCipher, inputs: bytes) -> list[bytes]:
+    """The cipher's PRF of each 16-byte block of `inputs`, in one batch."""
+    flat = cipher.prf_many(inputs)
     return [flat[off : off + 16] for off in range(0, len(flat), 16)]
 
 
 def _row_keys(table_key: bytes, partition_id: int, n_rows: int) -> list[bytes]:
     """Row keys of rows 0..n_rows-1 of a partition."""
-    return _prf_keys(BlockCipher(table_key), (pack_block(partition_id, r0 + 1) for r0 in range(n_rows)))
+    inputs = b"".join(pack_block(partition_id, r0 + 1) for r0 in range(n_rows))
+    return _prf_keys(BlockCipher(table_key), inputs)
 
 
-def _cell_keys(row_cipher: BlockCipher, columns) -> list[bytes]:
-    """Cell keys of the given 0-based columns, in their order."""
-    return _prf_keys(row_cipher, (pack_block(c + 1) for c in columns))
+def _cell_key_inputs(columns) -> bytes:
+    """The PRF inputs, under a row key, of the given 0-based columns'
+    cell keys, back to back: `_prf_keys` of them gives the cell keys in
+    column order."""
+    return b"".join(pack_block(c + 1) for c in columns)
 
 
 def _predicate_ciphers(family_key: bytes, n_pred: int) -> list[BlockCipher]:
     """Ciphers under the predicate keys of predicates 0..n_pred-1."""
-    keys = _prf_keys(BlockCipher(family_key), (pack_block(j0 + 1) for j0 in range(n_pred)))
+    keys = _prf_keys(BlockCipher(family_key), b"".join(pack_block(j0 + 1) for j0 in range(n_pred)))
     return [BlockCipher(k) for k in keys]
 
 
@@ -120,15 +123,14 @@ class _SelectionKey:
     """The two keys a selection key derives in one partition: the slot key,
     which encrypts projection keys into selection slots, and the tagging
     key, which makes the tags. Both work on batches: the writer passes
-    every occurrence of the key in a partition, the reader one at a time."""
+    every occurrence of the key in a partition, the reader the candidate
+    occurrences of one chain."""
 
     __slots__ = ("partition_id", "_slot_key", "_slot_cipher", "tag_cipher")
 
     def __init__(self, selection_key: bytes, partition_id: int):
         self.partition_id = partition_id
-        self._slot_key, tag_key = _prf_keys(
-            BlockCipher(selection_key), (ZERO_BLOCK, pack_block(partition_id))
-        )
+        self._slot_key, tag_key = _prf_keys(BlockCipher(selection_key), ZERO_BLOCK + pack_block(partition_id))
         self._slot_cipher = None  # built on first use; most reader keys never need it
         self.tag_cipher = BlockCipher(tag_key)
 
@@ -148,11 +150,12 @@ class _SelectionKey:
 
 
 _ONE_COLUMN, _WHOLE_ROW, _KEY_BLOB = range(3)
+_CHECK_INPUT = ZERO_BLOCK  # under a projection key, the input of its check value
 
 
 class _Projection:
     """One family's projection entries in one partition: the writer seals
-    them, the reader confirms and opens them.
+    them, the reader opens them.
 
     A row's projection key opens every projected cell of the row. What it
     is follows from the projection alone:
@@ -172,17 +175,20 @@ class _Projection:
         self.kind = _ONE_COLUMN if n_proj == 1 else _WHOLE_ROW if n_proj == n_col else _KEY_BLOB
         # The cell keys `seal` takes, unless the row key opens the cells.
         self.key_columns = () if self.kind == _WHOLE_ROW else self.projected
+        # What `open` encrypts under a key of the first two kinds: the check
+        # input, then for every column the projected cells' key inputs.
+        self._open_inputs = _CHECK_INPUT
+        if self.kind == _WHOLE_ROW:
+            self._open_inputs += _cell_key_inputs(self.projected)
 
-    def _check(self, r0: int, pk_cipher: BlockCipher) -> bytes:
-        if self.kind == _KEY_BLOB:
-            pos = CellPosition(DOMAIN_PROJECTION_CHECK, self.partition_id, r0 + 1)
-            return pk_cipher.ctr(pos, ZERO_BLOCK)
-        return pk_cipher.prf(ZERO_BLOCK)
-
-    def _blob(self, r0: int, pk_cipher: BlockCipher, data: bytes) -> bytes:
-        """CTR transform (its own inverse) of row r0's cell-key blob."""
-        pos = CellPosition(DOMAIN_PROJECTION_BLOB, self.partition_id, r0 + 1)
-        return pk_cipher.ctr(pos, data)
+    def _blob_and_check_blocks(self, r0: int, blob_len: int) -> bytes:
+        """Row r0's keystream blocks of a `blob_len`-byte cell-key blob,
+        then its check block: under the projection key, the blob's pad
+        and the check value."""
+        p, r = self.partition_id, r0 + 1
+        return counter_blocks(blob_len, DOMAIN_PROJECTION_BLOB, p, r) + first_counter_block(
+            DOMAIN_PROJECTION_CHECK, p, r
+        )
 
     def seal(
         self, r0: int, row_cipher: BlockCipher, cell_keys: dict[int, bytes], rng: random.Random
@@ -190,34 +196,33 @@ class _Projection:
         """Row r0's projection key and entry, from the cell keys of at
         least the `key_columns`; `rng` draws a fresh key."""
         if self.kind == _WHOLE_ROW:
-            return row_cipher.key, self._check(r0, row_cipher)
+            return row_cipher.key, row_cipher.prf(_CHECK_INPUT)
         keys = [cell_keys[c] for c in self.projected]
         if self.kind == _ONE_COLUMN:
-            return keys[0], self._check(r0, BlockCipher(keys[0]))
+            return keys[0], BlockCipher(keys[0]).prf(_CHECK_INPUT)
         pk = rng.randbytes(KEY_LEN)
-        pk_cipher = BlockCipher(pk)
-        blob = self._blob(r0, pk_cipher, secure_concat(keys))
-        return pk, secure_concat([blob, self._check(r0, pk_cipher)])
+        plain = secure_concat(keys)
+        stream = BlockCipher(pk).prf_many(self._blob_and_check_blocks(r0, len(plain)))
+        return pk, secure_concat([xor_bytes(plain, stream[: len(plain)]), stream[-16:]])
 
-    def confirm(self, r0: int, pk: bytes, entry: bytes) -> BlockCipher | None:
-        """A cipher under `pk` if it is row r0's projection key, else None."""
-        pk_cipher = BlockCipher(pk)
-        check = entry
-        if self.kind == _KEY_BLOB:
-            parts = split_concat(entry)
-            if len(parts) != 2:
-                raise BackendError("malformed projection entry")
-            check = parts[1]
-        return pk_cipher if check == self._check(r0, pk_cipher) else None
-
-    def cell_keys(self, r0: int, pk_cipher: BlockCipher, entry: bytes) -> list[bytes]:
-        """The projected cells' keys, in projection order, under a
-        confirmed projection key."""
-        if self.kind == _ONE_COLUMN:
-            return [pk_cipher.key]
-        if self.kind == _WHOLE_ROW:
-            return _cell_keys(pk_cipher, self.projected)
-        keys = split_concat(self._blob(r0, pk_cipher, split_concat(entry)[0]))
+    def open(self, r0: int, pk: bytes, entry: bytes) -> list[bytes] | None:
+        """The projected cells' keys, in projection order, if `pk` is row
+        r0's projection key, else None; one key setup and one AES call."""
+        if self.kind != _KEY_BLOB:
+            out = BlockCipher(pk).prf_many(self._open_inputs)
+            if out[:16] != entry:
+                return None
+            if self.kind == _ONE_COLUMN:
+                return [pk]
+            return [out[off : off + 16] for off in range(16, len(out), 16)]
+        parts = split_concat(entry)
+        if len(parts) != 2:
+            raise BackendError("malformed projection entry")
+        blob, check = parts
+        stream = BlockCipher(pk).prf_many(self._blob_and_check_blocks(r0, len(blob)))
+        if stream[-16:] != check:
+            return None
+        keys = split_concat(xor_bytes(blob, stream[: len(blob)]))
         if len(keys) != len(self.projected):
             raise BackendError("projection blob key count mismatch")
         return keys
@@ -319,13 +324,13 @@ def encrypt_partition(
     value of the wrong type EncodingError.
     """
     n_col = len(schema)
-    columns = range(n_col)
-    cells: list[list[bytes]] = [[] for _ in columns]
+    cells: list[list[bytes]] = [[] for _ in range(n_col)]
+    cell_inputs = _cell_key_inputs(range(n_col))
     row_keys = _row_keys(table_key, plain.partition_id, len(plain.rows))
     for r0, (row, row_key) in enumerate(zip(plain.rows, row_keys)):
         if len(row) != n_col:
             raise SchemaError(f"row {r0} has {len(row)} cells, schema has {n_col}")
-        keys = _cell_keys(BlockCipher(row_key), columns)
+        keys = _prf_keys(BlockCipher(row_key), cell_inputs)
         for value, col, key, out in zip(row, schema.columns, keys, cells):
             if value is None and not col.nullable:
                 raise SchemaError(f"null in non-nullable column {col.name!r}")
@@ -368,6 +373,7 @@ def add_family(
     projection = _Projection(family, n_col, p)
     where_cols = sorted(family.where_columns())
     key_cols = sorted(set(where_cols) | set(projection.key_columns))
+    key_inputs = _cell_key_inputs(key_cols)
     types = [c.type for c in schema.columns]
     if params.rng_seed is None:
         rng = random.SystemRandom()
@@ -383,7 +389,7 @@ def add_family(
     pred_inputs: list[list[bytes]] = [[] for _ in range(n_pred)]
     for r0, row_key in enumerate(_row_keys(table_key, p, n_rows)):
         row_cipher = BlockCipher(row_key)
-        keys = dict(zip(key_cols, _cell_keys(row_cipher, key_cols)))
+        keys = dict(zip(key_cols, _prf_keys(row_cipher, key_inputs)))
         values: list = [_MISSING] * n_col
         for c in where_cols:
             values[c] = decode_cell(ote(keys[c], where_cells[c][r0]), types[c])
@@ -447,23 +453,30 @@ def generate_view_keys(
     return ViewKeySet(view.family.family_id, tag_length, tuple(keys))
 
 
-class _KeyEntry(_SelectionKey):
-    """A view key in one partition: its occurrence count so far and the
-    tag its next occurrence carries."""
+_FIRST_TAG_BATCH = 4  # tags a view key computes before it doubles the batch
 
-    __slots__ = ("key", "j0", "tag_length", "count", "net")
+
+class _KeyEntry(_SelectionKey):
+    """A view key in one partition: its predicate, its confirmed
+    occurrence count so far, and the tags of its occurrences, computed
+    ahead in batches that double how many it holds."""
+
+    __slots__ = ("key", "j0", "tag_length", "count", "_tags")
 
     def __init__(self, key: bytes, j0: int, partition_id: int, tag_length: int):
         super().__init__(key, partition_id)
         self.key = key
         self.j0 = j0
         self.tag_length = tag_length
-        self.count = -1
-        self.advance()
+        self.count = 0
+        self._tags: list[bytes] = []
 
-    def advance(self) -> None:
-        self.count += 1
-        self.net = self.tags((self.count,), self.tag_length)[0]
+    def tag(self, n: int) -> bytes:
+        """The tag of occurrence n (0-based)."""
+        tags = self._tags
+        if n >= len(tags):
+            tags += self.tags(range(len(tags), max(2 * n, _FIRST_TAG_BATCH)), self.tag_length)
+        return tags[n]
 
 
 def _family_columns(enc_part: EncryptedPartition, family_id: str) -> FamilyColumns:
@@ -485,21 +498,27 @@ def reveal_partition(
 ) -> list[tuple]:
     """Decrypt the rows this view key set can open, in row order.
 
-    With tags enabled, each key searches its own predicate's slot of the
-    contiguous tagging column for its next expected tag; rows no key's
-    tag hits cost no cryptographic work. A hit is confirmed by decryption
-    before the key's counter advances, so truncation false positives
-    change nothing, and hits outside the key's own slot can only be false
-    positives (a true match always shows in the key's own slot). Rows
-    matched by any key are decoded once each, in row order, so a row
-    matching several predicates is emitted once while every matching key
-    still advances. With tags disabled, every key is tried against every
-    row: the reference the tagged path must agree with.
+    With tags enabled, the keys run one at a time, and each follows its
+    chain of expected tags through its own predicate's slot of the
+    contiguous tagging column: it finds tag n at an aligned offset, then
+    tag n + 1 from the next row on, and so on, as if every hit confirmed.
+    Rows no key's tag hits cost no cryptographic work, and hits outside
+    the key's own slot can only be false positives (a true match always
+    shows in the key's own slot). One selection-slot decrypt serves all
+    the chain's candidate rows, which are then confirmed in chain order.
+    The first that fails is a truncation false positive: the key's count
+    stays, and its chain restarts from the next row with the same tag, so
+    every counter equals that of confirming each hit before searching for
+    the next tag. Rows matched by any key are decoded once each, in row
+    order, so a row matching several predicates is emitted once while
+    every matching key still advances. With tags disabled, every key is
+    tried against every row: the reference the tagged path must agree
+    with.
 
     A key is confirmed against a row by decrypting its selection slot and
-    checking the projection key that yields against the row's projection
-    entry; that check is what turns a truncated-tag false positive into a
-    clean failure.
+    opening the row's projection entry with the projection key that
+    yields (`_Projection.open`); that check is what turns a truncated-tag
+    false positive into a clean failure.
     """
     if view_keys.family_id != family.family_id:
         raise BackendError("view keys were minted for a different family")
@@ -513,12 +532,14 @@ def reveal_partition(
     tag_len = view_keys.tag_length
     projection = _Projection(family, len(schema), enc_part.partition_id)
     sel_width, sel_data = cols.selection.width, cols.selection.data
+    proj_entries = cols.projection
 
-    def confirm(r0: int, entry: _KeyEntry) -> BlockCipher | None:
-        """The row's projection-key cipher, or None on a wrong key."""
-        off = r0 * sel_width + 16 * entry.j0
-        pk = entry.slots(((r0, entry.j0),), sel_data[off : off + 16])
-        return projection.confirm(r0, pk, cols.projection[r0])
+    def projection_keys(entry: _KeyEntry, rows: list[int]) -> bytes:
+        """The projection keys the key's selection slots at `rows` hold,
+        back to back, from one decrypt."""
+        j0 = entry.j0
+        offs = [r0 * sel_width + 16 * j0 for r0 in rows]
+        return entry.slots([(r0, j0) for r0 in rows], b"".join(sel_data[o : o + 16] for o in offs))
 
     entries = [
         _KeyEntry(key, j0, enc_part.partition_id, tag_len)
@@ -526,17 +547,17 @@ def reveal_partition(
         for key in pred_keys
     ]
     clock = time.perf_counter
-    matched: dict[int, BlockCipher] = {}  # row -> its projection-key cipher, from any key
+    matched: dict[int, list[bytes]] = {}  # row -> its projected cells' keys, from any key
 
     if not use_tags:
         started = clock()
         for r0 in range(n_rows):
             for entry in entries:
                 stats.decrypt_attempts += 1
-                pk_cipher = confirm(r0, entry)
-                if pk_cipher is not None:
+                keys = projection.open(r0, projection_keys(entry, [r0]), proj_entries[r0])
+                if keys is not None:
                     stats.decrypt_successes += 1
-                    matched[r0] = pk_cipher
+                    matched[r0] = keys
                     break
         crypto_time = clock() - started
     else:
@@ -544,37 +565,56 @@ def reveal_partition(
         if n_rows and cols.tagging.width != stride:
             raise BackendError("tagging column does not match the tag length")
         find = cols.tagging.data.find
+
+        def chain(entry: _KeyEntry, start: int) -> list[int]:
+            """The rows of the key's next occurrences from tagging offset
+            `start` on, found as if every hit confirmed."""
+            slot = entry.j0 * tag_len
+            rows: list[int] = []
+            n = entry.count
+            while (pos := find(entry.tag(n), start)) >= 0:
+                r0, misalign = divmod(pos - slot, stride)
+                start = (r0 + 1) * stride + slot
+                if not misalign:  # else another slot, or across slot boundaries
+                    rows.append(r0)
+                    n += 1
+            return rows
+
         crypto_time = 0.0
         for entry in entries:
             slot = entry.j0 * tag_len
-            start = slot
-            while (pos := find(entry.net, start)) >= 0:
-                r0, misalign = divmod(pos - slot, stride)
-                start = (r0 + 1) * stride + slot
-                if misalign:
-                    continue  # another slot, or across slot boundaries
-                stats.tag_hits += 1
-                stats.decrypt_attempts += 1
+            rows = chain(entry, slot)
+            while rows:
                 t0 = clock()
-                pk_cipher = confirm(r0, entry)
+                pks = projection_keys(entry, rows)
+                miss = None
+                for k, r0 in enumerate(rows):
+                    stats.tag_hits += 1
+                    stats.decrypt_attempts += 1
+                    keys = projection.open(r0, pks[16 * k : 16 * k + 16], proj_entries[r0])
+                    if keys is None:
+                        miss = r0
+                        break
+                    stats.decrypt_successes += 1
+                    matched.setdefault(r0, keys)
+                    entry.count += 1
                 crypto_time += clock() - t0
-                if pk_cipher is None:
-                    continue  # truncation false positive; no state change
-                stats.decrypt_successes += 1
-                matched.setdefault(r0, pk_cipher)
-                entry.advance()
+                # Without a miss the chain ended at a tag that no later row
+                # holds. A miss is a truncation false positive: the rest of
+                # the chain assumed it, so search for the same tag again
+                # from the next row on.
+                rows = [] if miss is None else chain(entry, (miss + 1) * stride + slot)
         for entry in entries:
             stats.final_counts[(entry.j0 + 1, entry.key)] = entry.count
 
     t0 = clock()
-    types = [schema.columns[c].type for c in family.projected]
-    out = []
-    for r0 in sorted(matched):
-        keys = projection.cell_keys(r0, matched[r0], cols.projection[r0])
-        out.append(tuple(
-            decode_cell(ote(key, enc_part.columns[c][r0]), ctype)
-            for c, key, ctype in zip(family.projected, keys, types)
-        ))
+    rows = sorted(matched)
+    cell_keys = [matched[r0] for r0 in rows]
+    values = []  # column by column, then zipped into rows
+    for i, c in enumerate(family.projected):
+        cells, ctype = enc_part.columns[c], schema.columns[c].type
+        values.append([decode_cell(ote(keys[i], cells[r0]), ctype) for r0, keys in zip(rows, cell_keys)])
+    out = list(zip(*values)) if values else [() for _ in rows]
     stats.rows_scanned += n_rows
     stats.rows_emitted += len(out)
     stats.crypto_seconds += crypto_time + clock() - t0

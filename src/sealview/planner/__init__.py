@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..model import Schema
-from .canonical import Atom, CanonicalFamily, CanonicalView, PredicateFn
+from .canonical import Atom, CanonicalFamily, CanonicalView, PredicateFn, check_branching_bits
 from .errors import ParseError, PlannerError, ViewFamilyMismatch
 from .rewrite import consolidate, eliminate_ands, push_not_down, ranges_to_in, to_dnf, to_typed
 from .sql import parse
@@ -56,7 +56,11 @@ def plan_family(
     branching_bits: int = DEFAULT_BRANCHING_BITS,
     max_clauses: int = DEFAULT_MAX_CLAUSES,
 ) -> CanonicalFamily:
-    """Rewrite family SQL (wildcard predicates) into canonical form."""
+    """Rewrite family SQL (wildcard predicates) into canonical form.
+
+    `branching_bits` must be 1, 2, 4, 8, 16, 32 or 64; any other value
+    raises PlannerError before the SQL is read."""
+    check_branching_bits(branching_bits)
     stmt = parse(sql, "family")
     projected = _projection_indices(stmt, schema)
     triples = _run_passes(stmt.where, schema, branching_bits, max_clauses, valued=False)

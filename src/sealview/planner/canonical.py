@@ -35,6 +35,15 @@ SERIAL_VERSION = 1
 PRESENT = b"\x01"
 ABSENT = b"\x00"
 
+# A family's branching factor is 2^b for a b that divides the 64-bit
+# integer domain; each such b also divides the 256-bit hash domain.
+BRANCHING_BITS = (1, 2, 4, 8, 16, 32, 64)
+
+
+def check_branching_bits(bits: int) -> None:
+    if bits not in BRANCHING_BITS:
+        raise PlannerError(f"branching bits must be 1, 2, 4, 8, 16, 32 or 64, got {bits}")
+
 
 def prefix_value(prefix: int, bits: int) -> bytes:
     """Encode a bit-prefix of `bits` bits with the presence tag."""
@@ -153,6 +162,7 @@ class CanonicalFamily:
         version, branching = take(">HB")
         if version != SERIAL_VERSION:
             raise PlannerError(f"unsupported canonical family version {version}")
+        check_branching_bits(branching)
         (n_proj,) = take(">H")
         projected = take(f">{n_proj}H")
         (n_pred,) = take(">H")

@@ -40,9 +40,12 @@ DOMAIN_CELL = 0x04
 
 _MAX_CTR_BLOCKS = 1 << 24  # 3-byte in-message block counter
 _LENGTH = struct.Struct(">Q")  # mac's length prefix
+_U32 = struct.Struct(">I")  # secure_concat's count and part lengths
 _FOUR_U32 = struct.Struct(">4I")  # pack_block's layout, compiled once: it runs per row
-_OTE_PREFIX = b"\x00" * 13
-_FIRST_COUNTER = struct.Struct(">BIII3x")  # a position prefix and block index 0
+# A counter block: the 13-byte position prefix (domain, partition, row,
+# slot), then the u24 block index as its top byte and low two bytes.
+_COUNTER_BLOCK = struct.Struct(">BIIIBH")
+_OTE_POSITION = (0, 0, 0, 0)  # the all-zero prefix, which no cell position has
 # ECB here is the raw block permutation; every mode this module offers
 # (PRF, CBC-MAC, CTR) is built from it explicitly. ECB has no state, so
 # one instance serves every cipher and saves building one per key.
@@ -69,14 +72,27 @@ class CellPosition:
     slot: int = 0
 
     def prefix(self) -> bytes:
-        return struct.pack(">BIII", self.domain, self.partition, self.row, self.slot)
+        return first_counter_block(self.domain, self.partition, self.row, self.slot)[:13]
+
+
+def counter_blocks(length: int, domain: int, partition: int, row: int, slot: int = 0) -> bytes:
+    """The counter blocks that encrypt a message of `length` bytes at
+    CellPosition(domain, partition, row, slot), without building one:
+    block i is the position's prefix followed by i as a big-endian u24.
+    This is the one encoder of counter blocks."""
+    nblocks = -(-length // BLOCK_LEN)
+    if nblocks >= _MAX_CTR_BLOCKS:
+        raise CryptoError("message too long for the 3-byte block counter")
+    pack = _COUNTER_BLOCK.pack
+    if nblocks == 1:
+        return pack(domain, partition, row, slot, 0, 0)
+    return b"".join([pack(domain, partition, row, slot, i >> 16, i & 0xFFFF) for i in range(nblocks)])
 
 
 def first_counter_block(domain: int, partition: int, row: int, slot: int = 0) -> bytes:
-    """Counter block 0 at CellPosition(domain, partition, row, slot),
-    without building one: the whole keystream input of a message of up
-    to 16 bytes there, for callers that batch many positions."""
-    return _FIRST_COUNTER.pack(domain, partition, row, slot)
+    """Counter block 0 at CellPosition(domain, partition, row, slot): the
+    whole keystream input of a message of up to 16 bytes there."""
+    return _COUNTER_BLOCK.pack(domain, partition, row, slot, 0, 0)
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -147,14 +163,9 @@ class BlockCipher:
                 out[i] = state[k * BLOCK_LEN : (k + 1) * BLOCK_LEN]
         return out
 
-    def keystream(self, prefix: bytes, length: int) -> bytes:
-        nblocks = -(-length // BLOCK_LEN)
-        if nblocks >= _MAX_CTR_BLOCKS:
-            raise CryptoError("message too long for the 3-byte block counter")
-        if nblocks == 1:
-            return self._raw(prefix + b"\x00\x00\x00")[:length]
-        blocks = b"".join(prefix + i.to_bytes(3, "big") for i in range(nblocks))
-        return self._raw(blocks)[:length]
+    def keystream(self, length: int, domain: int, partition: int, row: int, slot: int = 0) -> bytes:
+        """The first `length` keystream bytes at a cell position."""
+        return self._raw(counter_blocks(length, domain, partition, row, slot))[:length]
 
     def ctr(self, pos: CellPosition, data: bytes) -> bytes:
         """Counter-mode transform (its own inverse) at a cell position.
@@ -162,7 +173,7 @@ class BlockCipher:
         A (key, position) pair must never transform two different
         messages. No expansion: the output is as long as the input.
         """
-        return xor_bytes(data, self.keystream(pos.prefix(), len(data)))
+        return xor_bytes(data, self.keystream(len(data), pos.domain, pos.partition, pos.row, pos.slot))
 
 
 def ote(key: bytes, msg: bytes) -> bytes:
@@ -176,7 +187,7 @@ def ote(key: bytes, msg: bytes) -> bytes:
         raise CryptoError(f"key must be {KEY_LEN} bytes, got {len(key)}")
     if len(msg) <= KEY_LEN:
         return xor_bytes(msg, key[: len(msg)])
-    return xor_bytes(msg, BlockCipher(key).keystream(_OTE_PREFIX, len(msg)))
+    return xor_bytes(msg, BlockCipher(key).keystream(len(msg), *_OTE_POSITION))
 
 
 def pack_block(*fields: int) -> bytes:
@@ -198,30 +209,33 @@ def secure_concat(parts: list[bytes] | tuple[bytes, ...]) -> bytes:
     distinct lists never collide. Used both as the PRF-input combiner and
     as the value combiner when conjunctions are merged.
     """
-    out = [struct.pack(">I", len(parts))]
+    pack = _U32.pack
+    out = [pack(len(parts))]
     for part in parts:
-        out.append(struct.pack(">I", len(part)))
+        out.append(pack(len(part)))
         out.append(part)
     return b"".join(out)
 
 
 def split_concat(data: bytes) -> list[bytes]:
     """Decode secure_concat output; raises CryptoError on malformed input."""
-    if len(data) < 4:
+    end = len(data)
+    if end < 4:
         raise CryptoError("truncated concatenation header")
-    (count,) = struct.unpack_from(">I", data, 0)
+    unpack_from = _U32.unpack_from
+    (count,) = unpack_from(data, 0)
     off = 4
     parts = []
     for _ in range(count):
-        if off + 4 > len(data):
+        if off + 4 > end:
             raise CryptoError("truncated part length")
-        (plen,) = struct.unpack_from(">I", data, off)
+        (plen,) = unpack_from(data, off)
         off += 4
-        if off + plen > len(data):
+        if off + plen > end:
             raise CryptoError("truncated part body")
         parts.append(data[off : off + plen])
         off += plen
-    if off != len(data):
+    if off != end:
         raise CryptoError("trailing bytes after concatenation")
     return parts
 

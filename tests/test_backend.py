@@ -3,6 +3,7 @@ randomized end-to-end completeness against the plaintext oracle."""
 
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,9 @@ from sealview.backend import (
     random_key,
     reveal_partition,
 )
-from sealview.encoding import TYPE_INT64, TYPE_UTF8, EncodingError, encode_cell
+from sealview.encoding import TYPE_INT64, TYPE_UTF8, EncodingError, decode_cell, encode_cell
 from sealview.mep import parse_encrypted, serialize_encrypted
-from sealview.model import Column, PlainPartition, Schema, SchemaError
+from sealview.model import Column, FamilyColumns, FixedWidthColumn, PlainPartition, Schema, SchemaError
 from sealview.oracle import eval_view
 from sealview.planner import plan_family, plan_view
 from sealview.primitives import (
@@ -32,8 +33,11 @@ from sealview.primitives import (
     ZERO_BLOCK,
     BlockCipher,
     CellPosition,
+    CryptoError,
+    ote,
     pack_block,
     secure_concat,
+    split_concat,
 )
 
 from gen_random import random_family_and_view, random_rows, random_schema
@@ -559,3 +563,144 @@ def test_keys_with_colliding_truncated_first_tags():
     assert sorted(stats.final_counts.values()) == sorted(
         sum(1 for row in rows if row[0] == v) for v in (a, b)
     )
+
+
+# ------------------------------------- batched reader vs sequential scan
+
+
+def _reference_open(family, schema, partition_id, r0, pk, entry):
+    """The projected cells' keys if `pk` opens row r0's projection entry,
+    else None, re-derived with BlockCipher alone."""
+    cipher = BlockCipher(pk)
+    if len(family.projected) == 1:
+        return [pk] if cipher.prf(ZERO_BLOCK) == entry else None
+    if len(family.projected) == len(schema):
+        if cipher.prf(ZERO_BLOCK) != entry:
+            return None
+        return [cipher.prf(pack_block(c + 1)) for c in family.projected]
+    blob, check = split_concat(entry)
+    if check != cipher.ctr(CellPosition(DOMAIN_PROJECTION_CHECK, partition_id, r0 + 1), ZERO_BLOCK):
+        return None
+    return split_concat(cipher.ctr(CellPosition(DOMAIN_PROJECTION_BLOB, partition_id, r0 + 1), blob))
+
+
+def _sequential_reveal(enc_part, schema, family, keys):
+    """A reveal that looks for one expected tag at a time, row by row in
+    the key's own slot, and confirms each hit before it looks for the
+    next: its rows, its RevealStats, and whether some key met a false
+    positive before its last true hit."""
+    p, n_rows, tl = enc_part.partition_id, enc_part.n_rows, keys.tag_length
+    cols = enc_part.families[family.family_id]
+    stats = RevealStats(rows_scanned=n_rows)
+    matched = {}
+    miss_mid_chain = False
+    for j0, pred_keys in enumerate(keys.keys):
+        for key in pred_keys:
+            slot_cipher = BlockCipher(BlockCipher(key).prf(ZERO_BLOCK))
+            tag_cipher = BlockCipher(BlockCipher(key).prf(pack_block(p)))
+            count, misses, last_hit = 0, [], -1
+            for r0 in range(n_rows):
+                if cols.tagging[r0][j0 * tl : (j0 + 1) * tl] != tag_cipher.prf(pack_block(count))[:tl]:
+                    continue
+                stats.tag_hits += 1
+                stats.decrypt_attempts += 1
+                slot = cols.selection[r0][16 * j0 : 16 * j0 + 16]
+                pk = slot_cipher.ctr(CellPosition(DOMAIN_SELECTION, p, r0 + 1, j0 + 1), slot)
+                cell_keys = _reference_open(family, schema, p, r0, pk, cols.projection[r0])
+                if cell_keys is None:
+                    misses.append(r0)
+                    continue
+                stats.decrypt_successes += 1
+                count, last_hit = count + 1, r0
+                matched.setdefault(r0, cell_keys)
+            stats.final_counts[(j0 + 1, key)] = count
+            miss_mid_chain |= any(r0 < last_hit for r0 in misses)
+    types = [schema.columns[c].type for c in family.projected]
+    rows = [
+        tuple(
+            decode_cell(ote(k, enc_part.columns[c][r0]), t)
+            for c, k, t in zip(family.projected, matched[r0], types)
+        )
+        for r0 in sorted(matched)
+    ]
+    stats.rows_emitted = len(rows)
+    return rows, stats, miss_mid_chain
+
+
+_READER_VIEWS = (
+    "SELECT a FROM t WHERE a >= 1 AND a <= 4",
+    "SELECT * FROM t WHERE a IN (0, 2, 5) OR b = 'yy'",
+    "SELECT b, c FROM t WHERE c IN (0, 1) OR b = NULL",
+)
+
+
+def _counters(stats):
+    return (
+        stats.rows_scanned, stats.tag_hits, stats.decrypt_attempts, stats.decrypt_successes,
+        stats.rows_emitted, stats.final_counts,
+    )
+
+
+def test_batched_reader_matches_sequential_scan():
+    rng = random.Random(0x5CA7)
+    schema = _REFERENCE_SCHEMA
+    misses_mid_chain = 0
+    for case, (family_sql, view_sql) in enumerate(zip(_REFERENCE_FAMILIES, _READER_VIEWS)):
+        family = plan_family(family_sql, schema)
+        rows = [[rng.randrange(6), rng.choice(["x", "yy", None]), rng.randrange(3)] for _ in range(500)]
+        for tag_length in (1, 2):
+            partition_id, family_key = case + 2, bytes([case + 50]) * 16
+            enc_part = encrypt_partition(PlainPartition(partition_id, [list(r) for r in rows]), schema, TABLE_KEY)
+            add_family(
+                enc_part, schema, TABLE_KEY, family, family_key,
+                FamilyParams(tag_length=tag_length, rng_seed=case),
+            )
+            keys = generate_view_keys(plan_view(view_sql, family, schema), family_key, tag_length)
+            want, want_stats, miss_mid_chain = _sequential_reveal(enc_part, schema, family, keys)
+            stats = RevealStats()
+            assert reveal_partition(enc_part, schema, family, keys, stats=stats) == want
+            assert _counters(stats) == _counters(want_stats)
+            assert want == eval_view(schema, rows, view_sql)
+            misses_mid_chain += miss_mid_chain
+    assert misses_mid_chain, "no false positive came before a key's last true hit"
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_corrupted_projection_entries_raise_only_documented_errors(case):
+    rng = random.Random(0xBAD + case)
+    schema, family_sql, view_sql = _REFERENCE_SCHEMA, _REFERENCE_FAMILIES[case], _READER_VIEWS[case]
+    family = plan_family(family_sql, schema)
+    rows = [[rng.randrange(6), rng.choice(["x", "yy", None]), rng.randrange(3)] for _ in range(30)]
+    enc_part = encrypt_partition(PlainPartition(1, rows), schema, TABLE_KEY)
+    add_family(enc_part, schema, TABLE_KEY, family, FAMILY_KEY, FamilyParams(tag_length=2, rng_seed=case))
+    keys = generate_view_keys(plan_view(view_sql, family, schema), FAMILY_KEY, tag_length=2)
+    cols = enc_part.families[family.family_id]
+    width = cols.projection.width
+    # A key-blob entry: count, blob length, blob, check length, check.
+    length_fields = (0, 4, width - 20) if width > 16 else ()
+    matched = [r0 for r0, row in enumerate(rows) if row in [list(r) for r in eval_view(schema, rows, view_sql)]]
+    outcomes = Counter()
+    for _ in range(200):
+        data = bytearray(cols.projection.data)
+        for _ in range(rng.randint(1, 3)):
+            base = rng.choice(matched or range(len(rows))) * width
+            if length_fields and rng.random() < 0.5:
+                off = base + rng.choice(length_fields)
+                value = int.from_bytes(data[off : off + 4], "big")
+                value = rng.choice((rng.randrange(1 << 32), value + rng.randint(-3, 3)))
+                data[off : off + 4] = (value % (1 << 32)).to_bytes(4, "big")
+            else:
+                data[base + rng.randrange(width)] ^= rng.randrange(1, 256)
+        enc_part.families[family.family_id] = FamilyColumns(
+            FixedWidthColumn(bytes(data), width), cols.selection, cols.tagging
+        )
+        for use_tags in (True, False):
+            try:
+                reveal_partition(enc_part, schema, family, keys, use_tags=use_tags)
+            except (BackendError, CryptoError, EncodingError) as exc:
+                outcomes[type(exc).__name__] += 1
+            else:
+                outcomes["returned"] += 1
+    assert outcomes["returned"]
+    if length_fields:
+        assert outcomes["CryptoError"]

@@ -264,6 +264,41 @@ def test_directory_file_arguments_exit_two_without_traceback(tmp_path, capsys, s
         assert "error: [Errno" in err and "Is a directory" in err
 
 
+def _table_files(table):
+    return {p.name: p.read_bytes() for p in sorted(table.iterdir())}
+
+
+@pytest.mark.parametrize(
+    "family", [FAMILY_SQL, "SELECT * FROM boats WHERE bid >= ?lo AND bid <= ?hi"]
+)
+def test_add_family_with_zero_branching_bits_exits_two_and_changes_nothing(tmp_path, capsys, src_dir, family):
+    table, keys = tmp_path / "table", tmp_path / "keys"
+    run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
+    before = _table_files(table)
+    add_family = (
+        "add-family", "--table", str(table), "--table-key", str(keys / "boats.tablekey"),
+        "--family", family, "--keys-dir", str(keys),
+    )
+    rc, err = _run_cli_process(*add_family, "--branching-bits", "0")
+    assert (rc, "Traceback" in err) == (2, False), err
+    assert "branching bits must be 1, 2, 4, 8, 16, 32 or 64, got 0" in err
+    assert _table_files(table) == before
+    assert not list(keys.glob("fam-*"))
+    rc, _, err = run_cli(capsys, *add_family)
+    assert (rc, err) == (0, "")
+
+
+@pytest.mark.parametrize("bits", ["0", "-8", "256"])
+def test_plan_with_bad_branching_bits_exits_two_without_traceback(tmp_path, src_dir, bits):
+    for family in (FAMILY_SQL, "SELECT * FROM boats WHERE bid >= ?lo"):
+        rc, err = _run_cli_process(
+            "plan", "--schema", str(src_dir / "schema.json"), "--family", family,
+            "--branching-bits", bits,
+        )
+        assert (rc, "Traceback" in err) == (2, False), err
+        assert f"branching bits must be 1, 2, 4, 8, 16, 32 or 64, got {bits}" in err
+
+
 def test_corrupted_manifest_exits_two_without_traceback(tmp_path, capsys, src_dir):
     table, keys = tmp_path / "table", tmp_path / "keys"
     run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))

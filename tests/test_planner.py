@@ -387,6 +387,14 @@ def test_family_counts_past_the_end_rejected():
         CanonicalFamily.deserialize(blob.replace(b"\x00\x01\x01\x00\x01", b"\x00\x01\x09\x00\x01", 1))
 
 
+def test_family_with_bad_branching_bits_rejected():
+    blob = _MCF_BLOBS[1]
+    assert blob[6] == 8  # magic, version, then the branching bits
+    for bits in (0, 3, 128):
+        with pytest.raises(PlannerError, match=f"branching bits must be .* got {bits}"):
+            CanonicalFamily.deserialize(blob[:6] + bytes([bits]) + blob[7:])
+
+
 # ------------------------------------------------- planner-sound randomized
 
 

@@ -124,13 +124,15 @@ class _SelectionKey:
     which encrypts projection keys into selection slots, and the tagging
     key, which makes the tags. Both work on batches: the writer passes
     every occurrence of the key in a partition, the reader the candidate
-    occurrences of one chain."""
+    occurrences of one chain. It takes the selection key as a prepared
+    cipher, so that a caller opening many partitions with one key
+    prepares it once."""
 
     __slots__ = ("partition_id", "_slot_key", "_slot_cipher", "tag_cipher")
 
-    def __init__(self, selection_key: bytes, partition_id: int):
+    def __init__(self, selection_cipher: BlockCipher, partition_id: int):
         self.partition_id = partition_id
-        self._slot_key, tag_key = _prf_keys(BlockCipher(selection_key), ZERO_BLOCK + pack_block(partition_id))
+        self._slot_key, tag_key = _prf_keys(selection_cipher, ZERO_BLOCK + pack_block(partition_id))
         self._slot_cipher = None  # built on first use; most reader keys never need it
         self.tag_cipher = BlockCipher(tag_key)
 
@@ -262,18 +264,35 @@ class RevealStats:
 
 @dataclass
 class ViewKeySet:
-    """Per-predicate view keys, tied to one family instantiation."""
+    """Per-predicate view keys, tied to one family instantiation.
+
+    The set also keeps a prepared cipher under each key it has revealed
+    with (`selection_cipher`), which is not part of its value: equality,
+    `serialize` and pickling ignore it.
+    """
 
     family_id: str
     tag_length: int
     keys: tuple[tuple[bytes, ...], ...]
+    _ciphers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.tag_length <= 16:
             raise BackendError(f"view key tag length {self.tag_length} is not 1 to 16 bytes")
 
+    def __getstate__(self):
+        return {**self.__dict__, "_ciphers": {}}  # a prepared cipher does not pickle
+
     def total_keys(self) -> int:
         return sum(len(k) for k in self.keys)
+
+    def selection_cipher(self, key: bytes) -> BlockCipher:
+        """A prepared cipher under `key`, built on its first use and kept
+        for the set's life: the key is the same in every partition."""
+        cipher = self._ciphers.get(key)
+        if cipher is None:
+            cipher = self._ciphers[key] = BlockCipher(key)
+        return cipher
 
     def serialize(self) -> bytes:
         out = [b"MVK1", struct.pack(">H", 1)]
@@ -419,7 +438,7 @@ def add_family(
         step = len(occurrences) if params.cache_capacity else 1
         for start in range(0, len(occurrences), step):
             chunk = occurrences[start : start + step]
-            sel = _SelectionKey(s, p)
+            sel = _SelectionKey(BlockCipher(s), p)
             derivations += 1
             sealed = sel.slots(chunk, b"".join(proj_keys[r0] for r0, _ in chunk))
             chunk_tags = sel.tags(range(start, start + len(chunk)), tag_len)
@@ -463,11 +482,11 @@ class _KeyEntry(_SelectionKey):
 
     __slots__ = ("key", "j0", "tag_length", "count", "_tags")
 
-    def __init__(self, key: bytes, j0: int, partition_id: int, tag_length: int):
-        super().__init__(key, partition_id)
+    def __init__(self, view_keys: ViewKeySet, key: bytes, j0: int, partition_id: int):
+        super().__init__(view_keys.selection_cipher(key), partition_id)
         self.key = key
         self.j0 = j0
-        self.tag_length = tag_length
+        self.tag_length = view_keys.tag_length
         self.count = 0
         self._tags: list[bytes] = []
 
@@ -542,7 +561,7 @@ def reveal_partition(
         return entry.slots([(r0, j0) for r0 in rows], b"".join(sel_data[o : o + 16] for o in offs))
 
     entries = [
-        _KeyEntry(key, j0, enc_part.partition_id, tag_len)
+        _KeyEntry(view_keys, key, j0, enc_part.partition_id)
         for j0, pred_keys in enumerate(view_keys.keys)
         for key in pred_keys
     ]

@@ -1,12 +1,17 @@
 """Table-level driver: storage, one partition-map driver, and the four
 table operations.
 
-Every table operation maps its partitions through `_map_partitions`:
-this process fetches each file and stores each result, in partition
-order, and the transform runs inline for one worker or in a process
-pool otherwise. A table's directory holds `manifest.json` plus one
-`part-%05d.g<N>.mep` file per partition, where N is the table-wide
-generation the manifest records. The manifest put is the only commit:
+Every table operation maps its partitions through `_map_partitions`.
+The operation's constant inputs (schema, keys, family, storage and
+generation) form its context, which each process pool worker receives
+once, when it starts; a task then names only the partition (a source
+path for encrypt-table). The worker reads the partition itself and
+returns the result; this process stores every result, in partition
+order, and commits. With one worker, or one partition, the same worker
+body runs inline on the same context. A table's directory holds
+`manifest.json` plus one `part-%05d.g<N>.mep` file per partition, where
+N is the table-wide generation the manifest records. The manifest put is
+the only commit:
 
 - encrypt-table writes generation 0, then the manifest;
 - add-family reads generation g, writes every partition at g+1, then
@@ -149,12 +154,13 @@ class HttpStorage(Storage):
 
     Listing is a GET of the base URL returning a JSON array of names.
     A bearer token is read from the environment, never from arguments.
+    The storage holds no module or session, so it pickles, and a pool
+    worker started by any method can read through it.
     """
 
     def __init__(self, base_url: str):
-        import requests
+        import requests  # noqa: F401  (fail here, not at the first request, if it is missing)
 
-        self._requests = requests
         self.base_url = base_url.rstrip("/")
         self._headers = {}
         token = os.environ.get(HTTP_TOKEN_ENV)
@@ -162,26 +168,34 @@ class HttpStorage(Storage):
             self._headers["Authorization"] = f"Bearer {token}"
 
     def list_files(self) -> list[str]:
-        resp = self._requests.get(self.base_url + "/", headers=self._headers, timeout=60)
+        import requests
+
+        resp = requests.get(self.base_url + "/", headers=self._headers, timeout=60)
         if resp.status_code != 200:
             raise StorageError(f"list failed with status {resp.status_code}")
         return sorted(resp.json())
 
     def get(self, name: str) -> bytes:
-        resp = self._requests.get(f"{self.base_url}/{name}", headers=self._headers, timeout=300)
+        import requests
+
+        resp = requests.get(f"{self.base_url}/{name}", headers=self._headers, timeout=300)
         if resp.status_code != 200:
             raise StorageError(f"get {name!r} failed with status {resp.status_code}")
         return resp.content
 
     def put(self, name: str, data: bytes) -> None:
-        resp = self._requests.put(
+        import requests
+
+        resp = requests.put(
             f"{self.base_url}/{name}", data=data, headers=self._headers, timeout=300
         )
         if resp.status_code not in (200, 201, 204):
             raise StorageError(f"put {name!r} failed with status {resp.status_code}")
 
     def delete(self, name: str) -> None:
-        resp = self._requests.delete(f"{self.base_url}/{name}", headers=self._headers, timeout=60)
+        import requests
+
+        resp = requests.delete(f"{self.base_url}/{name}", headers=self._headers, timeout=60)
         if resp.status_code not in (200, 202, 204, 404):
             raise StorageError(f"delete {name!r} failed with status {resp.status_code}")
 
@@ -212,20 +226,26 @@ class PartitionStats:
     rows: int = 0
     plain_bytes: int = 0
     rows_emitted: int = 0
+    input_bytes: int = 0  # bytes of the partition's input file, as read
+    read_seconds: float = 0.0  # time the read took, in the process that read it
 
 
 @dataclass
 class RunReport:
     """Totals of one table operation's partition map.
 
-    All three stage timers are measured in the driving process:
-    `fetch_seconds` is time spent reading inputs (storage gets or local
-    source files); `compute_seconds` is time spent running the partition
-    work inline (one worker) or waiting for a worker's result (a pool,
-    so work that overlaps fetching and storing is not in it);
-    `store_seconds` is time spent writing results (storage puts or local
-    CSV files). `wall_seconds` spans the whole map, and `stats` holds
-    one `PartitionStats` per partition, in partition order.
+    `input_bytes` and `fetch_seconds` sum the partitions' `input_bytes`
+    and `read_seconds`: the reads (storage gets or local source files)
+    happen wherever the partition is worked on, so with a pool the read
+    time is the workers' and overlaps other partitions' work. The other
+    two stage timers are measured in the driving process:
+    `compute_seconds` is time spent running the partition work inline,
+    less its read, or waiting for a worker's result (a pool, so work
+    that overlaps storing is not in it); `store_seconds` is time spent
+    writing results (storage puts or local CSV files). `output_bytes`
+    sums the lengths of the stored results. `wall_seconds` spans the
+    whole map, and `stats` holds one `PartitionStats` per partition, in
+    partition order.
     """
 
     partitions: int = 0
@@ -238,34 +258,58 @@ class RunReport:
     stats: list[PartitionStats] = field(default_factory=list)
 
 
-def _map_partitions(items, fetch, work, store, workers: int, report: RunReport) -> None:
-    """store(work(fetch(item))) for every item, stored in item order.
+_worker_task = None  # in a pool worker: the (work, context) of its operation
 
-    Storage I/O stays in this process. `work` runs inline for one worker;
-    otherwise it runs in a process pool with at most 2 * workers tasks in
-    flight, and on any error the pool is shut down with its queued tasks
-    cancelled.
+
+def _start_worker(work, context) -> None:
+    global _worker_task
+    _worker_task = (work, context)
+
+
+def _run_task(item):
+    work, context = _worker_task
+    return work(context, item)
+
+
+def _map_partitions(items, work, context, store, workers: int, report: RunReport) -> None:
+    """store(*work(context, item)) for every item, stored in item order.
+
+    `work` is a module-level worker body that reads the item's input
+    itself and returns its `PartitionStats` and its output; `context`
+    holds the operation's constant inputs. One item, or one worker, runs
+    inline. Otherwise a process pool of at most one worker per item
+    starts, each worker receiving `work` and `context` once (inherited
+    under fork, pickled under other start methods), and a task carries
+    only its item. At most 2 * workers tasks are in flight, and on any
+    error the pool is shut down with its queued tasks cancelled. Every
+    `store` call runs in this process, in item order, so the results
+    are written, and the caller commits, in one place.
     """
     clock = time.perf_counter
     started = clock()
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    in_flight: deque = deque()  # futures with a pool, payloads without
+    workers = min(workers, len(items))
+    pool = None
+    if workers > 1:
+        pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(work, context))
+    in_flight: deque = deque()  # futures with a pool, items without
 
     def store_oldest():
         t0 = clock()
         head = in_flight.popleft()
-        result = head.result() if pool else work(head)
+        stats, out = head.result() if pool else work(context, head)
         t1 = clock()
-        store(result)
-        report.compute_seconds += t1 - t0
+        store(stats, out)
+        report.stats.append(stats)
+        report.input_bytes += stats.input_bytes
+        report.fetch_seconds += stats.read_seconds
+        report.output_bytes += len(out)
+        # Inline, the read ran here, and it is fetch time, not compute time.
+        report.compute_seconds += t1 - t0 - (0.0 if pool else stats.read_seconds)
         report.store_seconds += clock() - t1
 
     try:
         for item in items:
-            t0 = clock()
-            payload = fetch(item)
-            report.fetch_seconds += clock() - t0
-            in_flight.append(pool.submit(work, payload) if pool else payload)
+            in_flight.append(pool.submit(_run_task, item) if pool else item)
             if len(in_flight) >= (2 * workers if pool else 1):
                 store_oldest()
         while in_flight:
@@ -319,37 +363,51 @@ def _apply_filter(manifest: TableManifest, fil: tuple[int, int] | None) -> list[
 # ------------------------------------------------------------ worker bodies
 
 
-def _encrypt_worker(args) -> tuple[PartitionStats, bytes]:
-    pid, kind, name, payload, schema, table_key = args
+def _read(pid: int, read, *args) -> tuple[PartitionStats, bytes]:
+    """read(*args), timed: the partition's stats, holding the bytes read
+    and the time the read took, and the bytes."""
+    t0 = time.perf_counter()
+    data = read(*args)
+    return PartitionStats(pid, input_bytes=len(data), read_seconds=time.perf_counter() - t0), data
+
+
+def _encrypt_worker(context, source) -> tuple[PartitionStats, bytes]:
+    schema, table_key = context
+    pid, kind, path = source
+    stats, payload = _read(pid, path.read_bytes)
     if kind == "csv":
-        plain = csv_to_partition(decode_csv(payload, name), schema, pid)
+        plain = csv_to_partition(decode_csv(payload, str(path)), schema, pid)
     else:
         _, plain = parse_plain(payload, schema)
         if plain.partition_id != pid:
             raise OrchestratorError(f"partition file {pid} carries id {plain.partition_id}")
     enc_part = encrypt_partition(plain, schema, table_key)
+    stats.rows = enc_part.n_rows
     # One-time encryption preserves length, so the ciphertexts measure the plaintext.
-    plain_bytes = sum(len(column.data) for column in enc_part.columns)
-    stats = PartitionStats(pid, rows=enc_part.n_rows, plain_bytes=plain_bytes)
+    stats.plain_bytes = sum(len(column.data) for column in enc_part.columns)
     return stats, serialize_encrypted(enc_part, schema)
 
 
-def _add_family_worker(args) -> tuple[PartitionStats, bytes]:
-    pid, payload, schema, table_key, family, family_key, params = args
+def _add_family_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
+    storage, generation, schema, table_key, family, family_key, params = context
+    stats, payload = _read(pid, storage.get, partition_name(pid, generation))
     enc_part = parse_encrypted(payload, schema)
     if enc_part.partition_id != pid:
         raise OrchestratorError(f"partition file {pid} carries id {enc_part.partition_id}")
     add_family(enc_part, schema, table_key, family, family_key, params)
-    return PartitionStats(pid, rows=enc_part.n_rows), serialize_encrypted(enc_part, schema)
+    stats.rows = enc_part.n_rows
+    return stats, serialize_encrypted(enc_part, schema)
 
 
-def _reveal_worker(args) -> tuple[PartitionStats, str]:
-    pid, payload, schema, family, view_keys, use_tags = args
+def _reveal_worker(context, pid: int) -> tuple[PartitionStats, str]:
+    storage, generation, schema, family, view_keys, use_tags = context
+    stats, payload = _read(pid, storage.get, partition_name(pid, generation))
     enc_part = parse_encrypted(payload, schema)
     rows = reveal_partition(enc_part, schema, family, view_keys, use_tags=use_tags)
     out = io.StringIO()
     partition_to_csv(rows, out)
-    return PartitionStats(pid, rows_emitted=len(rows)), out.getvalue()
+    stats.rows_emitted = len(rows)
+    return stats, out.getvalue()
 
 
 # -------------------------------------------------------- table operations
@@ -418,22 +476,13 @@ def run_encrypt_table(
     if table_key is None:
         table_key = secrets.token_bytes(16)
 
-    def fetch(item):
-        pid, kind, path = item
-        data = path.read_bytes()
-        report.input_bytes += len(data)
-        return pid, kind, str(path), data, schema, table_key
-
     census: list[tuple[int, int]] = []
 
-    def store(result):
-        stats, blob = result
+    def store(stats, blob):
         census.append((stats.pid, stats.rows))
-        report.stats.append(stats)
-        report.output_bytes += len(blob)
         dst.put(partition_name(stats.pid, 0), blob)
 
-    _map_partitions(sources, fetch, _encrypt_worker, store, config.workers, report)
+    _map_partitions(sources, _encrypt_worker, (schema, table_key), store, config.workers, report)
     manifest = TableManifest(table_name, schema, census, generation=0)
     _commit(dst, manifest)
     return manifest, table_key
@@ -470,19 +519,12 @@ def run_add_family(
     params = FamilyParams(tag_length=tag_length, cache_capacity=cache_capacity, rng_seed=rng_seed)
     current, following = manifest.generation, manifest.generation + 1
 
-    def fetch(pid):
-        data = storage.get(partition_name(pid, current))
-        report.input_bytes += len(data)
-        return pid, data, manifest.schema, table_key, family, family_key, params
-
-    def store(result):
-        stats, blob = result
-        report.output_bytes += len(blob)
-        report.stats.append(stats)
+    def store(stats, blob):
         storage.put(partition_name(stats.pid, following), blob)
 
     ids = [pid for pid, _ in manifest.partitions]
-    _map_partitions(ids, fetch, _add_family_worker, store, config.workers, report)
+    context = (storage, current, manifest.schema, table_key, family, family_key, params)
+    _map_partitions(ids, _add_family_worker, context, store, config.workers, report)
     if before_commit is not None:
         before_commit(family_id, family_key)
     manifest.generation = following
@@ -528,18 +570,11 @@ def run_reveal_view(
     out_root.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def fetch(pid):
-        data = storage.get(partition_name(pid, manifest.generation))
-        report.input_bytes += len(data)
-        return pid, data, manifest.schema, record.family, view_keys, use_tags
-
-    def store(result):
-        stats, text = result
-        report.stats.append(stats)
+    def store(stats, text):
         path = out_root / (VIEW_PARTITION_NAME % stats.pid)
         path.write_text(text)
-        report.output_bytes += len(text)
         written.append(path)
 
-    _map_partitions(ids, fetch, _reveal_worker, store, config.workers, report)
+    context = (storage, manifest.generation, manifest.schema, record.family, view_keys, use_tags)
+    _map_partitions(ids, _reveal_worker, context, store, config.workers, report)
     return sorted(written)

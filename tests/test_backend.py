@@ -1,6 +1,7 @@
 """Protocol tests: the boats running example, layer structure, and
 randomized end-to-end completeness against the plaintext oracle."""
 
+import pickle
 import random
 import time
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sealview import backend
 from sealview.backend import (
     AddFamilyStats,
     BackendError,
@@ -663,6 +665,61 @@ def test_batched_reader_matches_sequential_scan():
             assert want == eval_view(schema, rows, view_sql)
             misses_mid_chain += miss_mid_chain
     assert misses_mid_chain, "no false positive came before a key's last true hit"
+
+
+def _count_block_ciphers(monkeypatch) -> Counter:
+    """Count BlockCipher constructions made from sealview.backend, the
+    way the benchmark's trace counts key schedules."""
+    counts = Counter()
+
+    class Counted(BlockCipher):
+        __slots__ = ()
+
+        def __init__(self, key):
+            counts["setups"] += 1
+            super().__init__(key)
+
+    monkeypatch.setattr(backend, "BlockCipher", Counted)
+    return counts
+
+
+@pytest.mark.parametrize("tag_length", [1, 4])
+@pytest.mark.parametrize("use_tags", [True, False])
+def test_view_key_set_prepares_each_selection_key_once(monkeypatch, use_tags, tag_length):
+    rng = random.Random(0x5E7 + tag_length)
+    schema = _REFERENCE_SCHEMA
+    family = plan_family(_REFERENCE_FAMILIES[1], schema)
+    parts = []
+    for pid in range(1, 9):
+        rows = [[rng.randrange(6), rng.choice(["x", "yy", None]), rng.randrange(3)] for _ in range(60)]
+        enc_part = encrypt_partition(PlainPartition(pid, rows), schema, TABLE_KEY)
+        add_family(enc_part, schema, TABLE_KEY, family, FAMILY_KEY, FamilyParams(tag_length, rng_seed=pid))
+        parts.append(enc_part)
+    keys = generate_view_keys(plan_view(_READER_VIEWS[1], family, schema), FAMILY_KEY, tag_length)
+    blob = keys.serialize()
+    fresh_copies = [ViewKeySet.deserialize(blob) for _ in parts]
+    counts = _count_block_ciphers(monkeypatch)
+
+    def reveal_all(key_sets):
+        counts.clear()
+        out = []
+        for enc_part, key_set in zip(parts, key_sets):
+            stats = RevealStats()
+            rows = reveal_partition(enc_part, schema, family, key_set, use_tags=use_tags, stats=stats)
+            out.append((rows, _counters(stats)))
+        return out, counts["setups"]
+
+    shared, shared_setups = reveal_all([keys] * len(parts))
+    fresh, fresh_setups = reveal_all(fresh_copies)
+    assert shared == fresh
+    assert any(rows for rows, _ in shared)
+    assert fresh_setups - shared_setups == (len(parts) - 1) * keys.total_keys()
+    # The prepared ciphers are not part of the set's value.
+    assert keys == ViewKeySet.deserialize(blob)
+    assert keys.serialize() == blob
+    copy = pickle.loads(pickle.dumps(keys))
+    assert copy == keys and copy.serialize() == blob
+    assert reveal_all([copy] * len(parts))[0] == shared
 
 
 @pytest.mark.parametrize("case", range(3))

@@ -1,11 +1,16 @@
 """Table-level flows: storage, generations and commits, filters, workers."""
 
+import contextlib
+import functools
 import json
+import multiprocessing
+import pickle
 import re
 import threading
 
 import pytest
 
+from sealview import orchestrator
 from sealview.keys import read_key, read_view_keys, write_key, write_view_keys
 from sealview.manifest import MANIFEST_NAME, TableManifest
 from sealview.mep import csv_to_partition
@@ -15,6 +20,7 @@ from sealview.orchestrator import (
     MemoryStorage,
     OrchestratorConfig,
     OrchestratorError,
+    RunReport,
     StorageError,
     partition_name,
     run_add_family,
@@ -446,9 +452,14 @@ def test_memory_storage_roundtrip():
         store.get("zz")
 
 
-def test_http_storage_round_trip(tmp_path):
+@contextlib.contextmanager
+def _http_store():
+    """An HttpStorage over a stdlib object-store server on localhost,
+    serving a dict of files from this process."""
     pytest.importorskip("requests")
     import http.server
+
+    from sealview.orchestrator import HttpStorage
 
     files = {}
 
@@ -487,9 +498,14 @@ def test_http_storage_round_trip(tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        from sealview.orchestrator import HttpStorage
+        yield HttpStorage(f"http://127.0.0.1:{server.server_address[1]}")
+    finally:
+        server.shutdown()
+        server.server_close()
 
-        store = HttpStorage(f"http://127.0.0.1:{server.server_address[1]}")
+
+def test_http_storage_round_trip():
+    with _http_store() as store:
         store.put("part-00001.g0.mep", b"payload")
         store.put("part-00002.g0.mep", b"other")
         assert store.get("part-00001.g0.mep") == b"payload"
@@ -497,8 +513,107 @@ def test_http_storage_round_trip(tmp_path):
         store.delete("part-00001.g0.mep")
         store.delete("part-00001.g0.mep")  # a missing file is not an error
         assert store.list_files() == ["part-00002.g0.mep"]
-    finally:
-        server.shutdown()
+
+
+def _view_texts(storage, keys, out, workers, **kw):
+    paths = run_reveal_view(storage, keys, out, config=OrchestratorConfig(workers=workers), **kw)
+    return [(p.name, p.read_text()) for p in paths]
+
+
+def test_two_worker_reveal_over_http_matches_one_worker(tmp_path):
+    with _http_store() as store:
+        config = OrchestratorConfig(workers=2)
+        run_encrypt_table(make_src(tmp_path), store, TABLE_KEY, config)
+        family_id, _ = run_add_family(store, TABLE_KEY, FAMILY_SQL, FAMILY_KEY, rng_seed=3, config=config)
+        keys = run_view_gen(store, family_id, FAMILY_KEY, VIEW_SQL)
+        one = _view_texts(store, keys, tmp_path / "out-1", 1)
+        two = _view_texts(store, keys, tmp_path / "out-2", 2)
+    assert one == two
+    assert any(text for _, text in one)
+
+
+def test_single_partition_reveal_starts_no_pool(tmp_path, monkeypatch):
+    dst, family_id = _encrypted_table(tmp_path)
+    keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
+    want = _view_texts(dst, keys, tmp_path / "out-1", 1, fil=(2, 2))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started for one partition")
+
+    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", no_pool)
+    assert _view_texts(dst, keys, tmp_path / "out-2", 2, fil=(2, 2)) == want
+    assert want == [("view-part-00002.csv", "Marine,red\n")]
+
+
+def test_input_bytes_are_the_partition_files_read(tmp_path):
+    src = make_src(tmp_path)
+    sources = sum(path.stat().st_size for path in src.glob("part-*.csv"))
+    seen = []
+    for workers in (1, 2):
+        config = OrchestratorConfig(workers=workers)
+        dst = LocalDirStorage(tmp_path / f"table{workers}")
+        reports = [RunReport() for _ in range(3)]
+        run_encrypt_table(src, dst, TABLE_KEY, config, reports[0])
+        generation_0 = sum(len(dst.get(partition_name(pid, 0))) for pid in BOATS_CSV)
+        family_id, _ = run_add_family(
+            dst, TABLE_KEY, FAMILY_SQL, FAMILY_KEY, rng_seed=3, config=config, report=reports[1]
+        )
+        generation_1 = sum(len(dst.get(partition_name(pid, 1))) for pid in BOATS_CSV)
+        keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
+        run_reveal_view(dst, keys, tmp_path / f"out{workers}", config=config, report=reports[2])
+        assert [r.input_bytes for r in reports] == [sources, generation_0, generation_1]
+        for report in reports:
+            assert report.input_bytes == sum(stats.input_bytes for stats in report.stats)
+            assert report.fetch_seconds == sum(stats.read_seconds for stats in report.stats) > 0
+        seen.append([r.input_bytes for r in reports])
+    assert seen[0] == seen[1]
+
+
+def _without_read_time(result):
+    stats, out = result
+    stats.read_seconds = 0.0
+    return stats, out
+
+
+@pytest.mark.parametrize("kind", ["local", "http"])
+def test_worker_contexts_survive_pickling(tmp_path, monkeypatch, kind):
+    """Under a start method other than fork, each pool worker receives
+    its operation's context pickled: a copy must do the same work."""
+    checked = []
+    real_map = orchestrator._map_partitions
+
+    def checking_map(items, work, context, store, workers, report):
+        copy = pickle.loads(pickle.dumps(context))
+        want = _without_read_time(work(context, items[0]))
+        assert _without_read_time(work(copy, items[0])) == want
+        checked.append(work)
+        real_map(items, work, context, store, workers, report)
+
+    monkeypatch.setattr(orchestrator, "_map_partitions", checking_map)
+    with contextlib.ExitStack() as stack:
+        if kind == "http":
+            store = stack.enter_context(_http_store())
+        else:
+            store = LocalDirStorage(tmp_path / "table")
+        run_encrypt_table(make_src(tmp_path), store, TABLE_KEY, sequential_config())
+        family_id, _ = run_add_family(
+            store, TABLE_KEY, FAMILY_SQL, FAMILY_KEY, rng_seed=3, config=sequential_config()
+        )
+        keys = run_view_gen(store, family_id, FAMILY_KEY, VIEW_SQL)
+        run_reveal_view(store, keys, tmp_path / "out", config=sequential_config())
+    assert checked == [orchestrator._encrypt_worker, orchestrator._add_family_worker, orchestrator._reveal_worker]
+
+
+def test_reveal_under_forkserver_matches_inline(tmp_path, monkeypatch):
+    dst = LocalDirStorage(tmp_path / "table")
+    run_encrypt_table(make_src(tmp_path), dst, TABLE_KEY, sequential_config())
+    family_id, _ = run_add_family(dst, TABLE_KEY, FAMILY_SQL, FAMILY_KEY, config=sequential_config())
+    keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
+    want = _view_texts(dst, keys, tmp_path / "out-1", 1)
+    context = multiprocessing.get_context("forkserver")
+    pool = functools.partial(orchestrator.ProcessPoolExecutor, mp_context=context)
+    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", pool)
+    assert _view_texts(dst, keys, tmp_path / "out-2", 2) == want
 
 
 def test_failure_mid_run_does_not_hang(tmp_path):

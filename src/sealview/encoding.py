@@ -85,7 +85,3 @@ def decode_cell(data: bytes, column_type: str):
 def int64_to_unsigned(value: int) -> int:
     """Map a signed Int64 into the order-preserving unsigned domain."""
     return value + _SIGN_OFFSET
-
-
-def unsigned_to_int64(value: int) -> int:
-    return value - _SIGN_OFFSET

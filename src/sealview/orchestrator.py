@@ -243,7 +243,7 @@ class RunReport:
     less its read, or waiting for a worker's result (a pool, so work
     that overlaps storing is not in it); `store_seconds` is time spent
     writing results (storage puts or local CSV files). `output_bytes`
-    sums the lengths of the stored results. `wall_seconds` spans the
+    sums the byte lengths of the stored results. `wall_seconds` spans the
     whole map, and `stats` holds one `PartitionStats` per partition, in
     partition order.
     """
@@ -399,7 +399,7 @@ def _add_family_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
     return stats, serialize_encrypted(enc_part, schema)
 
 
-def _reveal_worker(context, pid: int) -> tuple[PartitionStats, str]:
+def _reveal_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
     storage, generation, schema, family, view_keys, use_tags = context
     stats, payload = _read(pid, storage.get, partition_name(pid, generation))
     enc_part = parse_encrypted(payload, schema)
@@ -407,7 +407,7 @@ def _reveal_worker(context, pid: int) -> tuple[PartitionStats, str]:
     out = io.StringIO()
     partition_to_csv(rows, out)
     stats.rows_emitted = len(rows)
-    return stats, out.getvalue()
+    return stats, out.getvalue().encode("utf-8")
 
 
 # -------------------------------------------------------- table operations
@@ -570,9 +570,9 @@ def run_reveal_view(
     out_root.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def store(stats, text):
+    def store(stats, blob):
         path = out_root / (VIEW_PARTITION_NAME % stats.pid)
-        path.write_text(text)
+        path.write_bytes(blob)
         written.append(path)
 
     context = (storage, manifest.generation, manifest.schema, record.family, view_keys, use_tags)

@@ -5,7 +5,15 @@ from __future__ import annotations
 from ..model import Schema
 from .canonical import Atom, CanonicalFamily, CanonicalView, PredicateFn, check_branching_bits
 from .errors import ParseError, PlannerError, ViewFamilyMismatch
-from .rewrite import consolidate, eliminate_ands, push_not_down, ranges_to_in, to_dnf, to_typed
+from .rewrite import (
+    DEFAULT_MAX_VALUES,
+    consolidate,
+    eliminate_ands,
+    push_not_down,
+    ranges_to_in,
+    to_dnf,
+    to_typed,
+)
 from .sql import parse
 
 DEFAULT_BRANCHING_BITS = 8
@@ -17,6 +25,7 @@ __all__ = [
     "CanonicalView",
     "DEFAULT_BRANCHING_BITS",
     "DEFAULT_MAX_CLAUSES",
+    "DEFAULT_MAX_VALUES",
     "ParseError",
     "PlannerError",
     "PredicateFn",
@@ -35,19 +44,14 @@ def _projection_indices(stmt, schema: Schema) -> tuple[int, ...]:
 
 
 def _run_passes(
-    where,
-    schema: Schema,
-    branching_bits: int,
-    max_clauses: int,
-    valued: bool,
-    max_values: int | None = None,
+    where, schema: Schema, branching_bits: int, max_clauses: int, max_values: int = DEFAULT_MAX_VALUES
 ):
     node = push_not_down(where)
-    node = to_typed(node, schema, valued)
-    node = consolidate(node, valued)
-    node = ranges_to_in(node, branching_bits, valued)
+    node = to_typed(node, schema)
+    node = consolidate(node)
+    node = ranges_to_in(node, branching_bits, max_values)
     conjuncts = to_dnf(node, max_clauses)
-    return eliminate_ands(conjuncts, valued, max_values)
+    return eliminate_ands(conjuncts, max_values)
 
 
 def plan_family(
@@ -63,7 +67,7 @@ def plan_family(
     check_branching_bits(branching_bits)
     stmt = parse(sql, "family")
     projected = _projection_indices(stmt, schema)
-    triples = _run_passes(stmt.where, schema, branching_bits, max_clauses, valued=False)
+    triples = _run_passes(stmt.where, schema, branching_bits, max_clauses)
     if not triples:
         raise PlannerError("family WHERE clause vanished during rewriting")
     return CanonicalFamily(
@@ -79,14 +83,16 @@ def plan_view(
     family: CanonicalFamily,
     schema: Schema,
     max_clauses: int = DEFAULT_MAX_CLAUSES,
-    max_values: int | None = None,
+    max_values: int = DEFAULT_MAX_VALUES,
 ) -> CanonicalView:
     """Bind view SQL (literal predicates) against an instantiated family.
 
     The view runs through the identical pass pipeline; its predicates are
     aligned to the family's by atom identity. Family predicates the view
-    does not bind get empty value lists. `max_values` optionally bounds
-    the combination effect for bindings over conjoined predicates.
+    does not bind get empty value lists. A view binds at most
+    `max_values` values (by default 2^20, which is 16 MiB of view keys):
+    a range cover or a cross product of conjoined lists that would
+    exceed it raises PlannerError before it is built in full.
     """
     stmt = parse(sql, "view")
     projected = _projection_indices(stmt, schema)
@@ -94,23 +100,18 @@ def plan_view(
         raise ViewFamilyMismatch(
             "view projection does not match the family's projected columns"
         )
-    triples = _run_passes(
-        stmt.where, schema, family.branching_bits, max_clauses, valued=True, max_values=max_values
-    )
+    triples = _run_passes(stmt.where, schema, family.branching_bits, max_clauses, max_values)
     by_atoms = {pred.atoms: j for j, pred in enumerate(family.predicates)}
-    values: list[list[bytes]] = [[] for _ in family.predicates]
-    seen: list[set[bytes]] = [set() for _ in family.predicates]
+    values: list[tuple[bytes, ...]] = [()] * family.n_pred
+    # eliminate_ands merged equal atom tuples, so each j is bound once.
     for atoms, vals, _ in triples:
         j = by_atoms.get(atoms)
         if j is None:
             raise ViewFamilyMismatch(
                 "view predicate structure has no counterpart in the family"
             )
-        for v in vals:
-            if v not in seen[j]:
-                seen[j].add(v)
-                values[j].append(v)
-    return CanonicalView(family, tuple(tuple(v) for v in values))
+        values[j] = vals
+    return CanonicalView(family, tuple(values))
 
 
 def describe_plan(

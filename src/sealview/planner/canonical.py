@@ -59,16 +59,19 @@ class Atom:
     bits: int = 0
     total_bits: int = 0
 
+    def point(self, value) -> int:
+        """A non-NULL value's place in an ordered atom's domain: the
+        order-preserving unsigned Int64, or the hash of the Utf8 cell."""
+        if self.kind == ATOM_TOP_BITS:
+            return int64_to_unsigned(value)
+        return hash_string(encode_cell(value, TYPE_UTF8))
+
     def evaluate(self, value, column_type: str) -> bytes:
         if self.kind == ATOM_FIELD:
             return encode_cell(value, column_type)
         if value is None:
             return ABSENT
-        if self.kind == ATOM_TOP_BITS:
-            domain = int64_to_unsigned(value)
-        else:
-            domain = hash_string(encode_cell(value, TYPE_UTF8))
-        return prefix_value(domain >> (self.total_bits - self.bits), self.bits)
+        return prefix_value(self.point(value) >> (self.total_bits - self.bits), self.bits)
 
     def describe(self, column_name: str) -> str:
         if self.kind == ATOM_FIELD:
@@ -91,11 +94,6 @@ class PredicateFn:
 
     def columns(self) -> set[int]:
         return {a.column for a in self.atoms}
-
-
-def make_value(parts: list[bytes]) -> bytes:
-    """Combine per-atom value encodings the same way evaluation does."""
-    return secure_concat(parts)
 
 
 @dataclass(frozen=True)

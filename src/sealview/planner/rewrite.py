@@ -7,38 +7,33 @@ aligned-subtree covers, distribute to disjunctive normal form, and merge
 each conjunction into a single predicate via secure concatenation of its
 atoms (value sets combine as cross products).
 
-The same passes run for families (structure only, wildcards tracked) and
-for views (concrete values); a view's predicates are then aligned to the
-family's by atom identity.
+Families and views run the same passes, and the leaves say which is
+which: a family's leaves (wildcards) carry `values=None` and only their
+structure matters, while a view's leaves (literals) carry values. Every
+value a view binds is computed by the `Atom` that evaluates rows on the
+owner's side: `Atom.evaluate` for exact values, `Atom.point` for the
+points that ranges and `!=` are built on, and `secure_concat` to join a
+conjunction's parts, as `PredicateFn.evaluate` does. A view's predicates
+are then aligned to the family's by atom identity.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from ..encoding import TYPE_INT64, TYPE_UTF8, encode_cell, int64_to_unsigned
-from ..primitives import hash_string
-from .canonical import (
-    ABSENT,
-    ATOM_FIELD,
-    ATOM_HASH_BITS,
-    ATOM_TOP_BITS,
-    Atom,
-    PRESENT,
-    make_value,
-    prefix_value,
-)
+from ..encoding import TYPE_INT64, TYPE_UTF8
+from ..primitives import secure_concat
+from .canonical import ATOM_FIELD, ATOM_HASH_BITS, ATOM_TOP_BITS, Atom, prefix_value
 from .errors import PlannerError
 from .sql import And, Leaf, Not, Or, Wildcard
 
 INT_BITS = 64
 HASH_BITS = 256
 
-KIND_EXACT_INT = "exact_int"
-KIND_RANGE_INT = "range_int"
-KIND_EXACT_STR = "exact_str"
-KIND_HASH_STR = "hash_str"
+# The most values a view may bind (16 MiB of 16-byte view keys).
+DEFAULT_MAX_VALUES = 1 << 20
 
 _FLIP = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">", "in": "not in", "not in": "in"}
 
@@ -101,19 +96,23 @@ class RangeSet:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def cover(self, step_bits: int) -> dict[int, list[int]]:
+    def cover(self, step_bits: int, max_values: int = DEFAULT_MAX_VALUES) -> dict[int, list[int]]:
         """Minimal aligned-subtree cover, as prefix values per level.
 
         Levels are counted in bits of prefix (0 = whole domain, total =
         a single value); each interval contributes at most 2*(2^b - 1)
         values per level. Greedy largest-aligned-block emission yields
-        the canonical minimal cover.
+        the canonical minimal cover. A cover of more than `max_values`
+        prefixes raises PlannerError as soon as it gets there, so the
+        work stays bounded even where a wide branching factor would
+        list 2^63 single values.
         """
         if self.total_bits % step_bits:
             raise PlannerError(
                 f"branching bits {step_bits} must divide the {self.total_bits}-bit domain"
             )
         levels: dict[int, list[int]] = {}
+        emitted = 0
         for lo, hi in self.intervals:
             cur = lo
             while cur <= hi:
@@ -121,8 +120,18 @@ class RangeSet:
                 align = self.total_bits if cur == 0 else (cur & -cur).bit_length() - 1
                 room = (hi - cur + 1).bit_length() - 1
                 width = min(align, room, self.total_bits) // step_bits * step_bits
-                levels.setdefault(self.total_bits - width, []).append(cur >> width)
-                cur += 1 << width
+                # The same width repeats until the next block of the level
+                # above, or until the room left is less than one block.
+                prefix = cur >> width
+                run = min((1 << step_bits) - prefix % (1 << step_bits), (hi - cur + 1) >> width)
+                emitted += run
+                if emitted > max_values:
+                    raise PlannerError(
+                        f"view binding expands past {max_values} values; "
+                        f"the range cover at {step_bits} branching bits is too fine"
+                    )
+                levels.setdefault(self.total_bits - width, []).extend(range(prefix, prefix + run))
+                cur += run << width
         return levels
 
 
@@ -130,13 +139,14 @@ class RangeSet:
 class TypedLeaf:
     """A predicate leaf resolved against the schema.
 
-    For views, `values` holds encoded value bytes (exact kinds) or a
-    RangeSet (ranged kinds); for families it is None and only the
-    structure matters.
+    `atom` is the full-precision atom of the column; `ranged` leaves are
+    split into per-level prefixes later. For views, `values` holds the
+    atom's value bytes (exact leaves) or a RangeSet of its points (ranged
+    leaves); for families it is None and only the structure matters.
     """
 
-    column: int
-    kind: str
+    atom: Atom
+    ranged: bool
     values: object
     wildcards: tuple[str, ...]
 
@@ -176,20 +186,6 @@ def _negate(node):
     return flipped([_negate(c) for c in node.children])
 
 
-def _int_point(value) -> int:
-    return int64_to_unsigned(value)
-
-
-def _hash_point(value) -> int:
-    return hash_string(encode_cell(value, TYPE_UTF8))
-
-
-def _exact_int_value(value) -> bytes:
-    if value is None:
-        return ABSENT
-    return PRESENT + int64_to_unsigned(value).to_bytes(8, "big")
-
-
 def _check_literal(value, column_type: str, column_name: str):
     if value is None:
         return
@@ -199,104 +195,60 @@ def _check_literal(value, column_type: str, column_name: str):
         raise PlannerError(f"column {column_name!r} is Utf8; got {value!r}")
 
 
-def to_typed(node, schema, valued: bool):
+def to_typed(node, schema):
     """Resolve leaves against the schema; inequalities become ranges."""
     if isinstance(node, (And, Or)):
-        return type(node)([to_typed(c, schema, valued) for c in node.children])
+        return type(node)([to_typed(c, schema) for c in node.children])
     assert isinstance(node, Leaf)
     col = schema.index_of(node.column)
     ctype = schema.columns[col].type
-    wildcards = (node.rhs.name,) if isinstance(node.rhs, Wildcard) else ()
-    literals = None
-    if valued:
-        if isinstance(node.rhs, Wildcard):
-            raise PlannerError("views bind literal values, not wildcards")
-        literals = node.rhs
-        for v in literals:
-            _check_literal(v, ctype, node.column)
+    family = isinstance(node.rhs, Wildcard)
+    literals = () if family else node.rhs
+    for v in literals:
+        _check_literal(v, ctype, node.column)
 
+    exact = node.op in ("=", "in")
+    excluding = node.op in ("!=", "not in")
     if ctype == TYPE_UTF8:
-        if node.op in ("=", "in"):
-            values = tuple(encode_cell(v, ctype) for v in literals) if valued else None
-            return TypedLeaf(col, KIND_EXACT_STR, values, wildcards)
-        if node.op in ("!=", "not in"):
-            rs = None
-            if valued:
-                points = [_hash_point(v) for v in literals if v is not None]
-                rs = RangeSet.excluding_points(HASH_BITS, points)
-            return TypedLeaf(col, KIND_HASH_STR, rs, wildcards)
-        raise PlannerError(f"string column {node.column!r} supports only = and != forms")
+        if not (exact or excluding):
+            raise PlannerError(f"string column {node.column!r} supports only = and != forms")
+        atom = Atom(ATOM_FIELD, col) if exact else Atom(ATOM_HASH_BITS, col, HASH_BITS, HASH_BITS)
+    else:
+        atom = Atom(ATOM_TOP_BITS, col, INT_BITS, INT_BITS)
 
-    if node.op in ("=", "in"):
-        values = tuple(_exact_int_value(v) for v in literals) if valued else None
-        return TypedLeaf(col, KIND_EXACT_INT, values, wildcards)
-
-    rs = None
-    if valued:
+    if family:
+        values = None
+    elif exact:
+        # Not deduplicated here: `max_values` counts the literals as written.
+        values = tuple(atom.evaluate(v, ctype) for v in literals)
+    elif excluding:
+        points = [atom.point(v) for v in literals if v is not None]
+        values = RangeSet.excluding_points(atom.total_bits, points)
+    else:
+        (v,) = literals
+        if v is None:
+            raise PlannerError("NULL cannot be ordered against")
+        u = atom.point(v)
         top = (1 << INT_BITS) - 1
-        if node.op in ("!=", "not in"):
-            points = []
-            for v in literals:
-                if v is not None:
-                    points.append(_int_point(v))
-            rs = RangeSet.excluding_points(INT_BITS, points)
-        else:
-            (v,) = literals
-            if v is None:
-                raise PlannerError("NULL cannot be ordered against")
-            u = _int_point(v)
-            spans = {
-                "<": (0, u - 1),
-                "<=": (0, u),
-                ">": (u + 1, top),
-                ">=": (u, top),
-            }[node.op]
-            rs = RangeSet.from_intervals(INT_BITS, [spans])
-    return TypedLeaf(col, KIND_RANGE_INT, rs, wildcards)
+        spans = {"<": (0, u - 1), "<=": (0, u), ">": (u + 1, top), ">=": (u, top)}[node.op]
+        values = RangeSet.from_intervals(INT_BITS, [spans])
+    wildcards = (node.rhs.name,) if family else ()
+    return TypedLeaf(atom, not exact, values, wildcards)
 
 
-def _merge_wildcards(groups) -> tuple[str, ...]:
-    seen = []
-    for names in groups:
-        for n in names:
-            if n not in seen:
-                seen.append(n)
-    return tuple(seen)
-
-
-def _dedup(values) -> tuple:
-    seen = set()
-    out = []
-    for v in values:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return tuple(out)
-
-
-def consolidate(node, valued: bool):
+def consolidate(node):
     """Merge same-field siblings: OR unions values, AND intersects ranges."""
     if isinstance(node, TypedLeaf):
-        return _collapse_leaf(node, valued)
+        return _collapse_leaf(node)
     if isinstance(node, FalseLeaf):
         return node
-    children = []
-    for child in node.children:
-        child = consolidate(child, valued)
-        if isinstance(child, type(node)):
-            children.extend(child.children)
-        else:
-            children.append(child)
-
+    children = _splice(node, [consolidate(c) for c in node.children])
     if isinstance(node, And):
-        if any(isinstance(c, FalseLeaf) for c in children):
-            return FALSE
-        children = _merge_and_ranges(children, valued)
+        children = _merge_siblings(children, And)
         if any(isinstance(c, FalseLeaf) for c in children):
             return FALSE
     else:
-        children = [c for c in children if not isinstance(c, FalseLeaf)]
-        children = _merge_or_siblings(children, valued)
+        children = _merge_siblings([c for c in children if not isinstance(c, FalseLeaf)], Or)
         if not children:
             return FALSE
     if len(children) == 1:
@@ -304,103 +256,79 @@ def consolidate(node, valued: bool):
     return type(node)(children)
 
 
-def _collapse_leaf(leaf: TypedLeaf, valued: bool):
-    if not valued:
-        return leaf
-    if leaf.kind in (KIND_RANGE_INT, KIND_HASH_STR):
-        if leaf.values.is_empty():
-            return FALSE
-    elif not leaf.values:
-        return FALSE
-    return leaf
-
-
-def _merge_or_siblings(children, valued):
+def _splice(node, children) -> list:
+    """`children` with each child of `node`'s own type replaced by its children."""
     out = []
-    index: dict[tuple[int, str], int] = {}
     for child in children:
-        if not isinstance(child, TypedLeaf):
+        out.extend(child.children if isinstance(child, type(node)) else [child])
+    return out
+
+
+def _collapse_leaf(leaf: TypedLeaf):
+    """FALSE for a view leaf that binds nothing, else the leaf."""
+    if leaf.values is None:
+        return leaf
+    empty = leaf.values.is_empty() if leaf.ranged else not leaf.values
+    return FALSE if empty else leaf
+
+
+def _merge_siblings(children, op):
+    """Merge the leaves of one AND or OR node that share an atom and form.
+
+    Under OR every such leaf merges: values (or ranges) are unioned. Under
+    AND only ranged leaves merge, by intersecting their ranges; exact
+    leaves under AND are left for the conjunction's cross product.
+    """
+    out = []
+    index: dict[tuple[Atom, bool], int] = {}
+    for child in children:
+        if not (isinstance(child, TypedLeaf) and (op is Or or child.ranged)):
             out.append(child)
             continue
-        key = (child.column, child.kind)
+        key = (child.atom, child.ranged)
         if key not in index:
             index[key] = len(out)
             out.append(child)
             continue
         prev = out[index[key]]
-        wildcards = _merge_wildcards([prev.wildcards, child.wildcards])
-        if not valued:
+        if child.values is None:
             values = None
-        elif child.kind in (KIND_RANGE_INT, KIND_HASH_STR):
+        elif op is And:
+            values = prev.values.intersect(child.values)
+        elif child.ranged:
             values = prev.values.union(child.values)
         else:
-            values = _dedup(prev.values + child.values)
-        out[index[key]] = TypedLeaf(child.column, child.kind, values, wildcards)
-    return [_collapse_leaf(c, valued) if isinstance(c, TypedLeaf) else c for c in out]
+            values = tuple(dict.fromkeys(prev.values + child.values))
+        wildcards = tuple(dict.fromkeys(prev.wildcards + child.wildcards))
+        out[index[key]] = TypedLeaf(child.atom, child.ranged, values, wildcards)
+    return [_collapse_leaf(c) if isinstance(c, TypedLeaf) else c for c in out]
 
 
-def _merge_and_ranges(children, valued):
-    out = []
-    index: dict[tuple[int, str], int] = {}
-    for child in children:
-        if not (isinstance(child, TypedLeaf) and child.kind in (KIND_RANGE_INT, KIND_HASH_STR)):
-            out.append(child)
-            continue
-        key = (child.column, child.kind)
-        if key not in index:
-            index[key] = len(out)
-            out.append(child)
-            continue
-        prev = out[index[key]]
-        wildcards = _merge_wildcards([prev.wildcards, child.wildcards])
-        values = prev.values.intersect(child.values) if valued else None
-        out[index[key]] = TypedLeaf(child.column, child.kind, values, wildcards)
-    return [_collapse_leaf(c, valued) if isinstance(c, TypedLeaf) else c for c in out]
+def ranges_to_in(node, branching_bits: int, max_values: int = DEFAULT_MAX_VALUES):
+    """Rewrite ranged leaves into per-level membership tests.
 
-
-def _level_steps(total_bits: int, step: int) -> list[int]:
-    return list(range(0, total_bits + 1, step))
-
-
-def ranges_to_in(node, branching_bits: int, valued: bool):
-    """Rewrite ranged leaves into per-level membership tests."""
+    A family gets one test per level of the `2^branching_bits`-ary tree;
+    a view gets the levels its range cover uses, with the cover's
+    prefixes as values (at most `max_values` of them)."""
     if isinstance(node, (FalseLeaf, InLeaf)):
         return node
     if isinstance(node, (And, Or)):
-        children = []
-        for child in node.children:
-            child = ranges_to_in(child, branching_bits, valued)
-            if isinstance(child, type(node)):
-                children.extend(child.children)
-            else:
-                children.append(child)
+        children = _splice(node, [ranges_to_in(c, branching_bits, max_values) for c in node.children])
         return type(node)(children) if len(children) != 1 else children[0]
     assert isinstance(node, TypedLeaf)
-    if node.kind == KIND_EXACT_INT:
-        return InLeaf(Atom(ATOM_TOP_BITS, node.column, INT_BITS, INT_BITS), node.values, node.wildcards)
-    if node.kind == KIND_EXACT_STR:
-        return InLeaf(Atom(ATOM_FIELD, node.column), node.values, node.wildcards)
-
-    total = INT_BITS if node.kind == KIND_RANGE_INT else HASH_BITS
-    atom_kind = ATOM_TOP_BITS if node.kind == KIND_RANGE_INT else ATOM_HASH_BITS
-    if total % branching_bits:
-        raise PlannerError(
-            f"branching bits {branching_bits} must divide the {total}-bit domain"
-        )
-    if not valued:
-        leaves = [
-            InLeaf(Atom(atom_kind, node.column, bits, total), None, node.wildcards)
-            for bits in _level_steps(total, branching_bits)
-        ]
-        return Or(leaves)
-    levels = node.values.cover(branching_bits)
+    if not node.ranged:
+        return InLeaf(node.atom, node.values, node.wildcards)
+    total = node.atom.total_bits
+    if node.values is None:
+        levels = dict.fromkeys(range(0, total + 1, branching_bits))
+    else:
+        cover = node.values.cover(branching_bits, max_values)
+        levels = {
+            bits: tuple(prefix_value(p, bits) for p in cover[bits]) for bits in sorted(cover)
+        }
     leaves = [
-        InLeaf(
-            Atom(atom_kind, node.column, bits, total),
-            tuple(prefix_value(p, bits) for p in levels[bits]),
-            node.wildcards,
-        )
-        for bits in sorted(levels)
+        InLeaf(Atom(node.atom.kind, node.atom.column, bits, total), values, node.wildcards)
+        for bits, values in levels.items()
     ]
     if not leaves:
         return FALSE
@@ -408,73 +336,58 @@ def ranges_to_in(node, branching_bits: int, valued: bool):
 
 
 def to_dnf(node, max_clauses: int) -> list[list[InLeaf]]:
-    """Distribute into a disjunction of conjunctions of membership tests."""
+    """Distribute into a disjunction of conjunctions of membership tests.
+
+    Each step's clause count is checked before its clauses are built, so
+    a product past `max_clauses` is refused without being built."""
     if isinstance(node, FalseLeaf):
         return []
     if isinstance(node, InLeaf):
         return [[node]]
-    if isinstance(node, Or):
-        out = []
-        for child in node.children:
-            out.extend(to_dnf(child, max_clauses))
-            if len(out) > max_clauses:
-                raise PlannerError(
-                    f"canonical form exceeds {max_clauses} clauses; "
-                    "a larger branching factor keeps the rewrite tractable"
-                )
-        return out
-    assert isinstance(node, And)
-    result: list[list[InLeaf]] = [[]]
+    disjunction = isinstance(node, Or)
+    result: list[list[InLeaf]] = [] if disjunction else [[]]
     for child in node.children:
         branches = to_dnf(child, max_clauses)
-        if not branches:
+        if not (disjunction or branches):
             return []
-        result = [conj + branch for conj in result for branch in branches]
-        if len(result) > max_clauses:
+        size = len(result) + len(branches) if disjunction else len(result) * len(branches)
+        if size > max_clauses:
             raise PlannerError(
                 f"canonical form exceeds {max_clauses} clauses; "
                 "a larger branching factor keeps the rewrite tractable"
             )
+        if disjunction:
+            result.extend(branches)
+        else:
+            result = [conj + branch for conj in result for branch in branches]
     return result
 
 
-def eliminate_ands(conjuncts, valued: bool, max_values: int | None = None):
+def eliminate_ands(conjuncts, max_values: int = DEFAULT_MAX_VALUES):
     """Merge each conjunction into one predicate; values cross-multiply.
 
     Returns (atoms, values, wildcards) triples with duplicate predicates
-    (same atom tuple) merged in first-occurrence order. `max_values`
-    bounds the combination effect: the total value count across
-    predicates grows as the product of the conjoined lists' sizes.
+    (same atom tuple) merged in first-occurrence order; a family's values
+    are empty. `max_values` bounds the combination effect: the total
+    value count across predicates grows as the product of the conjoined
+    lists' sizes.
     """
-    order: list[tuple[Atom, ...]] = []
-    merged: dict[tuple[Atom, ...], dict] = {}
+    merged: dict[tuple[Atom, ...], tuple[dict, dict]] = {}
     total = 0
     for conj in conjuncts:
-        atoms = tuple(leaf.atom for leaf in conj)
-        wildcards = _merge_wildcards([leaf.wildcards for leaf in conj])
-        values: list[bytes] = []
-        if valued:
-            contribution = 1
-            for leaf in conj:
-                contribution *= len(leaf.values)
-            total += contribution
-            if max_values is not None and total > max_values:
-                raise PlannerError(
-                    f"view binding expands past {max_values} values; "
-                    "the conjoined value lists multiply out"
-                )
-            values = [
-                make_value(list(combo))
-                for combo in itertools.product(*(leaf.values for leaf in conj))
-            ]
-        if atoms not in merged:
-            merged[atoms] = {"values": [], "wildcards": []}
-            order.append(atoms)
-        merged[atoms]["values"].extend(values)
-        merged[atoms]["wildcards"].append(wildcards)
-    out = []
-    for atoms in order:
-        entry = merged[atoms]
-        values = _dedup(entry["values"]) if valued else None
-        out.append((atoms, values, _merge_wildcards(entry["wildcards"])))
-    return out
+        values, wildcards = merged.setdefault(tuple(leaf.atom for leaf in conj), ({}, {}))
+        wildcards.update(dict.fromkeys(name for leaf in conj for name in leaf.wildcards))
+        if conj[0].values is None:
+            continue
+        total += math.prod(len(leaf.values) for leaf in conj)
+        if total > max_values:
+            raise PlannerError(
+                f"view binding expands past {max_values} values; "
+                "the conjoined value lists multiply out"
+            )
+        combos = itertools.product(*(leaf.values for leaf in conj))
+        values.update(dict.fromkeys(map(secure_concat, combos)))
+    return [
+        (atoms, tuple(values), tuple(wildcards))
+        for atoms, (values, wildcards) in merged.items()
+    ]

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 
-COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
 STAR = None  # projection value meaning SELECT *
 
 _KEYWORDS = {"select", "from", "where", "and", "or", "not", "in", "null"}
@@ -44,9 +43,6 @@ class Leaf:
     column: str
     op: str  # '=', '!=', '<', '<=', '>', '>=', 'in', 'not in'
     rhs: Wildcard | tuple  # literal tuple for views
-
-    def is_wildcard(self) -> bool:
-        return isinstance(self.rhs, Wildcard)
 
 
 @dataclass

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,20 @@ def test_plan_with_bad_branching_bits_exits_two_without_traceback(tmp_path, src_
         )
         assert (rc, "Traceback" in err) == (2, False), err
         assert f"branching bits must be 1, 2, 4, 8, 16, 32 or 64, got {bits}" in err
+
+
+@pytest.mark.parametrize("bits", ["32", "64"])
+def test_plan_of_an_unbounded_range_cover_exits_two_without_traceback(tmp_path, bits):
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps({"columns": [{"name": "x", "type": "int64"}]}))
+    started = time.perf_counter()
+    rc, err = _run_cli_process(
+        "plan", "--schema", str(schema_path), "--family", "SELECT * FROM t WHERE x < ?a",
+        "--view", "SELECT * FROM t WHERE x < 5", "--branching-bits", bits,
+    )
+    assert (rc, "Traceback" in err) == (2, False), err
+    assert "expands past" in err
+    assert time.perf_counter() - started < 5
 
 
 def test_corrupted_manifest_exits_two_without_traceback(tmp_path, capsys, src_dir):

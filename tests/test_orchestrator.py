@@ -569,6 +569,18 @@ def test_input_bytes_are_the_partition_files_read(tmp_path):
     assert seen[0] == seen[1]
 
 
+def test_reveal_output_is_utf8_bytes_and_counted_in_bytes(tmp_path):
+    src = make_src(tmp_path, {1: "101,zürich,red\n", 2: "102,münchen,red\n103,Clipper,green\n"})
+    dst = LocalDirStorage(tmp_path / "table")
+    run_encrypt_table(src, dst, TABLE_KEY, sequential_config())
+    family_id, _ = run_add_family(dst, TABLE_KEY, FAMILY_SQL, FAMILY_KEY, config=sequential_config())
+    keys = run_view_gen(dst, family_id, FAMILY_KEY, "SELECT bname, color FROM boats WHERE color = 'red'")
+    report = RunReport()
+    paths = run_reveal_view(dst, keys, tmp_path / "out", config=sequential_config(), report=report)
+    assert [p.read_bytes() for p in paths] == ["zürich,red\n".encode(), "münchen,red\n".encode()]
+    assert report.output_bytes == sum(p.stat().st_size for p in paths) == 25
+
+
 def _without_read_time(result):
     stats, out = result
     stats.read_seconds = 0.0

@@ -1,7 +1,9 @@
 """Planner passes, golden covers, and planner-vs-oracle equivalence."""
 
+import hashlib
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from sealview.encoding import TYPE_INT64, TYPE_UTF8
 from sealview.model import Column, Schema
 from sealview.oracle import eval_canonical, eval_view
 from sealview.planner import (
+    DEFAULT_MAX_VALUES,
     CanonicalFamily,
     ParseError,
     PlannerError,
@@ -122,7 +125,7 @@ def test_push_not_idempotent_random():
 
 def _typed(sql, schema=INTS, valued=True):
     stmt = parse(sql, "view" if valued else "family")
-    return to_typed(push_not_down(stmt.where), schema, valued)
+    return to_typed(push_not_down(stmt.where), schema)
 
 
 def test_ge_becomes_top_range():
@@ -142,7 +145,7 @@ def test_ne_becomes_two_ranges():
 def test_below_domain_floor_collapses_to_false():
     leaf = _typed(f"SELECT * FROM t WHERE y < {-(1 << 63)}")
     assert leaf.values.is_empty()
-    assert isinstance(consolidate(leaf, valued=True), FalseLeaf)
+    assert isinstance(consolidate(leaf), FalseLeaf)
 
 
 # ------------------------------------------------------------ consolidation
@@ -150,12 +153,12 @@ def test_below_domain_floor_collapses_to_false():
 
 def test_consolidate_merges_equalities_on_same_field():
     node = _typed("SELECT * FROM t WHERE x = 3 OR x = 9 OR x = 3")
-    merged = consolidate(node, valued=True)
+    merged = consolidate(node)
     assert len(merged.values) == 2
 
 
 def test_consolidate_intersects_and_ranges():
-    node = consolidate(_typed("SELECT * FROM t WHERE y >= 3 AND y <= 9"), valued=True)
+    node = consolidate(_typed("SELECT * FROM t WHERE y >= 3 AND y <= 9"))
     (interval,) = node.values.intervals
     assert interval == ((1 << 63) + 3, (1 << 63) + 9)
 
@@ -163,21 +166,20 @@ def test_consolidate_intersects_and_ranges():
 def test_consolidate_merges_overlapping_ranges():
     node = consolidate(
         _typed("SELECT * FROM t WHERE (y >= 1 AND y <= 5) OR (y >= 4 AND y <= 9)"),
-        valued=True,
     )
     (interval,) = node.values.intervals
     assert interval == ((1 << 63) + 1, (1 << 63) + 9)
 
 
 def test_consolidate_empty_intersection_is_false():
-    node = consolidate(_typed("SELECT * FROM t WHERE y >= 9 AND y <= 3"), valued=True)
+    node = consolidate(_typed("SELECT * FROM t WHERE y >= 9 AND y <= 3"))
     assert isinstance(node, FalseLeaf)
 
 
 def test_consolidate_idempotent():
     node = _typed("SELECT * FROM t WHERE x = 3 OR (y >= 1 AND y <= 5) OR x = 9")
-    once = consolidate(node, valued=True)
-    assert repr(consolidate(once, valued=True)) == repr(once)
+    once = consolidate(node)
+    assert repr(consolidate(once)) == repr(once)
 
 
 # ------------------------------------------------------------- tree covers
@@ -228,16 +230,14 @@ def test_cover_reassembles_range():
 
 def test_dnf_distributes():
     node = ranges_to_in(
-        consolidate(_typed("SELECT * FROM t WHERE (x = 1 OR x = 2) AND y = 3"), True),
+        consolidate(_typed("SELECT * FROM t WHERE (x = 1 OR x = 2) AND y = 3")),
         8,
-        True,
     )
     conjuncts = to_dnf(node, 4096)
     assert len(conjuncts) == 1  # x-leaf already merged to one two-value leaf
     node2 = ranges_to_in(
-        consolidate(_typed("SELECT * FROM t WHERE (x = 1 OR y = 2) AND (x = 3 OR y = 4)"), True),
+        consolidate(_typed("SELECT * FROM t WHERE (x = 1 OR y = 2) AND (x = 3 OR y = 4)")),
         8,
-        True,
     )
     assert len(to_dnf(node2, 4096)) == 4
 
@@ -247,6 +247,23 @@ def test_dnf_cap_exceeded_raises():
     sql = "SELECT * FROM t WHERE " + " AND ".join(f"f{i} >= ?w{i}" for i in range(5))
     with pytest.raises(PlannerError, match="branching factor"):
         plan_family(sql, ints, branching_bits=8)
+
+
+def test_dnf_cap_refuses_before_building_the_product():
+    """Two ORs of three range pairs give 3,267 x 3,267 clauses at b=2; the
+    cap must refuse that product before it builds it."""
+    ints = Schema(tuple(Column(name, TYPE_INT64) for name in "abcdefghijkl"))
+    half = " OR ".join(f"({x} >= ?w{i} AND {y} >= ?w{i + 1})" for i, (x, y) in enumerate(["ab", "cd", "ef"]))
+    other = " OR ".join(f"({x} >= ?v{i} AND {y} >= ?v{i + 1})" for i, (x, y) in enumerate(["gh", "ij", "kl"]))
+    sql = f"SELECT * FROM t WHERE ({half}) AND ({other})"
+    tracemalloc.start()
+    try:
+        with pytest.raises(PlannerError, match="exceeds 4096 clauses"):
+            plan_family(sql, ints, branching_bits=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 # --------------------------------------------------------- AND elimination
@@ -284,6 +301,22 @@ def test_single_leaf_conjunct_passes_through():
     family = plan_family("SELECT * FROM t WHERE a = ?x", schema)
     assert family.n_pred == 1
     assert len(family.predicates[0].atoms) == 1
+
+
+def test_view_values_are_bounded_by_default():
+    schema = Schema((Column("x", TYPE_INT64),))
+    for bits in (32, 64):
+        family = plan_family("SELECT * FROM t WHERE x < ?a", schema, branching_bits=bits)
+        started = time.perf_counter()
+        with pytest.raises(PlannerError, match=f"expands past {DEFAULT_MAX_VALUES} values"):
+            plan_view("SELECT * FROM t WHERE x < 5", family, schema)
+        assert time.perf_counter() - started < 5
+
+
+def test_range_cover_stops_at_the_bound():
+    assert RangeSet.from_intervals(8, [(1, 6)]).cover(1, max_values=4) == {8: [1, 6], 7: [1, 2]}
+    with pytest.raises(PlannerError, match="expands past 3 values"):
+        RangeSet.from_intervals(8, [(1, 6)]).cover(1, max_values=3)
 
 
 # ----------------------------------------------------- family/view planning
@@ -410,6 +443,88 @@ def test_planner_equivalence_randomized():
 
 
 def test_ranges_to_in_idempotent():
-    node = consolidate(_typed("SELECT * FROM t WHERE y >= 3 AND y <= 90000"), valued=True)
-    once = ranges_to_in(node, 8, valued=True)
-    assert repr(ranges_to_in(once, 8, valued=True)) == repr(once)
+    node = consolidate(_typed("SELECT * FROM t WHERE y >= 3 AND y <= 90000"))
+    once = ranges_to_in(node, 8)
+    assert repr(ranges_to_in(once, 8)) == repr(once)
+
+
+# ------------------------------------------------------------ pinned bytes
+
+# Family bytes name key files and manifest records, and view values derive
+# view keys, so a rewrite of the planner must leave every one of them
+# unchanged. The oracle tests above check what a plan means; this checks
+# its bytes. The fixed plans are the acceptance criteria's families and
+# views, and the benchmark's (perfbench/tables.py, with fixed labels).
+
+_ACCEPTANCE_SCHEMA = Schema(
+    (
+        Column("a", TYPE_INT64),
+        Column("b", TYPE_INT64),
+        Column("k", TYPE_INT64),
+        Column("label", TYPE_UTF8),
+        Column("v", TYPE_INT64),
+    )
+)
+_WINDOW = (171 << 24, (187 << 24) - 1)
+_ACCEPTANCE_PLANS = [
+    ("SELECT * FROM t WHERE a = ?x AND b = ?y", ["SELECT * FROM t WHERE a IN (0, 1, 2) AND b IN (100, 101, 102, 103)"]),
+    ("SELECT * FROM t WHERE k = ?x OR label = ?y", ["SELECT * FROM t WHERE k IN (7, 19, 23, 101) OR label = 'ccc'"]),
+    (
+        "SELECT * FROM t WHERE v >= ?lo AND v <= ?hi",
+        ["SELECT * FROM t WHERE v >= %d AND v <= %d" % _WINDOW]
+        + [f"SELECT * FROM t WHERE v >= 0 AND v <= {k * (1 << 23) - 1}" for k in (5, 26, 51, 128, 256)],
+    ),
+    ("SELECT * FROM t WHERE k = ?x", ["SELECT * FROM t WHERE k = 3"]),
+    ("SELECT k, label FROM t WHERE label = ?x", ["SELECT k, label FROM t WHERE label IN ('x', NULL)"]),
+]
+
+_BENCH_SCHEMA = Schema(
+    (
+        Column("id", TYPE_INT64),
+        Column("grp", TYPE_INT64),
+        Column("v", TYPE_INT64),
+        Column("label", TYPE_UTF8, nullable=True),
+    )
+)
+_LABELS = ", ".join(f"'w{i:03d}'" for i in range(100))
+_BENCH_PLANS = [
+    ("SELECT * FROM t WHERE grp = ?x", [f"SELECT * FROM t WHERE grp IN ({', '.join(map(str, range(32)))})"]),
+    (
+        "SELECT id, grp, label FROM t WHERE grp = ?g OR label = ?l",
+        [
+            f"SELECT id, grp, label FROM t WHERE grp IN ({', '.join(map(str, range(32)))}) "
+            f"OR label IN ({_LABELS}) OR label = NULL",
+            f"SELECT id, grp, label FROM t WHERE grp IN ({', '.join(map(str, range(32, 64)))}) OR label = NULL",
+        ],
+    ),
+    ("SELECT * FROM t WHERE v >= ?lo AND v <= ?hi", ["SELECT * FROM t WHERE v >= %d AND v <= %d" % _WINDOW]),
+]
+
+
+def _plan_digest() -> str:
+    digest = hashlib.sha256()
+
+    def absorb(family, view):
+        parts = [family.serialize(), family.family_id.encode()]
+        for values in view.values:
+            parts.append(len(values).to_bytes(4, "big"))
+            parts.extend(len(value).to_bytes(4, "big") + value for value in values)
+        digest.update(b"".join(parts))
+
+    for bits in (1, 2, 4, 8):
+        for seed in range(500):
+            rng = random.Random(seed)
+            _, _, family, view = random_family_and_view(rng, random_schema(rng), branching_bits=bits)
+            absorb(family, view)
+    for schema, plans in ((_ACCEPTANCE_SCHEMA, _ACCEPTANCE_PLANS), (_BENCH_SCHEMA, _BENCH_PLANS)):
+        for family_sql, view_sqls in plans:
+            family = plan_family(family_sql, schema)
+            for view_sql in view_sqls:
+                absorb(family, plan_view(view_sql, family, schema))
+    return digest.hexdigest()
+
+
+def test_plans_are_byte_identical_to_the_pinned_digest():
+    """The digest was taken from the planner that still passed a
+    family/view flag and encoded view values apart from `Atom`."""
+    assert _plan_digest() == "5b2451bec4b2b9609f3ca09db1e35b75b124dec9613e2fe30a3c33155ecedf4d"

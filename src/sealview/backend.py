@@ -34,7 +34,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 
-from .encoding import decode_cell, encode_cell
+from .encoding import ByteReader, decode_cell, encode_cell
 from .model import (
     CellColumn,
     EncryptedPartition,
@@ -81,11 +81,19 @@ class FamilyParams:
     key's slot and tagging keys afresh for every row that uses it, and any
     positive value derives them once per distinct key and partition. It
     changes time only, never bytes.
+
+    `rng_seed` is for tests and benchmarks only, which need partitions
+    that are a function of their inputs. When set, every fresh
+    projection key is drawn from `random.Random(rng_seed * 1_000_003 +
+    partition)`, so anyone who reads storage and guesses the seed opens
+    every key-blob projection entry, and with it every projected cell
+    key, without any table, family or view key. Left None, the keys come
+    from the operating system's CSPRNG.
     """
 
     tag_length: int = DEFAULT_TAG_LENGTH
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    rng_seed: int | None = None  # deterministic projection keys when set
+    rng_seed: int | None = None  # tests and benchmarks only: see above
 
     def __post_init__(self):
         if not 1 <= self.tag_length <= 16:
@@ -305,31 +313,17 @@ class ViewKeySet:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ViewKeySet":
-        """Parse a blob; every count is checked against the bytes that
-        remain before it is used, and any malformation is a BackendError."""
-        if data[:4] != b"MVK1":
-            raise BackendError("bad view key blob magic")
-        if len(data) < 17:
-            raise BackendError("truncated view key blob")
-        (version,) = struct.unpack_from(">H", data, 4)
-        if version != 1:
-            raise BackendError(f"unsupported view key blob version {version}")
-        family_id = data[6:14].hex()
-        tag_length, n_pred = struct.unpack_from(">BH", data, 14)
-        off = 17
+        """Parse a blob; any malformation is a BackendError."""
+        rd = ByteReader(data, BackendError, "view key blob")
+        rd.header(b"MVK1", 1)
+        family_id = rd.take(8).hex()
+        tag_length, n_pred = rd.unpack(">BH")
         preds = []
         for _ in range(n_pred):
-            if off + 4 > len(data):
-                raise BackendError("truncated view key blob")
-            (count,) = struct.unpack_from(">I", data, off)
-            off += 4
-            if off + 16 * count > len(data):
-                raise BackendError("truncated view key blob")
-            keys = tuple(data[off + i * 16 : off + (i + 1) * 16] for i in range(count))
-            off += 16 * count
-            preds.append(keys)
-        if off != len(data):
-            raise BackendError("trailing bytes in view key blob")
+            (count,) = rd.unpack(">I")
+            keys = rd.take(16 * count)
+            preds.append(tuple(keys[off : off + 16] for off in range(0, len(keys), 16)))
+        rd.end()
         return cls(family_id, tag_length, tuple(preds))
 
 

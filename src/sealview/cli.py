@@ -17,18 +17,20 @@ from . import __version__
 from .backend import BackendError
 from .encoding import EncodingError
 from .keys import KeyFileError, read_key, read_view_keys, write_key, write_view_keys
-from .manifest import ManifestError, TableManifest
-from .mep import PartitionFormatError, parse_plain
+from .manifest import ManifestError
+from .mep import PartitionFormatError, partition_to_csv
 from .model import Schema, SchemaError
 from .oracle import eval_view
 from .orchestrator import (
-    MANIFEST_NAME,
     OrchestratorConfig,
     OrchestratorError,
     RunReport,
     StorageError,
+    discover_plain_partitions,
+    load_manifest,
     load_schema_descriptor,
     open_storage,
+    parse_plain_source,
     parse_schema_descriptor,
     run_add_family,
     run_encrypt_table,
@@ -91,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keys-dir", required=True, help="directory that receives the family key file")
     p.add_argument("--tag-length", type=int, default=4)
     p.add_argument("--branching-bits", type=int, default=8)
-    p.add_argument(
-        "--cache-capacity", type=int, default=512,
-        help="0 derives each selection key afresh for every row; any positive value "
-        "derives each distinct key once per partition",
-    )
-    p.add_argument("--rng-seed", type=int, default=None, help="deterministic projection keys")
     p.add_argument("--insecure-print-keys", action="store_true")
     _add_run_flags(p)
 
@@ -113,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--view-keys", required=True, help="path to the view key blob")
     p.add_argument("--out", required=True, help="local output directory")
     p.add_argument("--fil", type=_parse_fil, default=None, help="inclusive partition id range lo:hi")
-    p.add_argument("--no-tags", action="store_true", help="try every key (diagnostic)")
     _add_run_flags(p)
 
     p = sub.add_parser("plan", help="show the canonical form of a family or view")
@@ -143,8 +138,7 @@ def _load_plan_schema(args) -> Schema:
     if args.schema:
         return parse_schema_descriptor(Path(args.schema).read_bytes(), "")[1]
     if args.table:
-        storage = open_storage(args.table)
-        return TableManifest.from_json(storage.get(MANIFEST_NAME)).schema
+        return load_manifest(open_storage(args.table)).schema
     raise OrchestratorError("plan needs --schema or --table")
 
 
@@ -178,8 +172,6 @@ def cmd_add_family(args) -> int:
         None,
         tag_length=args.tag_length,
         branching_bits=args.branching_bits,
-        cache_capacity=args.cache_capacity,
-        rng_seed=args.rng_seed,
         config=_config(args),
         report=report,
         before_commit=save_key,
@@ -208,15 +200,7 @@ def cmd_reveal_view(args) -> int:
     storage = open_storage(args.table)
     keys = read_view_keys(args.view_keys)
     report = RunReport()
-    paths = run_reveal_view(
-        storage,
-        keys,
-        args.out,
-        fil=args.fil,
-        use_tags=not args.no_tags,
-        config=_config(args),
-        report=report,
-    )
+    paths = run_reveal_view(storage, keys, args.out, fil=args.fil, config=_config(args), report=report)
     emitted = sum(stats.rows_emitted for stats in report.stats)
     print(f"revealed {emitted} rows across {len(paths)} partitions into {args.out}")
     return 0
@@ -243,17 +227,11 @@ def cmd_plan(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .mep import csv_to_partition, decode_csv, partition_to_csv
-    from .orchestrator import discover_plain_partitions
-
-    _, schema = load_schema_descriptor(Path(args.src))
+    src = Path(args.src)
+    _, schema = load_schema_descriptor(src)
     rows = []
-    for pid, kind, path in discover_plain_partitions(Path(args.src)):
-        if kind == "csv":
-            part = csv_to_partition(decode_csv(path.read_bytes(), str(path)), schema, pid)
-        else:
-            _, part = parse_plain(path.read_bytes(), schema)
-        rows.extend(part.rows)
+    for source in discover_plain_partitions(src):
+        rows.extend(parse_plain_source(source, source[2].read_bytes(), schema).rows)
     partition_to_csv(eval_view(schema, rows, args.view), sys.stdout)
     return 0
 

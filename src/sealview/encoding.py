@@ -7,6 +7,10 @@ signed numeric order, which the range-cover machinery relies on. NULL is
 a first-class value: strings always carry a presence tag byte, and a
 null Int64 is a 9-byte tagged form distinguishable from every 8-byte
 value encoding.
+
+`ByteReader` is the one bounds-checked reader of the binary formats read
+back from storage or handed over as files: partitions, canonical
+families, view key blobs and key files.
 """
 
 from __future__ import annotations
@@ -85,3 +89,44 @@ def decode_cell(data: bytes, column_type: str):
 def int64_to_unsigned(value: int) -> int:
     """Map a signed Int64 into the order-preserving unsigned domain."""
     return value + _SIGN_OFFSET
+
+
+class ByteReader:
+    """Cursor over one binary blob: a 4-byte magic, a u16 version, then
+    counted reads, then nothing. Nothing is sliced or allocated before
+    the bytes it needs are known to be there, so work and memory stay
+    bounded by the input, and every malformation raises `error` with a
+    message naming `what`."""
+
+    __slots__ = ("data", "off", "error", "what")
+
+    def __init__(self, data: bytes, error: type[Exception], what: str):
+        self.data, self.off, self.error, self.what = data, 0, error, what
+
+    def need(self, n: int) -> None:
+        if n > len(self.data) - self.off:
+            raise self.error(f"truncated {self.what}")
+
+    def take(self, n: int) -> bytes:
+        self.need(n)
+        self.off += n
+        return self.data[self.off - n : self.off]
+
+    def unpack(self, fmt: str) -> tuple:
+        size = struct.calcsize(fmt)
+        self.need(size)
+        self.off += size
+        return struct.unpack_from(fmt, self.data, self.off - size)
+
+    def header(self, magic: bytes, version: int) -> None:
+        """Check the magic before reading anything, then the version."""
+        if self.data[self.off : self.off + len(magic)] != magic:
+            raise self.error(f"bad {self.what} magic")
+        self.off += len(magic)
+        (found,) = self.unpack(">H")
+        if found != version:
+            raise self.error(f"unsupported {self.what} version {found}")
+
+    def end(self) -> None:
+        if self.off != len(self.data):
+            raise self.error(f"trailing bytes in {self.what}")

@@ -12,6 +12,7 @@ import struct
 from pathlib import Path
 
 from .backend import ViewKeySet
+from .encoding import ByteReader
 from .primitives import KEY_LEN
 
 KEY_MAGIC = b"MKY1"
@@ -38,17 +39,10 @@ def write_key(path: str | Path, key: bytes) -> None:
 
 
 def read_key(path: str | Path) -> bytes:
-    data = Path(path).read_bytes()
-    if data[:4] != KEY_MAGIC:
-        raise KeyFileError(f"{path}: not a key file")
-    if len(data) < 6:
-        raise KeyFileError(f"{path}: truncated key file header")
-    (version,) = struct.unpack_from(">H", data, 4)
-    if version != KEY_VERSION:
-        raise KeyFileError(f"{path}: unsupported key file version {version}")
-    key = data[6:]
-    if len(key) != KEY_LEN:
-        raise KeyFileError(f"{path}: truncated key")
+    rd = ByteReader(Path(path).read_bytes(), KeyFileError, f"key file {path}")
+    rd.header(KEY_MAGIC, KEY_VERSION)
+    key = rd.take(KEY_LEN)
+    rd.end()
     return key
 
 

@@ -32,7 +32,7 @@ import csv
 import io
 import struct
 
-from .encoding import TYPE_INT64, TYPE_UTF8, EncodingError, decode_cell, encode_cell
+from .encoding import TYPE_INT64, TYPE_UTF8, ByteReader, EncodingError, decode_cell, encode_cell
 from .model import (
     CellColumn,
     Column,
@@ -101,38 +101,14 @@ def serialize_encrypted(partition: EncryptedPartition, schema: Schema) -> bytes:
     return b"".join(out)
 
 
-class _Reader:
-    """Bounds-checked cursor: nothing is sliced or allocated before the
-    bytes it needs are known to be there."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def remaining(self) -> int:
-        return len(self.data) - self.off
-
-    def take(self, n: int) -> bytes:
-        if n > self.remaining():
-            raise PartitionFormatError("truncated partition file")
-        chunk = self.data[self.off : self.off + n]
-        self.off += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def cell_column(self, n_rows: int) -> CellColumn:
-        if 4 * n_rows > self.remaining():
-            raise PartitionFormatError("truncated partition file")
-        ends = struct.unpack_from(f">{n_rows}I", self.data, self.off)
-        self.off += 4 * n_rows
-        if list(ends) != sorted(ends):
-            raise PartitionFormatError("cell end offsets are not non-decreasing")
-        return CellColumn(self.take(ends[-1] if ends else 0), ends)
+def _cell_column(rd: ByteReader, n_rows: int) -> CellColumn:
+    ends = rd.unpack(f">{n_rows}I")
+    if list(ends) != sorted(ends):
+        raise PartitionFormatError("cell end offsets are not non-decreasing")
+    return CellColumn(rd.take(ends[-1] if ends else 0), ends)
 
 
-def _read_schema(rd: _Reader, n_cols: int) -> Schema:
+def _read_schema(rd: ByteReader, n_cols: int) -> Schema:
     cols = []
     for _ in range(n_cols):
         (name_len,) = rd.unpack(">H")
@@ -154,35 +130,29 @@ def _read_schema(rd: _Reader, n_cols: int) -> Schema:
         raise PartitionFormatError(f"bad schema: {exc}") from exc
 
 
-def _read_family(rd: _Reader, n_rows: int) -> FamilyColumns:
+def _read_family(rd: ByteReader, n_rows: int) -> FamilyColumns:
     widths = rd.unpack(">III")
     if n_rows and not all(widths):
         raise PartitionFormatError("family entry widths must be positive")
-    if n_rows * sum(widths) > rd.remaining():
-        raise PartitionFormatError("truncated partition file")
     return FamilyColumns(*(FixedWidthColumn(rd.take(n_rows * w), w) for w in widths))
 
 
 def parse_partition(data: bytes) -> tuple[Schema, PlainPartition | EncryptedPartition]:
     """Parse a MEP2 file; any malformation raises PartitionFormatError."""
-    rd = _Reader(data)
-    magic = rd.take(4)
-    if magic == _RETIRED_MAGIC:
+    if data[:4] == _RETIRED_MAGIC:
         raise PartitionFormatError(
             "partition format version 1 (MEP1) is no longer supported; "
             "re-encrypt the table to write MEP2"
         )
-    if magic != MAGIC:
-        raise PartitionFormatError("bad partition magic")
-    version, flags, partition_id, n_rows, n_cols = rd.unpack(">HBIIH")
-    if version != VERSION:
-        raise PartitionFormatError(f"unsupported partition version {version}")
+    rd = ByteReader(data, PartitionFormatError, "partition file")
+    rd.header(MAGIC, VERSION)
+    flags, partition_id, n_rows, n_cols = rd.unpack(">BIIH")
     if flags not in (FLAG_PLAIN, FLAG_ENCRYPTED):
         raise PartitionFormatError(f"unknown partition flags {flags}")
     if partition_id < 1:
         raise PartitionFormatError("partition ids start at 1")
     schema = _read_schema(rd, n_cols)
-    columns = [rd.cell_column(n_rows) for _ in range(n_cols)]
+    columns = [_cell_column(rd, n_rows) for _ in range(n_cols)]
 
     (n_families,) = rd.unpack(">H")
     families: dict[str, FamilyColumns] = {}
@@ -192,8 +162,7 @@ def parse_partition(data: bytes) -> tuple[Schema, PlainPartition | EncryptedPart
         if family_id <= previous:
             raise PartitionFormatError("family sections out of order or repeated")
         families[family_id] = _read_family(rd, n_rows)
-    if rd.remaining():
-        raise PartitionFormatError("trailing bytes in partition file")
+    rd.end()
 
     if flags == FLAG_ENCRYPTED:
         return schema, EncryptedPartition(partition_id, columns, families)

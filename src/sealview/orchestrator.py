@@ -56,7 +56,7 @@ from .mep import (
     partition_to_csv,
     serialize_encrypted,
 )
-from .model import Schema, SchemaError
+from .model import PlainPartition, Schema, SchemaError
 from .planner import plan_family, plan_view
 
 PARTITION_NAME = "part-%05d.g%d.mep"
@@ -325,7 +325,7 @@ def partition_name(pid: int, generation: int) -> str:
     return PARTITION_NAME % (pid, generation)
 
 
-def _load_manifest(storage: Storage) -> TableManifest:
+def load_manifest(storage: Storage) -> TableManifest:
     if not storage.exists(MANIFEST_NAME):
         raise OrchestratorError("no manifest.json at the storage root")
     return TableManifest.from_json(storage.get(MANIFEST_NAME))
@@ -373,15 +373,9 @@ def _read(pid: int, read, *args) -> tuple[PartitionStats, bytes]:
 
 def _encrypt_worker(context, source) -> tuple[PartitionStats, bytes]:
     schema, table_key = context
-    pid, kind, path = source
+    pid, _, path = source
     stats, payload = _read(pid, path.read_bytes)
-    if kind == "csv":
-        plain = csv_to_partition(decode_csv(payload, str(path)), schema, pid)
-    else:
-        _, plain = parse_plain(payload, schema)
-        if plain.partition_id != pid:
-            raise OrchestratorError(f"partition file {pid} carries id {plain.partition_id}")
-    enc_part = encrypt_partition(plain, schema, table_key)
+    enc_part = encrypt_partition(parse_plain_source(source, payload, schema), schema, table_key)
     stats.rows = enc_part.n_rows
     # One-time encryption preserves length, so the ciphertexts measure the plaintext.
     stats.plain_bytes = sum(len(column.data) for column in enc_part.columns)
@@ -400,10 +394,10 @@ def _add_family_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
 
 
 def _reveal_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
-    storage, generation, schema, family, view_keys, use_tags = context
+    storage, generation, schema, family, view_keys = context
     stats, payload = _read(pid, storage.get, partition_name(pid, generation))
     enc_part = parse_encrypted(payload, schema)
-    rows = reveal_partition(enc_part, schema, family, view_keys, use_tags=use_tags)
+    rows = reveal_partition(enc_part, schema, family, view_keys)
     out = io.StringIO()
     partition_to_csv(rows, out)
     stats.rows_emitted = len(rows)
@@ -430,6 +424,21 @@ def discover_plain_partitions(src: Path) -> list[tuple[int, str, Path]]:
     if not found:
         raise OrchestratorError(f"no part-*.csv or part-*.mep files in {src}")
     return [found[pid] for pid in sorted(found)]
+
+
+def parse_plain_source(
+    source: tuple[int, str, Path], payload: bytes, schema: Schema
+) -> PlainPartition:
+    """The plaintext partition in `payload`, the bytes of a source file
+    that `discover_plain_partitions` found: a CSV, or a plain MEP2 file,
+    which must carry the id in its name."""
+    pid, kind, path = source
+    if kind == "csv":
+        return csv_to_partition(decode_csv(payload, str(path)), schema, pid)
+    _, plain = parse_plain(payload, schema)
+    if plain.partition_id != pid:
+        raise OrchestratorError(f"partition file {pid} carries id {plain.partition_id}")
+    return plain
 
 
 def parse_schema_descriptor(data: bytes, default_name: str) -> tuple[str, Schema]:
@@ -506,10 +515,15 @@ def run_add_family(
 
     `before_commit(family_id, family_key)` runs once every partition is
     stored and before the manifest put, so a caller can save the key
-    before the family it opens exists; if it raises, nothing commits."""
+    before the family it opens exists; if it raises, nothing commits.
+
+    `rng_seed` is for tests and benchmarks only: it makes every
+    projection key guessable from the seed, which opens the family's
+    projected cell keys to anyone who reads storage (see `FamilyParams`).
+    `cache_capacity` changes time only, never bytes."""
     config = config or OrchestratorConfig()
     report = report if report is not None else RunReport()
-    manifest = _load_manifest(storage)
+    manifest = load_manifest(storage)
     family = plan_family(family_sql, manifest.schema, branching_bits=branching_bits)
     family_id = family.family_id
     if any(rec.family_id == family_id for rec in manifest.families):
@@ -537,7 +551,7 @@ def run_view_gen(
     storage: Storage, family_id: str, family_key: bytes, view_sql: str
 ) -> ViewKeySet:
     """Mint view keys for a view belonging to a stored family."""
-    manifest = _load_manifest(storage)
+    manifest = load_manifest(storage)
     record = manifest.family(family_id)
     view = plan_view(view_sql, record.family, manifest.schema)
     return generate_view_keys(view, family_key, tag_length=record.tag_length)
@@ -548,14 +562,13 @@ def run_reveal_view(
     view_keys: ViewKeySet,
     out_dir: str | Path,
     fil: tuple[int, int] | None = None,
-    use_tags: bool = True,
     config: OrchestratorConfig | None = None,
     report: RunReport | None = None,
 ) -> list[Path]:
     """Decrypt the view into local CSV partitions (never uploaded)."""
     config = config or OrchestratorConfig()
     report = report if report is not None else RunReport()
-    manifest = _load_manifest(storage)
+    manifest = load_manifest(storage)
     try:
         record = manifest.family(view_keys.family_id)
     except ManifestError as exc:
@@ -575,6 +588,6 @@ def run_reveal_view(
         path.write_bytes(blob)
         written.append(path)
 
-    context = (storage, manifest.generation, manifest.schema, record.family, view_keys, use_tags)
+    context = (storage, manifest.generation, manifest.schema, record.family, view_keys)
     _map_partitions(ids, _reveal_worker, context, store, config.workers, report)
     return sorted(written)

@@ -18,7 +18,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..encoding import TYPE_UTF8, encode_cell, int64_to_unsigned
+from ..encoding import TYPE_UTF8, ByteReader, encode_cell, int64_to_unsigned
 from ..primitives import hash_string, secure_concat
 from .errors import PlannerError
 
@@ -139,56 +139,38 @@ class CanonicalFamily:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "CanonicalFamily":
-        """Parse a serialized family; anything malformed raises PlannerError.
-
-        Every count is checked against the bytes that remain before it is
-        used, so work and memory stay bounded by the input size.
-        """
-        if data[:4] != SERIAL_MAGIC:
-            raise PlannerError("bad canonical family magic")
-        off = 4
-
-        def take(fmt: str) -> tuple:
-            nonlocal off
-            size = struct.calcsize(fmt)
-            if size > len(data) - off:
-                raise PlannerError("truncated canonical family")
-            values = struct.unpack_from(fmt, data, off)
-            off += size
-            return values
-
-        version, branching = take(">HB")
-        if version != SERIAL_VERSION:
-            raise PlannerError(f"unsupported canonical family version {version}")
+        """Parse a serialized family; anything malformed raises PlannerError."""
+        rd = ByteReader(data, PlannerError, "canonical family")
+        rd.header(SERIAL_MAGIC, SERIAL_VERSION)
+        (branching,) = rd.unpack(">B")
         check_branching_bits(branching)
-        (n_proj,) = take(">H")
-        projected = take(f">{n_proj}H")
-        (n_pred,) = take(">H")
+        (n_proj,) = rd.unpack(">H")
+        projected = rd.unpack(f">{n_proj}H")
+        (n_pred,) = rd.unpack(">H")
         predicates = []
         wildcard_names = []
         for _ in range(n_pred):
-            (n_atoms,) = take(">H")
+            (n_atoms,) = rd.unpack(">H")
             atoms = []
             for _ in range(n_atoms):
-                code, col, bits, total = take(">BHHH")
+                code, col, bits, total = rd.unpack(">BHHH")
                 if code not in _ATOM_NAMES:
                     raise PlannerError(f"unknown atom kind {code}")
                 if bits > total:
                     raise PlannerError(f"atom keeps {bits} of {total} bits")
                 atoms.append(Atom(_ATOM_NAMES[code], col, bits, total))
-            (n_names,) = take(">H")
+            (n_names,) = rd.unpack(">H")
             names = []
             for _ in range(n_names):
-                (nlen,) = take(">B")
+                (nlen,) = rd.unpack(">B")
                 try:
-                    names.append(take(f">{nlen}s")[0].decode("utf-8"))
+                    names.append(rd.take(nlen).decode("utf-8"))
                 except UnicodeDecodeError as exc:
                     raise PlannerError("wildcard name is not UTF-8") from exc
             predicates.append(PredicateFn(tuple(atoms)))
             wildcard_names.append(tuple(names))
-        if off != len(data):
-            raise PlannerError("trailing bytes in canonical family")
-        return cls(tuple(projected), tuple(predicates), tuple(wildcard_names), branching)
+        rd.end()
+        return cls(projected, tuple(predicates), tuple(wildcard_names), branching)
 
     @property
     def family_id(self) -> str:

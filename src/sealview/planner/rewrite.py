@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..encoding import TYPE_INT64, TYPE_UTF8
+from ..encoding import INT64_MAX, INT64_MIN, TYPE_INT64, TYPE_UTF8
 from ..primitives import secure_concat
 from .canonical import ATOM_FIELD, ATOM_HASH_BITS, ATOM_TOP_BITS, Atom, prefix_value
 from .errors import PlannerError
@@ -186,11 +186,15 @@ def _negate(node):
     return flipped([_negate(c) for c in node.children])
 
 
-def _check_literal(value, column_type: str, column_name: str):
+def _check_literal(value, column_type: str, column_name: str, exact: bool):
+    """Reject a literal of the wrong type, and an Int64 literal outside
+    the domain where it must equal a value (a range clamps it instead)."""
     if value is None:
         return
     if column_type == TYPE_INT64 and not isinstance(value, int):
         raise PlannerError(f"column {column_name!r} is Int64; got {value!r}")
+    if column_type == TYPE_INT64 and exact and not INT64_MIN <= value <= INT64_MAX:
+        raise PlannerError(f"literal {value} is out of Int64 range for column {column_name!r}")
     if column_type == TYPE_UTF8 and not isinstance(value, str):
         raise PlannerError(f"column {column_name!r} is Utf8; got {value!r}")
 
@@ -204,11 +208,11 @@ def to_typed(node, schema):
     ctype = schema.columns[col].type
     family = isinstance(node.rhs, Wildcard)
     literals = () if family else node.rhs
-    for v in literals:
-        _check_literal(v, ctype, node.column)
-
     exact = node.op in ("=", "in")
     excluding = node.op in ("!=", "not in")
+    for v in literals:
+        _check_literal(v, ctype, node.column, exact)
+
     if ctype == TYPE_UTF8:
         if not (exact or excluding):
             raise PlannerError(f"string column {node.column!r} supports only = and != forms")

@@ -11,6 +11,8 @@ import pytest
 
 import sealview
 from sealview.cli import build_parser, main
+from sealview.mep import serialize_plain
+from sealview.model import PlainPartition, Schema
 from sealview.orchestrator import LocalDirStorage, StorageError
 
 SCHEMA_DOC = {
@@ -160,6 +162,15 @@ def test_check_evaluates_oracle(capsys, src_dir):
     rc, out, _ = run_cli(capsys, "check", "--src", str(src_dir), "--view", VIEW_SQL)
     assert rc == 0
     assert out == "Interlake,blue\nInterlake,red\nMarine,red\n"
+
+
+def test_check_rejects_a_mep_file_whose_id_differs_from_its_name(capsys, src_dir):
+    schema = Schema.from_json(SCHEMA_DOC["columns"])
+    blob = serialize_plain(PlainPartition(1, [[105, "Sunfish", "white"]]), schema)
+    (src_dir / "part-00003.mep").write_bytes(blob)
+    rc, _, err = run_cli(capsys, "check", "--src", str(src_dir), "--view", VIEW_SQL)
+    assert rc == 2
+    assert "partition file 3 carries id 1" in err
 
 
 def test_usage_errors_exit_one(capsys):
@@ -314,6 +325,27 @@ def test_plan_of_an_unbounded_range_cover_exits_two_without_traceback(tmp_path, 
     assert time.perf_counter() - started < 5
 
 
+def test_out_of_range_int64_literal_exits_two_without_traceback(tmp_path, capsys, src_dir):
+    family = "SELECT * FROM boats WHERE bid = ?b"
+    table, keys = tmp_path / "table", tmp_path / "keys"
+    run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
+    rc, out, _ = run_cli(
+        capsys, "add-family", "--table", str(table), "--table-key", str(keys / "boats.tablekey"),
+        "--family", family, "--keys-dir", str(keys),
+    )
+    family_id = out.split()[1]
+    for where in ("bid = 99999999999999999999", "bid = -99999999999999999999", "bid IN (1, 99999999999999999999)"):
+        view = f"SELECT * FROM boats WHERE {where}"
+        for argv in [
+            ("plan", "--schema", str(src_dir / "schema.json"), "--family", family, "--view", view),
+            ("view-gen", "--table", str(table), "--family-id", family_id,
+             "--family-key", str(keys / f"fam-{family_id}.familykey"), "--view", view, "--out", str(tmp_path / "vk")),
+        ]:
+            rc, err = _run_cli_process(*argv)
+            assert (rc, "Traceback" in err) == (2, False), err
+            assert "99999999999999999999 is out of Int64 range for column 'bid'" in err
+
+
 def test_corrupted_manifest_exits_two_without_traceback(tmp_path, capsys, src_dir):
     table, keys = tmp_path / "table", tmp_path / "keys"
     run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
@@ -422,9 +454,9 @@ def test_every_documented_flag_in_help(capsys):
     commands = sub_actions[0].choices
     expected = {
         "encrypt-table": ["--src", "--dst", "--keys-dir", "--workers", "--insecure-print-keys"],
-        "add-family": ["--table", "--table-key", "--family", "--keys-dir", "--tag-length", "--branching-bits", "--cache-capacity", "--rng-seed"],
+        "add-family": ["--table", "--table-key", "--family", "--keys-dir", "--tag-length", "--branching-bits"],
         "view-gen": ["--table", "--family-id", "--family-key", "--view", "--out"],
-        "reveal-view": ["--table", "--view-keys", "--out", "--fil", "--no-tags"],
+        "reveal-view": ["--table", "--view-keys", "--out", "--fil"],
         "plan": ["--family", "--view", "--schema", "--table", "--branching-bits", "--json"],
         "check": ["--src", "--view"],
         "bench": ["--rows", "--partitions", "--tag-length", "--selectivity", "--json"],
@@ -434,6 +466,12 @@ def test_every_documented_flag_in_help(capsys):
         for flag in flags:
             assert flag in help_text, f"{command} help lacks {flag}"
         assert "--batch-size" not in help_text and "--no-pipeline" not in help_text
+    # Seeded projection keys are guessable, and the other two only slow a
+    # command down; the library keeps them for tests and benchmarks.
+    for command, flags in {"add-family": ["--rng-seed", "--cache-capacity"], "reveal-view": ["--no-tags"]}.items():
+        help_text = commands[command].format_help()
+        for flag in flags:
+            assert flag not in help_text, f"{command} help offers {flag}"
 
 
 def test_bench_smoke_json(capsys):

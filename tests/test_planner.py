@@ -313,6 +313,35 @@ def test_view_values_are_bounded_by_default():
         assert time.perf_counter() - started < 5
 
 
+HUGE = 99999999999999999999  # outside Int64 either way
+
+
+@pytest.mark.parametrize("where", [f"x = {HUGE}", f"x = -{HUGE}", f"x IN (1, {HUGE})"])
+def test_out_of_range_int64_literal_rejected_where_it_must_equal_a_value(where):
+    family = plan_family("SELECT * FROM t WHERE x = ?a", INTS)
+    with pytest.raises(PlannerError, match=f"{HUGE} is out of Int64 range for column 'x'"):
+        plan_view(f"SELECT * FROM t WHERE {where}", family, INTS)
+
+
+@pytest.mark.parametrize(
+    "family_sql, where, same_as",
+    [
+        # A range clamps the literal to the domain.
+        ("x < ?a", f"x < {HUGE}", "x <= 9223372036854775807"),
+        ("x < ?a", f"x > -{HUGE}", "x >= -9223372036854775808"),
+        ("x < ?a", f"x < -{HUGE}", "x < -9223372036854775808"),
+        # Excluding a value no row holds excludes nothing.
+        ("x != ?a", f"x != {HUGE}", "x >= -9223372036854775808"),
+        ("x != ?a", f"x != -{HUGE}", "x >= -9223372036854775808"),
+        ("x != ?a", f"x NOT IN (1, {HUGE})", "x != 1"),
+    ],
+)
+def test_out_of_range_int64_literal_in_ranges_and_exclusions(family_sql, where, same_as):
+    family = plan_family(f"SELECT * FROM t WHERE {family_sql}", INTS)
+    got = plan_view(f"SELECT * FROM t WHERE {where}", family, INTS)
+    assert got.values == plan_view(f"SELECT * FROM t WHERE {same_as}", family, INTS).values
+
+
 def test_range_cover_stops_at_the_bound():
     assert RangeSet.from_intervals(8, [(1, 6)]).cover(1, max_values=4) == {8: [1, 6], 7: [1, 2]}
     with pytest.raises(PlannerError, match="expands past 3 values"):

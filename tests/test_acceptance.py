@@ -7,6 +7,7 @@ least four physical cores and skips (with a message) on smaller hosts.
 
 import os
 import random
+import statistics
 import time
 
 import pytest
@@ -216,10 +217,15 @@ def test_criterion_6_selectivity_linearity():
         hi = k * (1 << 23) - 1
         view = plan_view(f"SELECT * FROM t WHERE v >= 0 AND v <= {hi}", family, schema)
         keys = generate_view_keys(view, family_key)
-        stats = RevealStats()
-        out = reveal_partition(enc_part, schema, family, keys, stats=stats)
+        # The median of three reveals, so one reveal slowed by other
+        # processes on the host does not bend the fit.
+        samples = []
+        for _ in range(3):
+            stats = RevealStats()
+            out = reveal_partition(enc_part, schema, family, keys, stats=stats)
+            samples.append(stats.crypto_seconds)
         matched_counts.append(len(out))
-        crypto_times.append(stats.crypto_seconds)
+        crypto_times.append(statistics.median(samples))
 
     n = len(matched_counts)
     mean_x = sum(matched_counts) / n

@@ -154,6 +154,29 @@ def _counter_keystream(key: bytes, prefix: bytes, length: int) -> bytes:
     return _aes_ecb(key, blocks)[:length]
 
 
+def test_prf_many_matches_the_public_cipher_api_on_random_keys():
+    rng = random.Random(400)
+    for _ in range(200):
+        key = rng.randbytes(16)
+        cipher = BlockCipher(key)
+        for nblocks in (0, 1, 17):
+            blocks = rng.randbytes(16 * nblocks)
+            assert cipher.prf_many(blocks) == _aes_ecb(key, blocks)
+
+
+@pytest.mark.parametrize("length", [0, 15, 17, 24, 32])
+def test_block_cipher_rejects_every_key_length_but_sixteen(length):
+    # AES itself takes 24- and 32-byte keys, so only BlockCipher's own
+    # check stops those.
+    with pytest.raises(CryptoError):
+        BlockCipher(bytes(length))
+
+
+def test_block_cipher_rejects_a_str_key():
+    with pytest.raises(TypeError, match="key must be bytes-like"):
+        BlockCipher("k" * 16)
+
+
 @pytest.mark.parametrize("length", KAT_LENGTHS)
 def test_mac_matches_raw_aes_cbc_mac(length):
     rng = random.Random(length)

@@ -16,8 +16,8 @@ both call:
     view key       = PRF_var(predicate key, bound value)   generate_view_keys
     slot key       = PRF(selection key, 0)                 _SelectionKey
     tagging key    = PRF(selection key, partition)         _SelectionKey
-    tag            = PRF(tagging key, count)[:tag_length]  _SelectionKey.tags
-    selection slot = CTR(slot key, projection key)         _SelectionKey.slots
+    tag            = PRF(tagging key, count)[:tag_length]  _SelectionKey.tag_stream
+    selection slot = CTR(slot key, projection key)         _SelectionKey.slot_stream
     projection key and entry                               _Projection.seal, .open
 
 Indices are 0-based everywhere but inside PRF inputs and cell positions,
@@ -32,6 +32,7 @@ import random
 import secrets
 import struct
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .encoding import ByteReader, decode_cell, encode_cell
@@ -52,11 +53,13 @@ from .primitives import (
     DOMAIN_SELECTION,
     KEY_LEN,
     ZERO_BLOCK,
+    counter_block_packer,
     counter_blocks,
     first_counter_block,
+    first_counter_blocks,
     ote,
     pack_block,
-    secure_concat,
+    pack_blocks,
     split_concat,
     xor_bytes,
 )
@@ -102,10 +105,21 @@ class FamilyParams:
             raise BackendError("cache capacity must be non-negative")
 
 
+def _blocks(data: bytes) -> list[bytes]:
+    """`data` cut into 16-byte blocks."""
+    return [data[off : off + 16] for off in range(0, len(data), 16)]
+
+
 def _prf_keys(cipher: BlockCipher, inputs: bytes) -> list[bytes]:
     """The cipher's PRF of each 16-byte block of `inputs`, in one batch."""
-    flat = cipher.prf_many(inputs)
-    return [flat[off : off + 16] for off in range(0, len(flat), 16)]
+    return _blocks(cipher.prf_many(inputs))
+
+
+def _in_row_order(order: list[int], data: bytes) -> bytes:
+    """`data`'s 16-byte blocks, the k-th of which belongs to row
+    order[k], put back in row order."""
+    by_row = dict(zip(order, _blocks(data)))
+    return b"".join(map(by_row.__getitem__, range(len(order))))
 
 
 def _row_keys(table_key: bytes, partition_id: int, n_rows: int) -> list[bytes]:
@@ -131,7 +145,7 @@ class _SelectionKey:
     """The two keys a selection key derives in one partition: the slot key,
     which encrypts projection keys into selection slots, and the tagging
     key, which makes the tags. Both work on batches: the writer passes
-    every occurrence of the key in a partition, the reader the candidate
+    the key's occurrences in a partition, the reader the candidate
     occurrences of one chain. It takes the selection key as a prepared
     cipher, so that a caller opening many partitions with one key
     prepares it once."""
@@ -144,19 +158,19 @@ class _SelectionKey:
         self._slot_cipher = None  # built on first use; most reader keys never need it
         self.tag_cipher = BlockCipher(tag_key)
 
-    def tags(self, counts, tag_length: int) -> list[bytes]:
-        """The tags of this key's occurrence numbers `counts` (0-based)."""
-        flat = self.tag_cipher.prf_many(b"".join(map(pack_block, counts)))
-        return [flat[off : off + tag_length] for off in range(0, len(flat), 16)]
+    def tag_stream(self, start: int, stop: int) -> bytes:
+        """The 16-byte PRF blocks of this key's occurrences start..stop-1
+        (0-based), back to back: an occurrence's tag is its block's first
+        tag-length bytes."""
+        return self.tag_cipher.prf_many(pack_blocks(range(start, stop)))
 
-    def slots(self, positions, data: bytes) -> bytes:
-        """CTR transform (its own inverse) of the 16-byte selection slots
-        at the 0-based (row, predicate) `positions`, given back to back."""
+    def slot_stream(self, j0: int, rows) -> bytes:
+        """The CTR keystream of predicate j0's 16-byte selection slots at
+        the 0-based `rows`, back to back."""
         if self._slot_cipher is None:
             self._slot_cipher = BlockCipher(self._slot_key)
-        p = self.partition_id
-        blocks = b"".join(first_counter_block(DOMAIN_SELECTION, p, r0 + 1, j0 + 1) for r0, j0 in positions)
-        return xor_bytes(data, self._slot_cipher.prf_many(blocks))
+        blocks = first_counter_blocks(DOMAIN_SELECTION, self.partition_id, [r0 + 1 for r0 in rows], j0 + 1)
+        return self._slot_cipher.prf_many(blocks)
 
 
 _ONE_COLUMN, _WHOLE_ROW, _KEY_BLOB = range(3)
@@ -190,6 +204,17 @@ class _Projection:
         self._open_inputs = _CHECK_INPUT
         if self.kind == _WHOLE_ROW:
             self._open_inputs += _cell_key_inputs(self.projected)
+        if self.kind == _KEY_BLOB:
+            # What `seal` packs at every row, compiled once: the blob, which
+            # is secure_concat of the cell keys; its keystream and check
+            # blocks; and the entry, secure_concat of the encrypted blob and
+            # the check value.
+            blob_len = 4 + (4 + KEY_LEN) * n_proj
+            self._blob = struct.Struct(">I" + f"I{KEY_LEN}s" * n_proj)
+            self._seal_blocks = counter_block_packer(
+                ((DOMAIN_PROJECTION_BLOB, blob_len, 0), (DOMAIN_PROJECTION_CHECK, 16, 0)), partition_id
+            )
+            self._entry = struct.Struct(f">II{blob_len}sI16s")
 
     def _blob_and_check_blocks(self, r0: int, blob_len: int) -> bytes:
         """Row r0's keystream blocks of a `blob_len`-byte cell-key blob,
@@ -211,9 +236,12 @@ class _Projection:
         if self.kind == _ONE_COLUMN:
             return keys[0], BlockCipher(keys[0]).prf(_CHECK_INPUT)
         pk = rng.randbytes(KEY_LEN)
-        plain = secure_concat(keys)
-        stream = BlockCipher(pk).prf_many(self._blob_and_check_blocks(r0, len(plain)))
-        return pk, secure_concat([xor_bytes(plain, stream[: len(plain)]), stream[-16:]])
+        fields = [KEY_LEN] * (2 * len(keys))  # each key's length, then the key
+        fields[1::2] = keys
+        plain = self._blob.pack(len(keys), *fields)
+        stream = BlockCipher(pk).prf_many(self._seal_blocks(r0 + 1))
+        n = len(plain)
+        return pk, self._entry.pack(2, n, xor_bytes(plain, stream[:n]), 16, stream[-16:])
 
     def open(self, r0: int, pk: bytes, entry: bytes) -> list[bytes] | None:
         """The projected cells' keys, in projection order, if `pk` is row
@@ -240,7 +268,8 @@ class _Projection:
 
 @dataclass
 class AddFamilyStats:
-    """Counters of one or more family instantiations. `cache_misses`
+    """Counters of one or more family instantiations: each call adds to
+    every field, and to each key's count in `tag_counts`. `cache_misses`
     counts selection-key derivations (three key setups each), and
     `cache_hits` the (row, predicate) occurrences that reused one."""
 
@@ -253,7 +282,8 @@ class AddFamilyStats:
 
 @dataclass
 class RevealStats:
-    """Counters of one or more reveals.
+    """Counters of one or more reveals: each call adds to every field,
+    and to each key's count in `final_counts`.
 
     `tag_hits` counts occurrences of a key's next expected tag at an
     aligned offset in that key's own predicate slot; each one costs one
@@ -395,62 +425,84 @@ def add_family(
     where_cells = {c: list(enc_part.columns[c]) for c in where_cols}
     started = time.perf_counter()
 
-    # Pass 1, row by row: projection keys and entries, and the inputs of
-    # every predicate's selection-key MAC.
+    # Pass 1, row by row: projection keys and entries, and the plaintext
+    # bytes of the WHERE cells.
     proj_keys: list[bytes] = []
     proj_entries: list[bytes] = []
-    pred_inputs: list[list[bytes]] = [[] for _ in range(n_pred)]
+    plain_cells: dict[int, list[bytes]] = {c: [] for c in where_cols}
     for r0, row_key in enumerate(_row_keys(table_key, p, n_rows)):
         row_cipher = BlockCipher(row_key)
         keys = dict(zip(key_cols, _prf_keys(row_cipher, key_inputs)))
-        values: list = [_MISSING] * n_col
         for c in where_cols:
-            values[c] = decode_cell(ote(keys[c], where_cells[c][r0]), types[c])
+            plain_cells[c].append(ote(keys[c], where_cells[c][r0]))
         pk, proj_entry = projection.seal(r0, row_cipher, keys, rng)
         proj_keys.append(pk)
         proj_entries.append(proj_entry)
-        for pred, inputs in zip(family.predicates, pred_inputs):
-            inputs.append(pred.evaluate(values, schema))
+    # Each distinct cell is decoded once, so a malformed one still raises.
+    decoded = {c: {b: decode_cell(b, types[c]) for b in dict.fromkeys(plain_cells[c])} for c in where_cols}
+    all_proj_keys = b"".join(proj_keys)
 
-    # Pass 2, key by key: each predicate's selection keys in one batch,
-    # then each distinct key's occurrences, in row-major order, so that an
-    # occurrence's index in its group is its tag count.
-    sel_keys = [
-        pred_cipher.mac_many(inputs)
-        for pred_cipher, inputs in zip(_predicate_ciphers(family_key, n_pred), pred_inputs)
-    ]
-    groups: dict[bytes, list[tuple[int, int]]] = {}
-    for r0, row_sel_keys in enumerate(zip(*sel_keys)):
-        for j0, s in enumerate(row_sel_keys):
-            groups.setdefault(s, []).append((r0, j0))
+    # Pass 2, predicate by predicate. A predicate is evaluated once per
+    # distinct tuple of its columns' cells and MACed once per distinct
+    # value. Predicate keys differ, so each selection key belongs to one
+    # predicate, and its occurrences in row order are its row-major ones:
+    # an occurrence's index among them is its tag count. The key's rows
+    # are gathered by a stable sort on the key, its slot keystream and
+    # tags come from one call each per derivation, and both go back to
+    # row order to be written into the row-major columns with one strided
+    # slice per byte.
     tag_len = params.tag_length
-    slots: list[bytes] = [b""] * (n_rows * n_pred)  # row-major, like the tags
-    tags: list[bytes] = [b""] * (n_rows * n_pred)
-    derivations = 0
-    for s, occurrences in groups.items():
-        # Capacity 0 derives the key afresh for every occurrence.
-        step = len(occurrences) if params.cache_capacity else 1
-        for start in range(0, len(occurrences), step):
-            chunk = occurrences[start : start + step]
-            sel = _SelectionKey(BlockCipher(s), p)
-            derivations += 1
-            sealed = sel.slots(chunk, b"".join(proj_keys[r0] for r0, _ in chunk))
-            chunk_tags = sel.tags(range(start, start + len(chunk)), tag_len)
-            for k, ((r0, j0), tag) in enumerate(zip(chunk, chunk_tags)):
-                slots[r0 * n_pred + j0] = sealed[16 * k : 16 * k + 16]
-                tags[r0 * n_pred + j0] = tag
+    selection = bytearray(16 * n_pred * n_rows)
+    tagging = bytearray(tag_len * n_pred * n_rows)
+    tag_counts: Counter = Counter()
+    values: list = [_MISSING] * n_col
+    for j0, (pred, pred_cipher) in enumerate(zip(family.predicates, _predicate_ciphers(family_key, n_pred))):
+        cols = sorted(pred.columns())
+        cells = list(zip(*(plain_cells[c] for c in cols)))
+        value_of = {}
+        for cell_tuple in dict.fromkeys(cells):
+            for c, b in zip(cols, cell_tuple):
+                values[c] = decoded[c][b]
+            value_of[cell_tuple] = pred.evaluate(values, schema)
+        distinct = list(dict.fromkeys(value_of.values()))
+        key_of_value = dict(zip(distinct, pred_cipher.mac_many(distinct)))
+        key_of_cells = {t: key_of_value[v] for t, v in value_of.items()}
+        row_sel = list(map(key_of_cells.__getitem__, cells))
+        order = sorted(range(n_rows), key=row_sel.__getitem__)
+        counts = Counter(row_sel)
+        streams: list[bytes] = []
+        tag_blocks: list[bytes] = []
+        end = 0
+        for s in sorted(counts):
+            rows = order[end : end + counts[s]]
+            end += len(rows)
+            # Capacity 0 derives the key afresh for every occurrence.
+            step = len(rows) if params.cache_capacity else 1
+            for a in range(0, len(rows), step):
+                sel = _SelectionKey(BlockCipher(s), p)
+                streams.append(sel.slot_stream(j0, rows[a : a + step]))
+                tag_blocks.append(sel.tag_stream(a, a + step))
+        tag_counts.update(counts)
+        slot_column = xor_bytes(all_proj_keys, _in_row_order(order, b"".join(streams)))
+        tag_column = _in_row_order(order, b"".join(tag_blocks))
+        for b in range(16):
+            selection[16 * j0 + b :: 16 * n_pred] = slot_column[b::16]
+        for b in range(tag_len):
+            tagging[tag_len * j0 + b :: tag_len * n_pred] = tag_column[b::16]
 
     enc_part.families[family_id] = FamilyColumns(
         FixedWidthColumn.from_entries(proj_entries),
-        FixedWidthColumn(b"".join(slots), 16 * n_pred if n_rows else 0),
-        FixedWidthColumn(b"".join(tags), tag_len * n_pred if n_rows else 0),
+        FixedWidthColumn(bytes(selection), 16 * n_pred if n_rows else 0),
+        FixedWidthColumn(bytes(tagging), tag_len * n_pred if n_rows else 0),
     )
     if stats is not None:
+        derivations = len(tag_counts) if params.cache_capacity else n_rows * n_pred
         stats.rows += n_rows
-        stats.cache_hits = n_rows * n_pred - derivations
-        stats.cache_misses = derivations
+        stats.cache_hits += n_rows * n_pred - derivations
+        stats.cache_misses += derivations
         stats.crypto_seconds += time.perf_counter() - started
-        stats.tag_counts = {s: len(occurrences) for s, occurrences in groups.items()}
+        for s, n in tag_counts.items():
+            stats.tag_counts[s] = stats.tag_counts.get(s, 0) + n
     return enc_part
 
 
@@ -488,7 +540,8 @@ class _KeyEntry(_SelectionKey):
         """The tag of occurrence n (0-based)."""
         tags = self._tags
         if n >= len(tags):
-            tags += self.tags(range(len(tags), max(2 * n, _FIRST_TAG_BATCH)), self.tag_length)
+            flat = self.tag_stream(len(tags), max(2 * n, _FIRST_TAG_BATCH))
+            tags += [flat[off : off + self.tag_length] for off in range(0, len(flat), 16)]
         return tags[n]
 
 
@@ -552,7 +605,7 @@ def reveal_partition(
         back to back, from one decrypt."""
         j0 = entry.j0
         offs = [r0 * sel_width + 16 * j0 for r0 in rows]
-        return entry.slots([(r0, j0) for r0 in rows], b"".join(sel_data[o : o + 16] for o in offs))
+        return xor_bytes(b"".join(sel_data[o : o + 16] for o in offs), entry.slot_stream(j0, rows))
 
     entries = [
         _KeyEntry(view_keys, key, j0, enc_part.partition_id)
@@ -617,8 +670,10 @@ def reveal_partition(
                 # the chain assumed it, so search for the same tag again
                 # from the next row on.
                 rows = [] if miss is None else chain(entry, (miss + 1) * stride + slot)
-        for entry in entries:
-            stats.final_counts[(entry.j0 + 1, entry.key)] = entry.count
+        # One count per (predicate, key) per call, even if a set repeats a key.
+        final_counts = {(entry.j0 + 1, entry.key): entry.count for entry in entries}
+        for key, count in final_counts.items():
+            stats.final_counts[key] = stats.final_counts.get(key, 0) + count
 
     t0 = clock()
     rows = sorted(matched)

@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
 from cryptography.hazmat.bindings._rust import openssl as _rust_openssl
 from cryptography.hazmat.primitives.ciphers.algorithms import AES
@@ -98,7 +99,8 @@ def counter_blocks(length: int, domain: int, partition: int, row: int, slot: int
     """The counter blocks that encrypt a message of `length` bytes at
     CellPosition(domain, partition, row, slot), without building one:
     block i is the position's prefix followed by i as a big-endian u24.
-    This is the one encoder of counter blocks."""
+    It and the batch packers below are the only encoders of counter
+    blocks, and all of them pack with `_COUNTER_BLOCK`."""
     nblocks = -(-length // BLOCK_LEN)
     if nblocks >= _MAX_CTR_BLOCKS:
         raise CryptoError("message too long for the 3-byte block counter")
@@ -112,6 +114,36 @@ def first_counter_block(domain: int, partition: int, row: int, slot: int = 0) ->
     """Counter block 0 at CellPosition(domain, partition, row, slot): the
     whole keystream input of a message of up to 16 bytes there."""
     return _COUNTER_BLOCK.pack(domain, partition, row, slot, 0, 0)
+
+
+def counter_block_packer(messages, partition: int):
+    """A function of a 1-based row that returns, back to back,
+    `counter_blocks(length, domain, partition, row, slot)` for each
+    (domain, length, slot) of `messages`, packed by one struct compiled
+    here: for a caller that encrypts the same messages at every row."""
+    fields = []
+    for domain, length, slot in messages:
+        nblocks = -(-length // BLOCK_LEN)
+        if nblocks >= _MAX_CTR_BLOCKS:
+            raise CryptoError("message too long for the 3-byte block counter")
+        for i in range(nblocks):
+            fields += (domain, partition, 0, slot, i >> 16, i & 0xFFFF)
+    n = len(fields) // 6
+    pack = struct.Struct(">" + _COUNTER_BLOCK.format[1:] * n).pack
+
+    def at_row(row: int) -> bytes:
+        row_fields = fields.copy()
+        row_fields[2::6] = repeat(row, n)
+        return pack(*row_fields)
+
+    return at_row
+
+
+def first_counter_blocks(domain: int, partition: int, rows, slot: int = 0) -> bytes:
+    """`first_counter_block` at each of `rows` (1-based), back to back,
+    packed in one call."""
+    pack = _COUNTER_BLOCK.pack
+    return b"".join([pack(domain, partition, row, slot, 0, 0) for row in rows])
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -219,6 +251,12 @@ def pack_block(*fields: int) -> bytes:
     if len(fields) > 4:
         raise CryptoError("pack_block holds at most four u32 fields")
     return _FOUR_U32.pack(*fields, *(0,) * (4 - len(fields)))
+
+
+def pack_blocks(values) -> bytes:
+    """`pack_block(v)` for each of `values`, back to back, packed in one call."""
+    z = repeat(0)
+    return b"".join(map(_FOUR_U32.pack, values, z, z, z))
 
 
 def secure_concat(parts: list[bytes] | tuple[bytes, ...]) -> bytes:

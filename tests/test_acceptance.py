@@ -44,6 +44,7 @@ def _report(number: int, message: str):
 # ---------------------------------------------------------------- criterion 1
 
 
+@pytest.mark.slow
 def test_criterion_1_completeness_oracle_equivalence():
     """1,000 randomized end-to-end trials match the plaintext oracle."""
     rng = random.Random(0x5EA1)
@@ -159,6 +160,7 @@ def _speedup_table():
     return schema, rows
 
 
+@pytest.mark.slow
 def test_criterion_5_key_hiding_tag_speedup():
     """Tags make a low-selectivity inequality reveal >= 10x faster."""
     schema, rows = _speedup_table()
@@ -199,6 +201,7 @@ def test_criterion_5_key_hiding_tag_speedup():
 # ---------------------------------------------------------------- criterion 6
 
 
+@pytest.mark.slow
 def test_criterion_6_selectivity_linearity():
     """Reveal crypto time is linear in matched rows (R^2 >= 0.9)."""
     rng = random.Random(0x11A)

@@ -310,6 +310,97 @@ def test_grouped_writer_matches_row_by_row_reference(tag_length, capacity):
     assert kinds == {"one column", "every column", "key blob"}
 
 
+_SHARED_VALUE_FAMILIES = (
+    "SELECT a, b FROM t WHERE (a >= ?lo AND a <= ?hi) OR b != ?s",  # bit and hash prefixes
+    "SELECT * FROM t WHERE a >= ?lo AND a <= ?hi AND b = ?y",  # prefixes of a, with b
+)
+
+
+@pytest.mark.parametrize("branching_bits", [1, 2])
+def test_writer_matches_reference_when_distinct_cells_share_a_value(branching_bits):
+    """Range and hash prefixes give distinct cells one predicate value, and
+    so one selection key and one run of tag counts."""
+    rng = random.Random(0x5A3E + branching_bits)
+    schema = _REFERENCE_SCHEMA
+    pool = [-3, -1, 0, 1, 2, 3, 1 << 40, (1 << 40) + 5, -(1 << 62)]
+    rows = [[rng.choice(pool), rng.choice(["x", "yy", "zzz", None]), rng.randrange(3)] for _ in range(24)]
+    for case, sql in enumerate(_SHARED_VALUE_FAMILIES):
+        family = plan_family(sql, schema, branching_bits=branching_bits)
+        shared = [
+            pred for pred in family.predicates
+            if len({pred.evaluate(row, schema) for row in rows})
+            < len({tuple(row[c] for c in pred.columns()) for row in rows})
+        ]
+        assert shared, "no predicate gives distinct cells one value"
+        partition_id, table_key, family_key = case + 3, bytes([case + 7]) * 16, bytes([case + 70]) * 16
+        for tag_length in (1, 16):
+            want = _reference_family_columns(
+                rows, schema, partition_id, table_key, family, family_key, tag_length, case
+            )
+            for capacity in (0, 1, 512):
+                enc_part = encrypt_partition(PlainPartition(partition_id, [list(r) for r in rows]), schema, table_key)
+                stats = AddFamilyStats()
+                add_family(
+                    enc_part, schema, table_key, family, family_key,
+                    FamilyParams(tag_length=tag_length, cache_capacity=capacity, rng_seed=case), stats=stats,
+                )
+                cols = enc_part.families[family.family_id]
+                got = (cols.projection.data, cols.selection.data, cols.tagging.data, stats.tag_counts)
+                assert got == want, f"{sql} at {branching_bits} bits, capacity {capacity}, tags {tag_length}"
+
+
+@pytest.mark.parametrize("column, bad_cell", [(0, b"\x00" * 5), (1, b"")])
+def test_malformed_where_cell_raises_encoding_error(column, bad_cell):
+    schema = _REFERENCE_SCHEMA
+    rows = [[r % 3, ["x", None][r % 2], r] for r in range(10)]
+    enc_part = encrypt_partition(PlainPartition(1, rows), schema, TABLE_KEY)
+    cells = list(enc_part.columns[column])
+    cells[3] = cells[7] = bad_cell
+    enc_part.columns[column] = type(enc_part.columns[column]).from_cells(cells)
+    family = plan_family("SELECT * FROM t WHERE c = ?z OR a = ?x OR b = ?y", schema)
+    with pytest.raises(EncodingError):
+        add_family(enc_part, schema, TABLE_KEY, family, FAMILY_KEY, FamilyParams(rng_seed=1))
+
+
+def test_stats_objects_add_up_over_partitions():
+    """One stats object passed to two partitions holds the sum of two
+    fresh ones, per-key counts included."""
+    schema = _REFERENCE_SCHEMA
+    family = plan_family(_REFERENCE_FAMILIES[1], schema)
+    keys = generate_view_keys(plan_view(_READER_VIEWS[1], family, schema), FAMILY_KEY)
+    rng = random.Random(0x57A7)
+    parts = []
+    for pid in (1, 2):
+        rows = [[rng.randrange(6), rng.choice(["x", "yy", None]), rng.randrange(3)] for _ in range(40)]
+        parts.append(encrypt_partition(PlainPartition(pid, rows), schema, TABLE_KEY))
+    add_shared, reveal_shared = AddFamilyStats(), RevealStats()
+    add_each, reveal_each = [], []
+    for part in parts:
+        for add_stats, reveal_stats in ((add_shared, reveal_shared), (AddFamilyStats(), RevealStats())):
+            copy = backend.EncryptedPartition(part.partition_id, part.columns)
+            add_family(copy, schema, TABLE_KEY, family, FAMILY_KEY, FamilyParams(rng_seed=1), stats=add_stats)
+            reveal_partition(copy, schema, family, keys, stats=reveal_stats)
+        add_each.append(add_stats)
+        reveal_each.append(reveal_stats)
+
+    def summed(objects, field_name):
+        values = [getattr(o, field_name) for o in objects]
+        return dict(sum(map(Counter, values), Counter())) if isinstance(values[0], dict) else sum(values)
+
+    for shared, each, fields in (
+        (add_shared, add_each, ("rows", "cache_hits", "cache_misses", "tag_counts")),
+        (reveal_shared, reveal_each, (
+            "rows_scanned", "tag_hits", "decrypt_attempts", "decrypt_successes", "rows_emitted", "final_counts",
+        )),
+    ):
+        for name in fields:
+            assert getattr(shared, name) == summed(each, name), name
+        assert shared.crypto_seconds > 0
+    # The same keys occur in both partitions, so per-key counts must add.
+    assert set(add_each[0].tag_counts) & set(add_each[1].tag_counts)
+    assert set(reveal_each[0].final_counts) & set(reveal_each[1].final_counts)
+
+
 def test_short_tags_match_long_tags():
     rng = random.Random(31)
     schema = Schema((Column("k", TYPE_INT64), Column("v", TYPE_UTF8)))

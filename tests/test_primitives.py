@@ -13,10 +13,14 @@ from sealview.primitives import (
     DOMAIN_CELL,
     DOMAIN_SELECTION,
     ZERO_BLOCK,
+    counter_block_packer,
+    counter_blocks,
     first_counter_block,
+    first_counter_blocks,
     hash_string,
     ote,
     pack_block,
+    pack_blocks,
     secure_concat,
     split_concat,
     xor_bytes,
@@ -264,6 +268,20 @@ def test_pack_block_layout():
     assert pack_block(1, 2) == b"\x00\x00\x00\x01\x00\x00\x00\x02" + b"\x00" * 8
     assert pack_block(0) == ZERO_BLOCK
     assert len(pack_block(7, 8, 9)) == 16
+
+
+def test_batch_packers_match_the_single_block_encoders():
+    rows = [1, 7, 70_000, 1 << 31]
+    assert first_counter_blocks(DOMAIN_SELECTION, 9, rows, 3) == b"".join(
+        first_counter_block(DOMAIN_SELECTION, 9, r, 3) for r in rows
+    )
+    assert pack_blocks(range(5, 40)) == b"".join(map(pack_block, range(5, 40)))
+    messages = ((DOMAIN_CELL, 64, 0), (DOMAIN_SELECTION, 16, 2), (DOMAIN_CELL, 17, 5))
+    at_row = counter_block_packer(messages, 4)
+    for r in rows:
+        assert at_row(r) == b"".join(counter_blocks(n, d, 4, r, s) for d, n, s in messages)
+    with pytest.raises(CryptoError):
+        counter_block_packer(((DOMAIN_CELL, 16 << 24, 0),), 1)
 
 
 def test_prf_output_byte_uniformity():

@@ -11,6 +11,7 @@ both call:
 
     row key        = PRF(table key, partition || row)      _row_keys
     cell key       = PRF(row key, column)                  _cell_key_inputs
+    cell ciphertext = ote(cell key, encoding)              ote_many
     predicate key  = PRF(family key, predicate index)      _predicate_ciphers
     selection key  = PRF_var(predicate key, g(row))        add_family
     view key       = PRF_var(predicate key, bound value)   generate_view_keys
@@ -34,6 +35,7 @@ import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
 
 from .encoding import ByteReader, decode_cell, encode_cell
 from .model import (
@@ -57,7 +59,7 @@ from .primitives import (
     counter_blocks,
     first_counter_block,
     first_counter_blocks,
-    ote,
+    ote_many,
     pack_block,
     pack_blocks,
     split_concat,
@@ -226,22 +228,29 @@ class _Projection:
         )
 
     def seal(
-        self, r0: int, row_cipher: BlockCipher, cell_keys: dict[int, bytes], rng: random.Random
-    ) -> tuple[bytes, bytes]:
-        """Row r0's projection key and entry, from the cell keys of at
-        least the `key_columns`; `rng` draws a fresh key."""
+        self, row_keys: list[bytes], checks: list[bytes], cell_keys: dict[int, list[bytes]], rng: random.Random
+    ) -> tuple[list[bytes], list[bytes]]:
+        """Every row's projection key and entry, in row order. A whole-row
+        projection's keys are `row_keys`, and its entries are `checks`,
+        their outputs on the check input. The other kinds seal the cell
+        keys of `key_columns`, which `cell_keys` maps to their cells'
+        keys, and a key blob draws each row's fresh key from `rng`."""
         if self.kind == _WHOLE_ROW:
-            return row_cipher.key, row_cipher.prf(_CHECK_INPUT)
-        keys = [cell_keys[c] for c in self.projected]
+            return row_keys, checks
         if self.kind == _ONE_COLUMN:
-            return keys[0], BlockCipher(keys[0]).prf(_CHECK_INPUT)
-        pk = rng.randbytes(KEY_LEN)
-        fields = [KEY_LEN] * (2 * len(keys))  # each key's length, then the key
-        fields[1::2] = keys
-        plain = self._blob.pack(len(keys), *fields)
-        stream = BlockCipher(pk).prf_many(self._seal_blocks(r0 + 1))
-        n = len(plain)
-        return pk, self._entry.pack(2, n, xor_bytes(plain, stream[:n]), 16, stream[-16:])
+            keys = cell_keys[self.projected[0]]
+            return keys, [BlockCipher(k).prf(_CHECK_INPUT) for k in keys]
+        pks, entries = [], []
+        for r0, keys in enumerate(zip(*(cell_keys[c] for c in self.projected))):
+            pk = rng.randbytes(KEY_LEN)
+            fields = [KEY_LEN] * (2 * len(keys))  # each key's length, then the key
+            fields[1::2] = keys
+            plain = self._blob.pack(len(keys), *fields)
+            stream = BlockCipher(pk).prf_many(self._seal_blocks(r0 + 1))
+            n = len(plain)
+            pks.append(pk)
+            entries.append(self._entry.pack(2, n, xor_bytes(plain, stream[:n]), 16, stream[-16:]))
+        return pks, entries
 
     def open(self, r0: int, pk: bytes, entry: bytes) -> list[bytes] | None:
         """The projected cells' keys, in projection order, if `pk` is row
@@ -362,23 +371,31 @@ def encrypt_partition(
 ) -> EncryptedPartition:
     """Encrypt every cell under its own key; no family columns yet.
 
-    Each cell is encoded once, and checked as it is: a row of the wrong
-    length or a NULL in a non-nullable column raises SchemaError, and a
-    value of the wrong type EncodingError.
+    Each row's cell keys come from one key setup and one AES call, and
+    each column's cells from one `ote_many`. A row of the wrong length
+    or a NULL in a non-nullable column raises SchemaError, and a value
+    of the wrong type EncodingError. Of several faults, the first in
+    this order raises: the first row of the wrong length; then, column
+    by column, a NULL in a non-nullable column, then the column's first
+    value that does not encode. So a bad row length anywhere comes
+    before any bad value, and a bad value in column 0 before a NULL in
+    column 1.
     """
     n_col = len(schema)
-    cells: list[list[bytes]] = [[] for _ in range(n_col)]
-    cell_inputs = _cell_key_inputs(range(n_col))
-    row_keys = _row_keys(table_key, plain.partition_id, len(plain.rows))
-    for r0, (row, row_key) in enumerate(zip(plain.rows, row_keys)):
+    rows = plain.rows
+    for r0, row in enumerate(rows):
         if len(row) != n_col:
             raise SchemaError(f"row {r0} has {len(row)} cells, schema has {n_col}")
-        keys = _prf_keys(BlockCipher(row_key), cell_inputs)
-        for value, col, key, out in zip(row, schema.columns, keys, cells):
-            if value is None and not col.nullable:
-                raise SchemaError(f"null in non-nullable column {col.name!r}")
-            out.append(ote(key, encode_cell(value, col.type)))
-    return EncryptedPartition(plain.partition_id, [CellColumn.from_cells(col) for col in cells])
+    cell_inputs = _cell_key_inputs(range(n_col))
+    row_keys = _row_keys(table_key, plain.partition_id, len(rows))
+    keys = _blocks(b"".join([BlockCipher(k).prf_many(cell_inputs) for k in row_keys]))
+    columns = []
+    for c, (col, values) in enumerate(zip(schema.columns, zip(*rows) if rows else [()] * n_col)):
+        if not col.nullable and None in values:
+            raise SchemaError(f"null in non-nullable column {col.name!r}")
+        cells = list(map(encode_cell, values, repeat(col.type)))
+        columns.append(CellColumn(ote_many(keys[c::n_col], cells), tuple(accumulate(map(len, cells)))))
+    return EncryptedPartition(plain.partition_id, columns)
 
 
 class _MissingCell:
@@ -416,28 +433,29 @@ def add_family(
     projection = _Projection(family, n_col, p)
     where_cols = sorted(family.where_columns())
     key_cols = sorted(set(where_cols) | set(projection.key_columns))
-    key_inputs = _cell_key_inputs(key_cols)
     types = [c.type for c in schema.columns]
     if params.rng_seed is None:
         rng = random.SystemRandom()
     else:
         rng = random.Random(params.rng_seed * 1_000_003 + p)
-    where_cells = {c: list(enc_part.columns[c]) for c in where_cols}
     started = time.perf_counter()
 
-    # Pass 1, row by row: projection keys and entries, and the plaintext
-    # bytes of the WHERE cells.
-    proj_keys: list[bytes] = []
-    proj_entries: list[bytes] = []
-    plain_cells: dict[int, list[bytes]] = {c: [] for c in where_cols}
-    for r0, row_key in enumerate(_row_keys(table_key, p, n_rows)):
-        row_cipher = BlockCipher(row_key)
-        keys = dict(zip(key_cols, _prf_keys(row_cipher, key_inputs)))
-        for c in where_cols:
-            plain_cells[c].append(ote(keys[c], where_cells[c][r0]))
-        pk, proj_entry = projection.seal(r0, row_cipher, keys, rng)
-        proj_keys.append(pk)
-        proj_entries.append(proj_entry)
+    # Pass 1, column by column. Each row makes one key setup and one AES
+    # call, whose inputs are the check input when the row key is the
+    # projection key, then the key inputs of `key_cols`. That gives the
+    # projection keys and entries, and one `ote_many` per WHERE column
+    # gives its cells' plaintext bytes.
+    n_check = 1 if projection.kind == _WHOLE_ROW else 0
+    inputs = _CHECK_INPUT * n_check + _cell_key_inputs(key_cols)
+    stride = n_check + len(key_cols)
+    row_keys = _row_keys(table_key, p, n_rows)
+    blocks = _blocks(b"".join([BlockCipher(k).prf_many(inputs) for k in row_keys]))
+    cell_keys = {c: blocks[i::stride] for i, c in enumerate(key_cols, n_check)}
+    proj_keys, proj_entries = projection.seal(row_keys, blocks[::stride], cell_keys, rng)
+    plain_cells = {}
+    for c in where_cols:
+        cells = enc_part.columns[c]
+        plain_cells[c] = list(CellColumn(ote_many(cell_keys[c], cells), cells.ends))
     # Each distinct cell is decoded once, so a malformed one still raises.
     decoded = {c: {b: decode_cell(b, types[c]) for b in dict.fromkeys(plain_cells[c])} for c in where_cols}
     all_proj_keys = b"".join(proj_keys)
@@ -679,9 +697,12 @@ def reveal_partition(
     rows = sorted(matched)
     cell_keys = [matched[r0] for r0 in rows]
     values = []  # column by column, then zipped into rows
-    for i, c in enumerate(family.projected):
-        cells, ctype = enc_part.columns[c], schema.columns[c].type
-        values.append([decode_cell(ote(keys[i], cells[r0]), ctype) for r0, keys in zip(rows, cell_keys)])
+    key_columns = zip(*cell_keys) if rows else repeat(())
+    for c, keys in zip(family.projected, key_columns):
+        cells = enc_part.columns[c]
+        ct = [cells[r0] for r0 in rows]
+        plain = CellColumn(ote_many(keys, ct), tuple(accumulate(map(len, ct))))
+        values.append(list(map(decode_cell, plain, repeat(schema.columns[c].type))))
     out = list(zip(*values)) if values else [() for _ in rows]
     stats.rows_scanned += n_rows
     stats.rows_emitted += len(out)

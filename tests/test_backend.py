@@ -3,6 +3,7 @@ randomized end-to-end completeness against the plaintext oracle."""
 
 import pickle
 import random
+import string
 import time
 from collections import Counter
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sealview import backend
+from sealview import backend, primitives
 from sealview.backend import (
     AddFamilyStats,
     BackendError,
@@ -119,6 +120,26 @@ def test_encrypt_partition_rejects_bad_rows():
         ([[1, None], [None, "b"]], SchemaError, "null in non-nullable column 'n'"),
         ([[1, "a"], ["2", "b"]], EncodingError, "expected int, got str"),
         ([[1, 2]], EncodingError, "expected str, got int"),
+    ]:
+        with pytest.raises(error, match=message):
+            encrypt_partition(PlainPartition(1, rows), schema, TABLE_KEY)
+
+
+def test_encrypt_partition_reports_row_lengths_then_columns_in_order():
+    """Of several faults, a bad row length anywhere raises first; then
+    columns are checked in order, each for NULLs before its values."""
+    schema = Schema((Column("n", TYPE_INT64), Column("s", TYPE_UTF8)))
+    for rows, error, message in [
+        # A later short row before an earlier NULL and an earlier bad value.
+        ([[None, 1], [1, "a"], [2]], SchemaError, "row 2 has 1 cells, schema has 2"),
+        # Column 0's bad value in row 2 before column 1's NULL in row 0.
+        ([[1, None], [2, "a"], ["3", "b"]], EncodingError, "expected int, got str"),
+        # Column 0's NULL in row 1 before column 1's bad value in row 0.
+        ([[1, 2], [None, "a"]], SchemaError, "null in non-nullable column 'n'"),
+        # Within a column, a NULL in row 1 before a bad value in row 0.
+        ([["1", "a"], [None, "b"]], SchemaError, "null in non-nullable column 'n'"),
+        # Within a column, the first bad value.
+        ([[1, 2], [2, 3.0]], EncodingError, "expected str, got int"),
     ]:
         with pytest.raises(error, match=message):
             encrypt_partition(PlainPartition(1, rows), schema, TABLE_KEY)
@@ -760,7 +781,9 @@ def test_batched_reader_matches_sequential_scan():
 
 def _count_block_ciphers(monkeypatch) -> Counter:
     """Count BlockCipher constructions made from sealview.backend, the
-    way the benchmark's trace counts key schedules."""
+    way the benchmark's trace counts key schedules, and from
+    sealview.primitives, where a one-time transform of a message over 16
+    bytes prepares its key."""
     counts = Counter()
 
     class Counted(BlockCipher):
@@ -771,6 +794,7 @@ def _count_block_ciphers(monkeypatch) -> Counter:
             super().__init__(key)
 
     monkeypatch.setattr(backend, "BlockCipher", Counted)
+    monkeypatch.setattr(primitives, "BlockCipher", Counted)
     return counts
 
 
@@ -852,3 +876,94 @@ def test_corrupted_projection_entries_raise_only_documented_errors(case):
     assert outcomes["returned"]
     if length_fields:
         assert outcomes["CryptoError"]
+
+
+# ------------------------------------- long cells and key-setup counts
+
+
+_LONG_CELL_SCHEMA = Schema((Column("a", TYPE_INT64), Column("b", TYPE_UTF8), Column("c", TYPE_UTF8)))
+_LONG_CELL_CASES = (
+    ("SELECT c FROM t WHERE c = ?x", "SELECT c FROM t WHERE c IN ({0}, {2})"),  # one column
+    ("SELECT * FROM t WHERE b = ?x OR a = ?y", "SELECT * FROM t WHERE b = {1} OR a = 2"),  # every column
+    ("SELECT b, c FROM t WHERE b = ?x", "SELECT b, c FROM t WHERE b IN ({0}, {3})"),  # key blob
+)
+
+
+def test_cells_over_sixteen_bytes_under_every_projection_kind():
+    """Utf8 cells of 17 to 40 bytes take the one-time transform's
+    keystream branch, in WHERE and projected columns alike."""
+    rng = random.Random(0x10C6)
+    words = ["".join(rng.choices(string.ascii_lowercase, k=k)) for k in (16, 23, 30, 39)]
+    rows = [[rng.randrange(4), rng.choice(words), rng.choice(words)] for _ in range(40)]
+    schema, partition_id = _LONG_CELL_SCHEMA, 2
+    enc_part = encrypt_partition(PlainPartition(partition_id, [list(r) for r in rows]), schema, TABLE_KEY)
+    assert {len(cell) for c in (1, 2) for cell in enc_part.columns[c]} == {17, 24, 31, 40}
+    for r0, row in enumerate(rows):
+        row_key = BlockCipher(TABLE_KEY).prf(pack_block(partition_id, r0 + 1))
+        for c, (value, col) in enumerate(zip(row, schema.columns)):
+            cell_key = BlockCipher(row_key).prf(pack_block(c + 1))
+            assert enc_part.columns[c][r0] == ote(cell_key, encode_cell(value, col.type))
+    kinds = set()
+    for family_sql, view_sql in _LONG_CELL_CASES:
+        view_sql = view_sql.format(*(f"'{w}'" for w in words))
+        family = plan_family(family_sql, schema)
+        part = backend.EncryptedPartition(partition_id, enc_part.columns)
+        add_family(part, schema, TABLE_KEY, family, FAMILY_KEY, FamilyParams(tag_length=4, rng_seed=3))
+        cols = part.families[family.family_id]
+        reference = _reference_family_columns(rows, schema, partition_id, TABLE_KEY, family, FAMILY_KEY, 4, 3)
+        assert (cols.projection.data, cols.selection.data, cols.tagging.data) == reference[:3]
+        keys = generate_view_keys(plan_view(view_sql, family, schema), FAMILY_KEY)
+        want = eval_view(schema, rows, view_sql)
+        assert 0 < len(want) < len(rows)
+        for use_tags in (True, False):
+            assert reveal_partition(part, schema, family, keys, use_tags=use_tags) == want
+        n_proj = len(family.projected)
+        kinds.add("one column" if n_proj == 1 else "every column" if n_proj == len(schema) else "key blob")
+    assert kinds == {"one column", "every column", "key blob"}
+
+
+_SETUP_SCHEMA = Schema(
+    (
+        Column("id", TYPE_INT64),
+        Column("grp", TYPE_INT64),
+        Column("v", TYPE_INT64),
+        Column("label", TYPE_UTF8, nullable=True),
+    )
+)
+_SETUP_FAMILIES = (
+    "SELECT * FROM t WHERE grp = ?x",  # eq: every column
+    "SELECT id, grp, label FROM t WHERE grp = ?g OR label = ?l",  # subset: key blob
+    "SELECT * FROM t WHERE v >= ?lo AND v <= ?hi",  # range: every column
+    "SELECT label FROM t WHERE label = ?l",  # one column
+)
+
+
+@pytest.mark.parametrize("capacity", [0, 512])
+def test_writer_key_setups_follow_the_per_row_formula(monkeypatch, capacity):
+    """The writer makes exactly the key setups its derivations need: more
+    would buy speed with setups, and fewer would mean a dropped check."""
+    rng = random.Random(0x5E7 + capacity)
+    labels = ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(4, 24))) for _ in range(12)]
+    rows = [[i, rng.randrange(8), rng.randrange(1 << 20), rng.choice(labels + [None])] for i in range(120)]
+    schema, n_rows = _SETUP_SCHEMA, len(rows)
+    # A Utf8 encoding is one byte longer than its text.
+    long_labels = sum(1 for row in rows if row[3] is not None and len(row[3]) + 1 > 16)
+    assert 0 < long_labels < n_rows
+    counts = _count_block_ciphers(monkeypatch)
+    enc_part = encrypt_partition(PlainPartition(1, rows), schema, TABLE_KEY)
+    # The table key, each row key, and each cell over 16 bytes.
+    assert counts["setups"] == 1 + n_rows + long_labels
+    for sql in _SETUP_FAMILIES:
+        family = plan_family(sql, schema)
+        counts.clear()
+        stats = AddFamilyStats()
+        params = FamilyParams(cache_capacity=capacity, rng_seed=1)
+        add_family(enc_part, schema, TABLE_KEY, family, FAMILY_KEY, params, stats=stats)
+        # A one-column or key-blob projection prepares one more key per row
+        # for its entry; a whole-row one takes its entry from the row key's call.
+        projection_keys = 0 if len(family.projected) == len(schema) else n_rows
+        long_where_cells = long_labels if 3 in family.where_columns() else 0
+        table_family_predicate_keys = 1 + 1 + family.n_pred
+        assert counts["setups"] == (
+            n_rows + 3 * stats.cache_misses + projection_keys + long_where_cells + table_family_predicate_keys
+        ), sql

@@ -19,6 +19,7 @@ from sealview.primitives import (
     first_counter_blocks,
     hash_string,
     ote,
+    ote_many,
     pack_block,
     pack_blocks,
     secure_concat,
@@ -227,6 +228,39 @@ def test_ote_matches_key_pad_or_zero_prefix_ctr(length):
     key, msg = rng.randbytes(16), rng.randbytes(length)
     pad = key if length <= 16 else _counter_keystream(key, bytes(13), length)
     assert ote(key, msg) == bytes(a ^ b for a, b in zip(msg, pad))
+
+
+def test_ote_many_matches_ote_and_raw_aes_on_mixed_lengths():
+    # Pads of both kinds side by side, and each length twice, so a pad
+    # taken from the wrong key or a misplaced cell shows.
+    rng = random.Random(500)
+    lengths = [0, 1, 8, 15, 16, 17, 100] * 2
+    rng.shuffle(lengths)
+    keys = [rng.randbytes(16) for _ in lengths]
+    msgs = [rng.randbytes(n) for n in lengths]
+    got = ote_many(keys, msgs)
+    assert got == b"".join(map(ote, keys, msgs))
+    pads = [key if len(m) <= 16 else _counter_keystream(key, bytes(13), len(m)) for key, m in zip(keys, msgs)]
+    assert got == b"".join(bytes(a ^ b for a, b in zip(msg, pad)) for msg, pad in zip(msgs, pads))
+    assert ote_many([], []) == b""
+
+
+@pytest.mark.parametrize("key_len", [15, 17])
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_ote_many_rejects_a_bad_key_anywhere_in_the_batch(key_len, position):
+    # Short messages would use only a prefix of the bad key, so only the
+    # key check stops it.
+    keys = [bytes(16)] * 7
+    keys[position] = bytes(key_len)
+    for msg_len in (0, 1, 20):
+        with pytest.raises(CryptoError):
+            ote_many(keys, [bytes(msg_len)] * 7)
+
+
+def test_ote_many_rejects_unequal_key_and_message_counts():
+    for n_keys, n_msgs in ((3, 2), (2, 3), (0, 1), (1, 0)):
+        with pytest.raises(CryptoError):
+            ote_many([bytes(16)] * n_keys, [b"m"] * n_msgs)
 
 
 def test_secure_concat_injective_basics():

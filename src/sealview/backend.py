@@ -15,10 +15,10 @@ both call:
     predicate key  = PRF(family key, predicate index)      _predicate_ciphers
     selection key  = PRF_var(predicate key, g(row))        add_family
     view key       = PRF_var(predicate key, bound value)   generate_view_keys
-    slot key       = PRF(selection key, 0)                 _SelectionKey
-    tagging key    = PRF(selection key, partition)         _SelectionKey
-    tag            = PRF(tagging key, count)[:tag_length]  _SelectionKey.tag_stream
-    selection slot = CTR(slot key, projection key)         _SelectionKey.slot_stream
+    slot key       = PRF(selection key, 0)                 _selection_keys
+    tagging key    = PRF(selection key, partition)         _selection_keys
+    tag            = PRF(tagging key, count)[:tag_length]  _tag_inputs
+    selection slot = CTR(slot key, projection key)         _slot_inputs
     projection key and entry                               _Projection.seal, .open
 
 Indices are 0-based everywhere but inside PRF inputs and cell positions,
@@ -143,36 +143,32 @@ def _predicate_ciphers(family_key: bytes, n_pred: int) -> list[BlockCipher]:
     return [BlockCipher(k) for k in keys]
 
 
-class _SelectionKey:
-    """The two keys a selection key derives in one partition: the slot key,
-    which encrypts projection keys into selection slots, and the tagging
-    key, which makes the tags. Both work on batches: the writer passes
-    the key's occurrences in a partition, the reader the candidate
-    occurrences of one chain. It takes the selection key as a prepared
-    cipher, so that a caller opening many partitions with one key
-    prepares it once."""
+def _prf_each(keys, inputs) -> bytes:
+    """PRF under each of `keys` of its own 16-byte blocks of `inputs`,
+    back to back: one key setup and one AES call per key."""
+    return b"".join([BlockCipher(k).prf_many(x) for k, x in zip(keys, inputs)])
 
-    __slots__ = ("partition_id", "_slot_key", "_slot_cipher", "tag_cipher")
 
-    def __init__(self, selection_cipher: BlockCipher, partition_id: int):
-        self.partition_id = partition_id
-        self._slot_key, tag_key = _prf_keys(selection_cipher, ZERO_BLOCK + pack_block(partition_id))
-        self._slot_cipher = None  # built on first use; most reader keys never need it
-        self.tag_cipher = BlockCipher(tag_key)
+def _selection_keys(ciphers: list[BlockCipher], partition_id: int) -> tuple[list[bytes], list[bytes]]:
+    """The slot key and the tagging key of each prepared selection cipher
+    in one partition, one AES call each: the slot key encrypts projection
+    keys into selection slots, and the tagging key makes the tags."""
+    inputs = ZERO_BLOCK + pack_block(partition_id)
+    pairs = [cipher.prf_many(inputs) for cipher in ciphers]
+    return [pair[:16] for pair in pairs], [pair[16:] for pair in pairs]
 
-    def tag_stream(self, start: int, stop: int) -> bytes:
-        """The 16-byte PRF blocks of this key's occurrences start..stop-1
-        (0-based), back to back: an occurrence's tag is its block's first
-        tag-length bytes."""
-        return self.tag_cipher.prf_many(pack_blocks(range(start, stop)))
 
-    def slot_stream(self, j0: int, rows) -> bytes:
-        """The CTR keystream of predicate j0's 16-byte selection slots at
-        the 0-based `rows`, back to back."""
-        if self._slot_cipher is None:
-            self._slot_cipher = BlockCipher(self._slot_key)
-        blocks = first_counter_blocks(DOMAIN_SELECTION, self.partition_id, [r0 + 1 for r0 in rows], j0 + 1)
-        return self._slot_cipher.prf_many(blocks)
+def _tag_inputs(counts) -> bytes:
+    """The PRF inputs, under a tagging key, of the occurrences `counts`
+    (0-based), back to back: an occurrence's tag is the first tag-length
+    bytes of its 16-byte PRF block."""
+    return pack_blocks(counts)
+
+
+def _slot_inputs(partition_id: int, j0: int, rows) -> bytes:
+    """The CTR counter blocks, under a slot key, of predicate j0's 16-byte
+    selection slots at the 0-based `rows`, back to back."""
+    return first_counter_blocks(DOMAIN_SELECTION, partition_id, [r0 + 1 for r0 in rows], j0 + 1)
 
 
 _ONE_COLUMN, _WHOLE_ROW, _KEY_BLOB = range(3)
@@ -208,11 +204,12 @@ class _Projection:
             self._open_inputs += _cell_key_inputs(self.projected)
         if self.kind == _KEY_BLOB:
             # What `seal` packs at every row, compiled once: the blob, which
-            # is secure_concat of the cell keys; its keystream and check
-            # blocks; and the entry, secure_concat of the encrypted blob and
-            # the check value.
-            blob_len = 4 + (4 + KEY_LEN) * n_proj
-            self._blob = struct.Struct(">I" + f"I{KEY_LEN}s" * n_proj)
+            # is secure_concat of the cell keys, zero-padded to the length
+            # of its keystream and check blocks; those blocks; and the
+            # entry, secure_concat of the encrypted blob and the check value.
+            self._blob_len = blob_len = 4 + (4 + KEY_LEN) * n_proj
+            self._stream_len = 16 * -(-blob_len // 16) + 16
+            self._blob = struct.Struct(">I" + f"I{KEY_LEN}s" * n_proj + f"{self._stream_len - blob_len}x")
             self._seal_blocks = counter_block_packer(
                 ((DOMAIN_PROJECTION_BLOB, blob_len, 0), (DOMAIN_PROJECTION_CHECK, 16, 0)), partition_id
             )
@@ -234,22 +231,28 @@ class _Projection:
         projection's keys are `row_keys`, and its entries are `checks`,
         their outputs on the check input. The other kinds seal the cell
         keys of `key_columns`, which `cell_keys` maps to their cells'
-        keys, and a key blob draws each row's fresh key from `rng`."""
+        keys, and a key blob draws the rows' fresh keys from `rng`, in
+        row order, in one draw."""
         if self.kind == _WHOLE_ROW:
             return row_keys, checks
         if self.kind == _ONE_COLUMN:
             keys = cell_keys[self.projected[0]]
-            return keys, [BlockCipher(k).prf(_CHECK_INPUT) for k in keys]
-        pks, entries = [], []
-        for r0, keys in enumerate(zip(*(cell_keys[c] for c in self.projected))):
-            pk = rng.randbytes(KEY_LEN)
-            fields = [KEY_LEN] * (2 * len(keys))  # each key's length, then the key
+            return keys, _blocks(_prf_each(keys, repeat(_CHECK_INPUT)))
+        n_rows, n_proj = len(row_keys), len(self.projected)
+        pks = _blocks(rng.randbytes(KEY_LEN * n_rows))
+        fields = [KEY_LEN] * (2 * n_proj)  # each key's length, then the key
+        plain = []
+        for keys in zip(*(cell_keys[c] for c in self.projected)):
             fields[1::2] = keys
-            plain = self._blob.pack(len(keys), *fields)
-            stream = BlockCipher(pk).prf_many(self._seal_blocks(r0 + 1))
-            n = len(plain)
-            pks.append(pk)
-            entries.append(self._entry.pack(2, n, xor_bytes(plain, stream[:n]), 16, stream[-16:]))
+            plain.append(self._blob.pack(n_proj, *fields))
+        # Each padded blob XORs its whole keystream, so the check value
+        # comes out where the blob's zero padding ends.
+        sealed = xor_bytes(b"".join(plain), _prf_each(pks, map(self._seal_blocks, range(1, n_rows + 1))))
+        w, n = self._stream_len, self._blob_len
+        entries = [
+            self._entry.pack(2, n, sealed[off : off + n], 16, sealed[off + w - 16 : off + w])
+            for off in range(0, len(sealed), w)
+        ]
         return pks, entries
 
     def open(self, r0: int, pk: bytes, entry: bytes) -> list[bytes] | None:
@@ -464,15 +467,19 @@ def add_family(
     # distinct tuple of its columns' cells and MACed once per distinct
     # value. Predicate keys differ, so each selection key belongs to one
     # predicate, and its occurrences in row order are its row-major ones:
-    # an occurrence's index among them is its tag count. The key's rows
-    # are gathered by a stable sort on the key, its slot keystream and
-    # tags come from one call each per derivation, and both go back to
-    # row order to be written into the row-major columns with one strided
-    # slice per byte.
+    # an occurrence's index among them is its tag count. A stable sort on
+    # the key gathers each key's rows, and a derivation covers a run of
+    # them: the key's whole run, or one occurrence at capacity 0. Three
+    # passes over the derivations give their slot and tagging keys, their
+    # slot keystreams (slices of the predicate's counter blocks, in sorted
+    # order) and their tags (slices of the partition's count blocks). Both
+    # streams go back to row order, to be written into the row-major
+    # columns with one strided slice per byte.
     tag_len = params.tag_length
     selection = bytearray(16 * n_pred * n_rows)
     tagging = bytearray(tag_len * n_pred * n_rows)
     tag_counts: Counter = Counter()
+    tag_inputs = _tag_inputs(range(n_rows))
     values: list = [_MISSING] * n_col
     for j0, (pred, pred_cipher) in enumerate(zip(family.predicates, _predicate_ciphers(family_key, n_pred))):
         cols = sorted(pred.columns())
@@ -488,21 +495,22 @@ def add_family(
         row_sel = list(map(key_of_cells.__getitem__, cells))
         order = sorted(range(n_rows), key=row_sel.__getitem__)
         counts = Counter(row_sel)
-        streams: list[bytes] = []
-        tag_blocks: list[bytes] = []
+        derivations = []  # (key, first position in order, occurrences, first tag count)
         end = 0
         for s in sorted(counts):
-            rows = order[end : end + counts[s]]
-            end += len(rows)
-            # Capacity 0 derives the key afresh for every occurrence.
-            step = len(rows) if params.cache_capacity else 1
-            for a in range(0, len(rows), step):
-                sel = _SelectionKey(BlockCipher(s), p)
-                streams.append(sel.slot_stream(j0, rows[a : a + step]))
-                tag_blocks.append(sel.tag_stream(a, a + step))
+            n = counts[s]
+            if params.cache_capacity:
+                derivations.append((s, end, n, 0))
+            else:
+                derivations += [(s, end + a, 1, a) for a in range(n)]
+            end += n
+        slot_keys, tag_keys = _selection_keys([BlockCipher(s) for s, _, _, _ in derivations], p)
+        slot_inputs = _slot_inputs(p, j0, order)
+        streams = _prf_each(slot_keys, [slot_inputs[16 * a : 16 * (a + n)] for _, a, n, _ in derivations])
+        tag_blocks = _prf_each(tag_keys, [tag_inputs[16 * t : 16 * (t + n)] for _, _, n, t in derivations])
         tag_counts.update(counts)
-        slot_column = xor_bytes(all_proj_keys, _in_row_order(order, b"".join(streams)))
-        tag_column = _in_row_order(order, b"".join(tag_blocks))
+        slot_column = xor_bytes(all_proj_keys, _in_row_order(order, streams))
+        tag_column = _in_row_order(order, tag_blocks)
         for b in range(16):
             selection[16 * j0 + b :: 16 * n_pred] = slot_column[b::16]
         for b in range(tag_len):
@@ -539,28 +547,36 @@ def generate_view_keys(
 _FIRST_TAG_BATCH = 4  # tags a view key computes before it doubles the batch
 
 
-class _KeyEntry(_SelectionKey):
-    """A view key in one partition: its predicate, its confirmed
-    occurrence count so far, and the tags of its occurrences, computed
-    ahead in batches that double how many it holds."""
+class _KeyEntry:
+    """A view key in one partition: its predicate, its slot key, its
+    confirmed occurrence count so far, and the tags of its occurrences,
+    computed ahead in batches that double how many it holds."""
 
-    __slots__ = ("key", "j0", "tag_length", "count", "_tags")
+    __slots__ = ("key", "j0", "count", "_slot_key", "_slot_cipher", "_tag_cipher", "_tag_length", "_tags")
 
-    def __init__(self, view_keys: ViewKeySet, key: bytes, j0: int, partition_id: int):
-        super().__init__(view_keys.selection_cipher(key), partition_id)
+    def __init__(self, key: bytes, j0: int, slot_key: bytes, tag_key: bytes, tag_length: int):
         self.key = key
         self.j0 = j0
-        self.tag_length = view_keys.tag_length
         self.count = 0
+        self._slot_key = slot_key
+        self._slot_cipher = None  # built on first use; most keys never need it
+        self._tag_cipher = BlockCipher(tag_key)
+        self._tag_length = tag_length
         self._tags: list[bytes] = []
 
     def tag(self, n: int) -> bytes:
         """The tag of occurrence n (0-based)."""
         tags = self._tags
         if n >= len(tags):
-            flat = self.tag_stream(len(tags), max(2 * n, _FIRST_TAG_BATCH))
-            tags += [flat[off : off + self.tag_length] for off in range(0, len(flat), 16)]
+            flat = self._tag_cipher.prf_many(_tag_inputs(range(len(tags), max(2 * n, _FIRST_TAG_BATCH))))
+            tags += [flat[off : off + self._tag_length] for off in range(0, len(flat), 16)]
         return tags[n]
+
+    def slot_stream(self, partition_id: int, rows: list[int]) -> bytes:
+        """The CTR keystream of the key's selection slots at `rows`."""
+        if self._slot_cipher is None:
+            self._slot_cipher = BlockCipher(self._slot_key)
+        return self._slot_cipher.prf_many(_slot_inputs(partition_id, self.j0, rows))
 
 
 def _family_columns(enc_part: EncryptedPartition, family_id: str) -> FamilyColumns:
@@ -582,14 +598,16 @@ def reveal_partition(
 ) -> list[tuple]:
     """Decrypt the rows this view key set can open, in row order.
 
-    With tags enabled, the keys run one at a time, and each follows its
-    chain of expected tags through its own predicate's slot of the
-    contiguous tagging column: it finds tag n at an aligned offset, then
-    tag n + 1 from the next row on, and so on, as if every hit confirmed.
-    Rows no key's tag hits cost no cryptographic work, and hits outside
-    the key's own slot can only be false positives (a true match always
-    shows in the key's own slot). One selection-slot decrypt serves all
-    the chain's candidate rows, which are then confirmed in chain order.
+    With tags enabled, each predicate that has view keys gets its slot of
+    the row-major tagging column copied out once, into a column of its
+    own tags alone (with one predicate, the tagging column is that
+    column). The keys run one at a time, and each follows its chain of
+    expected tags through its predicate's copy: it finds tag n at an
+    aligned offset, then tag n + 1 from the next row on, and so on, as if
+    every hit confirmed. A misaligned hit straddles two rows' tags and is
+    skipped. Rows no key's tag hits cost no cryptographic work. One
+    selection-slot decrypt serves all the chain's candidate rows, which
+    are then confirmed in chain order.
     The first that fails is a truncation false positive: the key's count
     stays, and its chain restarts from the next row with the same tag, so
     every counter equals that of confirming each hit before searching for
@@ -612,23 +630,23 @@ def reveal_partition(
     if enc_part.n_rows and cols.selection.width < 16 * family.n_pred:
         raise BackendError("selection column too short")
     stats = stats if stats is not None else RevealStats()
-    n_rows = enc_part.n_rows
+    n_rows, p = enc_part.n_rows, enc_part.partition_id
     tag_len = view_keys.tag_length
-    projection = _Projection(family, len(schema), enc_part.partition_id)
+    projection = _Projection(family, len(schema), p)
     sel_width, sel_data = cols.selection.width, cols.selection.data
     proj_entries = cols.projection
 
     def projection_keys(entry: _KeyEntry, rows: list[int]) -> bytes:
         """The projection keys the key's selection slots at `rows` hold,
         back to back, from one decrypt."""
-        j0 = entry.j0
-        offs = [r0 * sel_width + 16 * j0 for r0 in rows]
-        return xor_bytes(b"".join(sel_data[o : o + 16] for o in offs), entry.slot_stream(j0, rows))
+        offs = [r0 * sel_width + 16 * entry.j0 for r0 in rows]
+        return xor_bytes(b"".join(sel_data[o : o + 16] for o in offs), entry.slot_stream(p, rows))
 
+    pairs = [(j0, key) for j0, pred_keys in enumerate(view_keys.keys) for key in pred_keys]
+    slot_keys, tag_keys = _selection_keys([view_keys.selection_cipher(key) for _, key in pairs], p)
     entries = [
-        _KeyEntry(view_keys, key, j0, enc_part.partition_id)
-        for j0, pred_keys in enumerate(view_keys.keys)
-        for key in pred_keys
+        _KeyEntry(key, j0, slot_key, tag_key, tag_len)
+        for (j0, key), slot_key, tag_key in zip(pairs, slot_keys, tag_keys)
     ]
     clock = time.perf_counter
     matched: dict[int, list[bytes]] = {}  # row -> its projected cells' keys, from any key
@@ -645,29 +663,41 @@ def reveal_partition(
                     break
         crypto_time = clock() - started
     else:
-        stride = family.n_pred * tag_len
+        n_pred = family.n_pred
+        stride = n_pred * tag_len
         if n_rows and cols.tagging.width != stride:
             raise BackendError("tagging column does not match the tag length")
-        find = cols.tagging.data.find
+        tagging = cols.tagging.data
+
+        def own_tags(j0: int) -> bytes | bytearray:
+            """Predicate j0's tags alone, row after row."""
+            if n_pred == 1:
+                return tagging
+            out = bytearray(tag_len * n_rows)
+            for b in range(tag_len):
+                out[b::tag_len] = tagging[j0 * tag_len + b :: stride]
+            return out
+
+        slots = {j0: own_tags(j0) for j0 in {entry.j0 for entry in entries}}
 
         def chain(entry: _KeyEntry, start: int) -> list[int]:
-            """The rows of the key's next occurrences from tagging offset
-            `start` on, found as if every hit confirmed."""
-            slot = entry.j0 * tag_len
+            """The rows of the key's next occurrences from row `start` on,
+            found as if every hit confirmed."""
+            find = slots[entry.j0].find
+            start *= tag_len
             rows: list[int] = []
             n = entry.count
             while (pos := find(entry.tag(n), start)) >= 0:
-                r0, misalign = divmod(pos - slot, stride)
-                start = (r0 + 1) * stride + slot
-                if not misalign:  # else another slot, or across slot boundaries
+                r0, misalign = divmod(pos, tag_len)
+                start = (r0 + 1) * tag_len
+                if not misalign:  # else it straddles two rows' tags
                     rows.append(r0)
                     n += 1
             return rows
 
         crypto_time = 0.0
         for entry in entries:
-            slot = entry.j0 * tag_len
-            rows = chain(entry, slot)
+            rows = chain(entry, 0)
             while rows:
                 t0 = clock()
                 pks = projection_keys(entry, rows)
@@ -687,7 +717,7 @@ def reveal_partition(
                 # holds. A miss is a truncation false positive: the rest of
                 # the chain assumed it, so search for the same tag again
                 # from the next row on.
-                rows = [] if miss is None else chain(entry, (miss + 1) * stride + slot)
+                rows = [] if miss is None else chain(entry, miss + 1)
         # One count per (predicate, key) per call, even if a set repeats a key.
         final_counts = {(entry.j0 + 1, entry.key): entry.count for entry in entries}
         for key, count in final_counts.items():

@@ -172,8 +172,10 @@ class CanonicalFamily:
         rd.end()
         return cls(projected, tuple(predicates), tuple(wildcard_names), branching)
 
-    @property
+    @cached_property
     def family_id(self) -> str:
+        """The family's name, hashed once per object: the class is frozen,
+        so its serialization cannot change."""
         return hashlib.sha256(self.serialize()).hexdigest()[:16]
 
 

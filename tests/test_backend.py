@@ -701,21 +701,31 @@ def _reference_open(family, schema, partition_id, r0, pk, entry):
 def _sequential_reveal(enc_part, schema, family, keys):
     """A reveal that looks for one expected tag at a time, row by row in
     the key's own slot, and confirms each hit before it looks for the
-    next: its rows, its RevealStats, and whether some key met a false
-    positive before its last true hit."""
+    next: its rows, its RevealStats, whether some key met a false
+    positive before its last true hit, and how many misaligned hits a
+    search of each key's slot, copied out on its own, would meet. Such a
+    search looks for the key's next expected tag from the row after its
+    last hit, and meets a misaligned hit when the tag's first occurrence
+    there straddles two rows' tags."""
     p, n_rows, tl = enc_part.partition_id, enc_part.n_rows, keys.tag_length
     cols = enc_part.families[family.family_id]
     stats = RevealStats(rows_scanned=n_rows)
     matched = {}
     miss_mid_chain = False
+    misaligned = 0
     for j0, pred_keys in enumerate(keys.keys):
+        row_tags = [cols.tagging[r0][j0 * tl : (j0 + 1) * tl] for r0 in range(n_rows)]
+        own_tags = b"".join(row_tags)
         for key in pred_keys:
             slot_cipher = BlockCipher(BlockCipher(key).prf(ZERO_BLOCK))
             tag_cipher = BlockCipher(BlockCipher(key).prf(pack_block(p)))
-            count, misses, last_hit = 0, [], -1
+            count, misses, last_hit, search_from = 0, [], -1, 0
+            tag = tag_cipher.prf(pack_block(count))[:tl]
             for r0 in range(n_rows):
-                if cols.tagging[r0][j0 * tl : (j0 + 1) * tl] != tag_cipher.prf(pack_block(count))[:tl]:
+                if row_tags[r0] != tag:
                     continue
+                misaligned += own_tags.find(tag, search_from * tl) != r0 * tl
+                search_from = r0 + 1
                 stats.tag_hits += 1
                 stats.decrypt_attempts += 1
                 slot = cols.selection[r0][16 * j0 : 16 * j0 + 16]
@@ -726,9 +736,12 @@ def _sequential_reveal(enc_part, schema, family, keys):
                     continue
                 stats.decrypt_successes += 1
                 count, last_hit = count + 1, r0
+                tag = tag_cipher.prf(pack_block(count))[:tl]
                 matched.setdefault(r0, cell_keys)
             stats.final_counts[(j0 + 1, key)] = count
             miss_mid_chain |= any(r0 < last_hit for r0 in misses)
+            # No row after the last hit holds the next tag at its offset.
+            misaligned += own_tags.find(tag, search_from * tl) >= 0
     types = [schema.columns[c].type for c in family.projected]
     rows = [
         tuple(
@@ -738,13 +751,22 @@ def _sequential_reveal(enc_part, schema, family, keys):
         for r0 in sorted(matched)
     ]
     stats.rows_emitted = len(rows)
-    return rows, stats, miss_mid_chain
+    return rows, stats, miss_mid_chain, misaligned
 
 
 _READER_VIEWS = (
     "SELECT a FROM t WHERE a >= 1 AND a <= 4",
     "SELECT * FROM t WHERE a IN (0, 2, 5) OR b = 'yy'",
     "SELECT b, c FROM t WHERE c IN (0, 1) OR b = NULL",
+)
+# Many keys over many rows. With 2-byte tags, about 10 of the searches
+# are expected to meet a misaligned hit; 3-byte tags copy a slot whose
+# width is not a power of two.
+_MANY_KEYS_CASE = (
+    "SELECT * FROM t WHERE a = ?x OR c = ?y",
+    "SELECT * FROM t WHERE a IN ({}) OR c = 1".format(", ".join(map(str, range(128)))),
+    128,
+    5000,
 )
 
 
@@ -758,11 +780,12 @@ def _counters(stats):
 def test_batched_reader_matches_sequential_scan():
     rng = random.Random(0x5CA7)
     schema = _REFERENCE_SCHEMA
-    misses_mid_chain = 0
-    for case, (family_sql, view_sql) in enumerate(zip(_REFERENCE_FAMILIES, _READER_VIEWS)):
+    misses_mid_chain = misaligned_hits = 0
+    cases = [(sql, view_sql, 6, 500) for sql, view_sql in zip(_REFERENCE_FAMILIES, _READER_VIEWS)]
+    for case, (family_sql, view_sql, a_values, n_rows) in enumerate(cases + [_MANY_KEYS_CASE]):
         family = plan_family(family_sql, schema)
-        rows = [[rng.randrange(6), rng.choice(["x", "yy", None]), rng.randrange(3)] for _ in range(500)]
-        for tag_length in (1, 2):
+        rows = [[rng.randrange(a_values), rng.choice(["x", "yy", None]), rng.randrange(3)] for _ in range(n_rows)]
+        for tag_length in (1, 2, 3):
             partition_id, family_key = case + 2, bytes([case + 50]) * 16
             enc_part = encrypt_partition(PlainPartition(partition_id, [list(r) for r in rows]), schema, TABLE_KEY)
             add_family(
@@ -770,13 +793,15 @@ def test_batched_reader_matches_sequential_scan():
                 FamilyParams(tag_length=tag_length, rng_seed=case),
             )
             keys = generate_view_keys(plan_view(view_sql, family, schema), family_key, tag_length)
-            want, want_stats, miss_mid_chain = _sequential_reveal(enc_part, schema, family, keys)
+            want, want_stats, miss_mid_chain, misaligned = _sequential_reveal(enc_part, schema, family, keys)
             stats = RevealStats()
             assert reveal_partition(enc_part, schema, family, keys, stats=stats) == want
             assert _counters(stats) == _counters(want_stats)
             assert want == eval_view(schema, rows, view_sql)
             misses_mid_chain += miss_mid_chain
+            misaligned_hits += misaligned
     assert misses_mid_chain, "no false positive came before a key's last true hit"
+    assert misaligned_hits, "no search met a misaligned hit"
 
 
 def _count_block_ciphers(monkeypatch) -> Counter:
@@ -967,3 +992,48 @@ def test_writer_key_setups_follow_the_per_row_formula(monkeypatch, capacity):
         assert counts["setups"] == (
             n_rows + 3 * stats.cache_misses + projection_keys + long_where_cells + table_family_predicate_keys
         ), sql
+
+
+_READER_SETUP_CASES = (
+    ("SELECT c FROM t WHERE c = ?x", "SELECT c FROM t WHERE c IN ({0}, {2}, 'absent')"),  # one column
+    ("SELECT * FROM t WHERE b = ?x OR a = ?y", "SELECT * FROM t WHERE b = {1} OR a IN (2, 99)"),  # every column
+    ("SELECT b, c FROM t WHERE b = ?x", "SELECT b, c FROM t WHERE b IN ({0}, {3}, 'absent')"),  # key blob
+)
+
+
+@pytest.mark.parametrize("tag_length", [1, 4])
+@pytest.mark.parametrize("case", range(3))
+def test_reader_key_setups_follow_the_per_key_formula(monkeypatch, case, tag_length):
+    """With its selection ciphers prepared, a tagged reveal of a partition
+    makes exactly the key setups its derivations and checks need: one
+    tagging key per view key, one slot key per key whose first tag some
+    row holds, one projection key per decrypt attempt, and one per
+    projected cell over 16 bytes."""
+    rng = random.Random(0x5E7 + 10 * case + tag_length)
+    words = ["".join(rng.choices(string.ascii_lowercase, k=k)) for k in (5, 16, 23, 39)]
+    rows = [[rng.randrange(4), rng.choice(words), rng.choice(words)] for _ in range(200)]
+    schema, partition_id = _LONG_CELL_SCHEMA, 2
+    family_sql, view_sql = _READER_SETUP_CASES[case]
+    view_sql = view_sql.format(*(f"'{w}'" for w in words))
+    family = plan_family(family_sql, schema)
+    enc_part = encrypt_partition(PlainPartition(partition_id, [list(r) for r in rows]), schema, TABLE_KEY)
+    add_family(enc_part, schema, TABLE_KEY, family, FAMILY_KEY, FamilyParams(tag_length=tag_length, rng_seed=3))
+    keys = generate_view_keys(plan_view(view_sql, family, schema), FAMILY_KEY, tag_length)
+    reveal_partition(enc_part, schema, family, keys)  # prepares the set's selection ciphers
+    cols = enc_part.families[family.family_id]
+    reaching = 0
+    for j0, pred_keys in enumerate(keys.keys):
+        own_tags = {cols.tagging[r0][j0 * tag_length : (j0 + 1) * tag_length] for r0 in range(len(rows))}
+        for key in pred_keys:
+            tag_key = BlockCipher(key).prf(pack_block(partition_id))
+            reaching += BlockCipher(tag_key).prf(pack_block(0))[:tag_length] in own_tags
+    counts = _count_block_ciphers(monkeypatch)
+    stats = RevealStats()
+    out = reveal_partition(enc_part, schema, family, keys, stats=stats)
+    types = [schema.columns[c].type for c in family.projected]
+    long_cells = sum(len(encode_cell(v, t)) > 16 for row in out for v, t in zip(row, types))
+    assert out == eval_view(schema, rows, view_sql)
+    assert long_cells and stats.decrypt_attempts
+    if tag_length == 4:
+        assert reaching < keys.total_keys(), "every key reached a candidate"
+    assert counts["setups"] == keys.total_keys() + reaching + stats.decrypt_attempts + long_cells

@@ -1,6 +1,7 @@
 """Planner passes, golden covers, and planner-vs-oracle equivalence."""
 
 import hashlib
+import pickle
 import random
 import time
 import tracemalloc
@@ -409,6 +410,24 @@ def test_serialization_round_trip():
         back = CanonicalFamily.deserialize(blob)
         assert back == family
         assert back.serialize() == blob
+
+
+def test_family_id_is_hashed_once_and_survives_pickling(monkeypatch):
+    blob = plan_family("SELECT * FROM boats WHERE bid >= ?lo AND bid <= ?hi OR color = ?c", BOATS).serialize()
+    serialize = CanonicalFamily.serialize
+    calls = []
+    monkeypatch.setattr(CanonicalFamily, "serialize", lambda self: calls.append(self) or serialize(self))
+    family = CanonicalFamily.deserialize(blob)
+    ids = {family.family_id for _ in range(5)}
+    assert len(calls) == 1
+    assert ids == {hashlib.sha256(blob).hexdigest()[:16]}
+    # The cached id is no field: a family with it equals one without.
+    fresh = CanonicalFamily.deserialize(blob)
+    assert fresh == family and hash(fresh) == hash(family)
+    for original in (family, fresh):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original and hash(copy) == hash(original)
+        assert copy.family_id == family.family_id
 
 
 _MCF_BLOBS = (

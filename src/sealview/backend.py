@@ -10,7 +10,7 @@ by the code named on its right, which the owner's writer and the reader
 both call:
 
     row key        = PRF(table key, partition || row)      _row_keys
-    cell key       = PRF(row key, column)                  _cell_key_inputs
+    cell key       = PRF(row key, column)                  _cell_key_inputs, _prf_each
     cell ciphertext = ote(cell key, encoding)              ote_many
     predicate key  = PRF(family key, predicate index)      _predicate_ciphers
     selection key  = PRF_var(predicate key, g(row))        add_family
@@ -19,7 +19,13 @@ both call:
     tagging key    = PRF(selection key, partition)         _selection_keys
     tag            = PRF(tagging key, count)[:tag_length]  _tag_inputs
     selection slot = CTR(slot key, projection key)         _slot_inputs
-    projection key and entry                               _Projection.seal, .open
+    projection key and entry                               _Projection.inputs
+
+`_Projection.inputs` is what a row's projection key encrypts, ending
+with the check input. `_Projection.open` encrypts it for every kind, and
+`_Projection.seal` for all but a whole-row projection, whose entries are
+the row keys' outputs on the check input in the writer's one call per
+row key.
 
 Indices are 0-based everywhere but inside PRF inputs and cell positions,
 where they are 1-based; the code named above converts. Partition ids
@@ -56,8 +62,6 @@ from .primitives import (
     KEY_LEN,
     ZERO_BLOCK,
     counter_block_packer,
-    counter_blocks,
-    first_counter_block,
     first_counter_blocks,
     ote_many,
     pack_block,
@@ -192,16 +196,13 @@ class _Projection:
 
     def __init__(self, family: CanonicalFamily, n_col: int, partition_id: int):
         self.projected = family.projected
-        self.partition_id = partition_id
         n_proj = family.n_proj
         self.kind = _ONE_COLUMN if n_proj == 1 else _WHOLE_ROW if n_proj == n_col else _KEY_BLOB
         # The cell keys `seal` takes, unless the row key opens the cells.
         self.key_columns = () if self.kind == _WHOLE_ROW else self.projected
-        # What `open` encrypts under a key of the first two kinds: the check
-        # input, then for every column the projected cells' key inputs.
-        self._open_inputs = _CHECK_INPUT
-        if self.kind == _WHOLE_ROW:
-            self._open_inputs += _cell_key_inputs(self.projected)
+        # What a key of the first two kinds encrypts at every row: for every
+        # column the projected cells' key inputs, then the check input.
+        self._inputs = _cell_key_inputs(self.projected if self.kind == _WHOLE_ROW else ()) + _CHECK_INPUT
         if self.kind == _KEY_BLOB:
             # What `seal` packs at every row, compiled once: the blob, which
             # is secure_concat of the cell keys, zero-padded to the length
@@ -215,14 +216,11 @@ class _Projection:
             )
             self._entry = struct.Struct(f">II{blob_len}sI16s")
 
-    def _blob_and_check_blocks(self, r0: int, blob_len: int) -> bytes:
-        """Row r0's keystream blocks of a `blob_len`-byte cell-key blob,
-        then its check block: under the projection key, the blob's pad
-        and the check value."""
-        p, r = self.partition_id, r0 + 1
-        return counter_blocks(blob_len, DOMAIN_PROJECTION_BLOB, p, r) + first_counter_block(
-            DOMAIN_PROJECTION_CHECK, p, r
-        )
+    def inputs(self, r0: int) -> bytes:
+        """What row r0's projection key encrypts, ending with its check
+        input: a key blob's keystream blocks, then its check block; or
+        the first two kinds' fixed inputs."""
+        return self._seal_blocks(r0 + 1) if self.kind == _KEY_BLOB else self._inputs
 
     def seal(
         self, row_keys: list[bytes], checks: list[bytes], cell_keys: dict[int, list[bytes]], rng: random.Random
@@ -235,10 +233,11 @@ class _Projection:
         row order, in one draw."""
         if self.kind == _WHOLE_ROW:
             return row_keys, checks
+        n_rows, n_proj = len(row_keys), len(self.projected)
+        inputs = map(self.inputs, range(n_rows))
         if self.kind == _ONE_COLUMN:
             keys = cell_keys[self.projected[0]]
-            return keys, _blocks(_prf_each(keys, repeat(_CHECK_INPUT)))
-        n_rows, n_proj = len(row_keys), len(self.projected)
+            return keys, _blocks(_prf_each(keys, inputs))
         pks = _blocks(rng.randbytes(KEY_LEN * n_rows))
         fields = [KEY_LEN] * (2 * n_proj)  # each key's length, then the key
         plain = []
@@ -247,7 +246,7 @@ class _Projection:
             plain.append(self._blob.pack(n_proj, *fields))
         # Each padded blob XORs its whole keystream, so the check value
         # comes out where the blob's zero padding ends.
-        sealed = xor_bytes(b"".join(plain), _prf_each(pks, map(self._seal_blocks, range(1, n_rows + 1))))
+        sealed = xor_bytes(b"".join(plain), _prf_each(pks, inputs))
         w, n = self._stream_len, self._blob_len
         entries = [
             self._entry.pack(2, n, sealed[off : off + n], 16, sealed[off + w - 16 : off + w])
@@ -257,22 +256,25 @@ class _Projection:
 
     def open(self, r0: int, pk: bytes, entry: bytes) -> list[bytes] | None:
         """The projected cells' keys, in projection order, if `pk` is row
-        r0's projection key, else None; one key setup and one AES call."""
-        if self.kind != _KEY_BLOB:
-            out = BlockCipher(pk).prf_many(self._open_inputs)
-            if out[:16] != entry:
-                return None
-            if self.kind == _ONE_COLUMN:
-                return [pk]
-            return [out[off : off + 16] for off in range(16, len(out), 16)]
-        parts = split_concat(entry)
-        if len(parts) != 2:
-            raise BackendError("malformed projection entry")
-        blob, check = parts
-        stream = BlockCipher(pk).prf_many(self._blob_and_check_blocks(r0, len(blob)))
-        if stream[-16:] != check:
+        r0's projection key, else None; one key setup and one AES call,
+        on `inputs(r0)`. A key blob's stored length is read only once
+        the check confirms the key."""
+        check = entry
+        if self.kind == _KEY_BLOB:
+            parts = split_concat(entry)
+            if len(parts) != 2:
+                raise BackendError("malformed projection entry")
+            blob, check = parts
+        out = BlockCipher(pk).prf_many(self.inputs(r0))
+        if out[-16:] != check:
             return None
-        keys = split_concat(xor_bytes(blob, stream[: len(blob)]))
+        if self.kind == _ONE_COLUMN:
+            return [pk]
+        if self.kind == _WHOLE_ROW:
+            return _blocks(out[:-16])
+        if len(blob) != self._blob_len:
+            raise BackendError("projection blob length mismatch")
+        keys = split_concat(xor_bytes(blob, out[: len(blob)]))
         if len(keys) != len(self.projected):
             raise BackendError("projection blob key count mismatch")
         return keys
@@ -391,7 +393,7 @@ def encrypt_partition(
             raise SchemaError(f"row {r0} has {len(row)} cells, schema has {n_col}")
     cell_inputs = _cell_key_inputs(range(n_col))
     row_keys = _row_keys(table_key, plain.partition_id, len(rows))
-    keys = _blocks(b"".join([BlockCipher(k).prf_many(cell_inputs) for k in row_keys]))
+    keys = _blocks(_prf_each(row_keys, repeat(cell_inputs)))
     columns = []
     for c, (col, values) in enumerate(zip(schema.columns, zip(*rows) if rows else [()] * n_col)):
         if not col.nullable and None in values:
@@ -452,7 +454,7 @@ def add_family(
     inputs = _CHECK_INPUT * n_check + _cell_key_inputs(key_cols)
     stride = n_check + len(key_cols)
     row_keys = _row_keys(table_key, p, n_rows)
-    blocks = _blocks(b"".join([BlockCipher(k).prf_many(inputs) for k in row_keys]))
+    blocks = _blocks(_prf_each(row_keys, repeat(inputs)))
     cell_keys = {c: blocks[i::stride] for i, c in enumerate(key_cols, n_check)}
     proj_keys, proj_entries = projection.seal(row_keys, blocks[::stride], cell_keys, rng)
     plain_cells = {}

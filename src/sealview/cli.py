@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .backend import BackendError
+from .backend import DEFAULT_TAG_LENGTH, BackendError
 from .encoding import EncodingError
 from .keys import KeyFileError, read_key, read_view_keys, write_key, write_view_keys
 from .manifest import ManifestError
@@ -37,7 +37,7 @@ from .orchestrator import (
     run_reveal_view,
     run_view_gen,
 )
-from .planner import PlannerError, describe_plan, plan_family, plan_view
+from .planner import DEFAULT_BRANCHING_BITS, PlannerError, describe_plan, plan_family, plan_view
 from .primitives import CryptoError
 
 _DATA_ERRORS = (
@@ -91,8 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table-key", required=True, help="path to the table key file")
     p.add_argument("--family", required=True, help="family SQL with ?wildcards")
     p.add_argument("--keys-dir", required=True, help="directory that receives the family key file")
-    p.add_argument("--tag-length", type=int, default=4)
-    p.add_argument("--branching-bits", type=int, default=8)
+    p.add_argument("--tag-length", type=int, default=DEFAULT_TAG_LENGTH)
+    p.add_argument("--branching-bits", type=int, default=DEFAULT_BRANCHING_BITS)
     p.add_argument("--insecure-print-keys", action="store_true")
     _add_run_flags(p)
 
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--view", default=None, help="view SQL to bind against the family")
     p.add_argument("--schema", default=None, help="schema.json path")
     p.add_argument("--table", default=None, help="read the schema from a table root")
-    p.add_argument("--branching-bits", type=int, default=8)
+    p.add_argument("--branching-bits", type=int, default=DEFAULT_BRANCHING_BITS)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="evaluate a view over plaintext partitions (debugging)")
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("phase", choices=["encrypt-table", "add-family", "reveal-view"])
     p.add_argument("--rows", type=int, default=20_000)
     p.add_argument("--partitions", type=int, default=4)
-    p.add_argument("--tag-length", type=int, default=4)
+    p.add_argument("--tag-length", type=int, default=DEFAULT_TAG_LENGTH)
     p.add_argument("--selectivity", type=float, default=0.05)
     p.add_argument("--json", action="store_true")
     _add_run_flags(p)

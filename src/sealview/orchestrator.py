@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backend import (
+    DEFAULT_CACHE_CAPACITY,
+    DEFAULT_TAG_LENGTH,
     FamilyParams,
     ViewKeySet,
     add_family,
@@ -57,10 +59,11 @@ from .mep import (
     serialize_encrypted,
 )
 from .model import PlainPartition, Schema, SchemaError
-from .planner import plan_family, plan_view
+from .planner import DEFAULT_BRANCHING_BITS, plan_family, plan_view
 
 PARTITION_NAME = "part-%05d.g%d.mep"
 PARTITION_FILE = re.compile(r"part-\d+\.g\d+\.mep")
+INFLIGHT_SUFFIX = ".inflight"  # a local put's file until it is renamed into place
 VIEW_PARTITION_NAME = "view-part-%05d.csv"
 HTTP_TOKEN_ENV = "SEALVIEW_STORAGE_TOKEN"
 
@@ -110,7 +113,7 @@ class LocalDirStorage(Storage):
 
     def put(self, name: str, data: bytes) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        tmp = self.root / (name + ".inflight")
+        tmp = self.root / (name + INFLIGHT_SUFFIX)
         tmp.write_bytes(data)
         os.replace(tmp, self.root / name)
 
@@ -333,8 +336,10 @@ def load_manifest(storage: Storage) -> TableManifest:
 
 def _commit(storage: Storage, manifest: TableManifest) -> None:
     """Put the manifest (the commit), then delete every partition file
-    it does not name. A storage failure in that cleanup cannot undo the
-    commit, so it is not raised: the next commit deletes what is left."""
+    it does not name, and every `.inflight` file a cut-off local put
+    left: a table has one writer, so no put is running then. A storage
+    failure in that cleanup cannot undo the commit, so it is not raised:
+    the next commit deletes what is left."""
     storage.put(MANIFEST_NAME, manifest.to_json().encode("utf-8"))
     live = {partition_name(pid, manifest.generation) for pid, _ in manifest.partitions}
     try:
@@ -342,7 +347,7 @@ def _commit(storage: Storage, manifest: TableManifest) -> None:
     except (StorageError, OSError):
         return
     for name in names:
-        if PARTITION_FILE.fullmatch(name) and name not in live:
+        if (PARTITION_FILE.fullmatch(name) and name not in live) or name.endswith(INFLIGHT_SUFFIX):
             try:
                 storage.delete(name)
             except (StorageError, OSError):
@@ -382,12 +387,19 @@ def _encrypt_worker(context, source) -> tuple[PartitionStats, bytes]:
     return stats, serialize_encrypted(enc_part, schema)
 
 
-def _add_family_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
-    storage, generation, schema, table_key, family, family_key, params = context
+def _read_encrypted(storage: Storage, generation: int, schema: Schema, pid: int):
+    """Partition `pid` of a generation, read, timed and parsed: its stats
+    and the partition, which must carry the id its file name gives."""
     stats, payload = _read(pid, storage.get, partition_name(pid, generation))
     enc_part = parse_encrypted(payload, schema)
     if enc_part.partition_id != pid:
         raise OrchestratorError(f"partition file {pid} carries id {enc_part.partition_id}")
+    return stats, enc_part
+
+
+def _add_family_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
+    storage, generation, schema, table_key, family, family_key, params = context
+    stats, enc_part = _read_encrypted(storage, generation, schema, pid)
     add_family(enc_part, schema, table_key, family, family_key, params)
     stats.rows = enc_part.n_rows
     return stats, serialize_encrypted(enc_part, schema)
@@ -395,8 +407,7 @@ def _add_family_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
 
 def _reveal_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
     storage, generation, schema, family, view_keys = context
-    stats, payload = _read(pid, storage.get, partition_name(pid, generation))
-    enc_part = parse_encrypted(payload, schema)
+    stats, enc_part = _read_encrypted(storage, generation, schema, pid)
     rows = reveal_partition(enc_part, schema, family, view_keys)
     out = io.StringIO()
     partition_to_csv(rows, out)
@@ -502,9 +513,9 @@ def run_add_family(
     table_key: bytes,
     family_sql: str,
     family_key: bytes | None = None,
-    tag_length: int = 4,
-    branching_bits: int = 8,
-    cache_capacity: int = 512,
+    tag_length: int = DEFAULT_TAG_LENGTH,
+    branching_bits: int = DEFAULT_BRANCHING_BITS,
+    cache_capacity: int = DEFAULT_CACHE_CAPACITY,
     rng_seed: int | None = None,
     config: OrchestratorConfig | None = None,
     report: RunReport | None = None,

@@ -95,15 +95,16 @@ class CellPosition:
     slot: int = 0
 
     def prefix(self) -> bytes:
-        return first_counter_block(self.domain, self.partition, self.row, self.slot)[:13]
+        return _COUNTER_BLOCK.pack(self.domain, self.partition, self.row, self.slot, 0, 0)[:13]
 
 
 def counter_blocks(length: int, domain: int, partition: int, row: int, slot: int = 0) -> bytes:
     """The counter blocks that encrypt a message of `length` bytes at
     CellPosition(domain, partition, row, slot), without building one:
     block i is the position's prefix followed by i as a big-endian u24.
-    It and the batch packers below are the only encoders of counter
-    blocks, and all of them pack with `_COUNTER_BLOCK`."""
+    It and the two batch packers below, `counter_block_packer` and
+    `first_counter_blocks`, are the only encoders of counter blocks, and
+    all three pack with `_COUNTER_BLOCK`, as `CellPosition.prefix` does."""
     nblocks = -(-length // BLOCK_LEN)
     if nblocks >= _MAX_CTR_BLOCKS:
         raise CryptoError("message too long for the 3-byte block counter")
@@ -111,12 +112,6 @@ def counter_blocks(length: int, domain: int, partition: int, row: int, slot: int
     if nblocks == 1:
         return pack(domain, partition, row, slot, 0, 0)
     return b"".join([pack(domain, partition, row, slot, i >> 16, i & 0xFFFF) for i in range(nblocks)])
-
-
-def first_counter_block(domain: int, partition: int, row: int, slot: int = 0) -> bytes:
-    """Counter block 0 at CellPosition(domain, partition, row, slot): the
-    whole keystream input of a message of up to 16 bytes there."""
-    return _COUNTER_BLOCK.pack(domain, partition, row, slot, 0, 0)
 
 
 def counter_block_packer(messages, partition: int):
@@ -143,8 +138,9 @@ def counter_block_packer(messages, partition: int):
 
 
 def first_counter_blocks(domain: int, partition: int, rows, slot: int = 0) -> bytes:
-    """`first_counter_block` at each of `rows` (1-based), back to back,
-    packed in one call."""
+    """Counter block 0 at CellPosition(domain, partition, row, slot) for
+    each of `rows` (1-based), back to back: the whole keystream input of
+    a message of up to 16 bytes at each."""
     pack = _COUNTER_BLOCK.pack
     return b"".join([pack(domain, partition, row, slot, 0, 0) for row in rows])
 

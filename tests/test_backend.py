@@ -1,8 +1,10 @@
 """Protocol tests: the boats running example, layer structure, and
 randomized end-to-end completeness against the plaintext oracle."""
 
+import functools
 import pickle
 import random
+import re
 import string
 import time
 from collections import Counter
@@ -901,6 +903,48 @@ def test_corrupted_projection_entries_raise_only_documented_errors(case):
     assert outcomes["returned"]
     if length_fields:
         assert outcomes["CryptoError"]
+
+
+def test_key_blob_of_the_wrong_length_raises_only_under_its_own_key():
+    """A key-blob entry whose blob is longer or shorter than the family's
+    blob is malformed under its row's own projection key, whose check
+    still matches, and is a plain miss under any other key."""
+    schema, family = _REFERENCE_SCHEMA, plan_family(_REFERENCE_FAMILIES[2], _REFERENCE_SCHEMA)
+    partition_id, seed = 3, 11
+    rng = random.Random(0xB10B)
+    rows = [[rng.randrange(6), rng.choice(["x", "yy", None]), rng.randrange(3)] for _ in range(12)]
+    enc_part = encrypt_partition(PlainPartition(partition_id, rows), schema, TABLE_KEY)
+    add_family(enc_part, schema, TABLE_KEY, family, FAMILY_KEY, FamilyParams(rng_seed=seed))
+    # The projection keys, drawn as FamilyParams documents for a seed.
+    draw = random.Random(seed * 1_000_003 + partition_id).randbytes(16 * len(rows))
+    pks = [draw[off : off + 16] for off in range(0, len(draw), 16)]
+    entries = enc_part.families[family.family_id].projection
+    projection = backend._Projection(family, len(schema), partition_id)
+    for r0, pk in enumerate(pks):
+        other = pks[(r0 + 1) % len(pks)]
+        assert projection.open(r0, pk, entries[r0]) is not None
+        blob, check = split_concat(entries[r0])
+        for bad_blob in (blob + bytes(16), blob[:-4]):
+            entry = secure_concat([bad_blob, check])
+            with pytest.raises(BackendError, match="blob length"):
+                projection.open(r0, pk, entry)
+            assert projection.open(r0, other, entry) is None
+
+
+def test_derivation_table_names_callables_of_the_backend():
+    """Every name on the right of the derivation table in the backend's
+    docstring resolves from `sealview.backend` to a callable, so renaming
+    or deleting one of them without the table fails here."""
+    table = backend.__doc__.split("both call:\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    assert len(table) >= 10
+    names = []
+    for line in table:
+        right = re.split(r"\s{2,}", line.strip())[-1]
+        assert re.fullmatch(r"[A-Za-z_][\w.]*(, [A-Za-z_][\w.]*)*", right), line
+        names += right.split(", ")
+    assert "_Projection.inputs" in names and "_prf_each" in names
+    for name in names:
+        assert callable(functools.reduce(getattr, name.split("."), backend)), name
 
 
 # ------------------------------------- long cells and key-setup counts

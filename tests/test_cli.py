@@ -241,6 +241,31 @@ def test_bad_schema_descriptor_exits_two_without_traceback(tmp_path, src_dir, te
         assert "error: schema" in err
 
 
+def test_reveal_of_a_partition_file_carrying_another_id_exits_two(tmp_path, capsys, src_dir):
+    table, keys = tmp_path / "table", tmp_path / "keys"
+    run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
+    _, out, _ = run_cli(
+        capsys, "add-family", "--table", str(table),
+        "--table-key", str(keys / "boats.tablekey"), "--family", FAMILY_SQL, "--keys-dir", str(keys),
+    )
+    family_id = out.split()[1]
+    vk = keys / "a.viewkeys"
+    run_cli(
+        capsys, "view-gen", "--table", str(table), "--family-id", family_id,
+        "--family-key", str(keys / f"fam-{family_id}.familykey"), "--view", VIEW_SQL, "--out", str(vk),
+    )
+    first, second = table / "part-00001.g1.mep", table / "part-00002.g1.mep"
+    first_bytes = first.read_bytes()
+    first.write_bytes(second.read_bytes())
+    second.write_bytes(first_bytes)
+    rc, err = _run_cli_process(
+        "reveal-view", "--table", str(table), "--view-keys", str(vk),
+        "--out", str(tmp_path / "o"), "--fil", "1:1",
+    )
+    assert (rc, "Traceback" in err) == (2, False), err
+    assert "partition file 1 carries id 2" in err
+
+
 def test_null_in_non_nullable_column_exits_two(tmp_path, src_dir):
     (src_dir / "part-00002.csv").write_text("103,NULL,green\n")
     rc, err = _run_cli_process(

@@ -426,6 +426,41 @@ def test_manifest_names_the_only_partition_files(tmp_path):
     assert dst.list_files() == [MANIFEST_NAME] + [partition_name(pid, 2) for pid in (1, 2, 3, 4)]
 
 
+def test_commit_deletes_files_left_by_cut_off_local_puts(tmp_path):
+    """A local put cut off between its write and its rename leaves an
+    `.inflight` file, which the next commit deletes."""
+    expected = _uncrashed_snapshot(tmp_path)
+    dst = LocalDirStorage(tmp_path / "planted" / "table")
+    _two_family_table(dst, second=False)
+    planted = [partition_name(1, 1) + ".inflight", MANIFEST_NAME + ".inflight"]
+    for name in planted:
+        (dst.root / name).write_bytes(b"cut off")
+    _add_second_family(dst)
+    assert not any(dst.exists(name) for name in planted)
+    assert _file_snapshot(dst) == expected
+
+
+def _swap_partition_files(storage, a, b, generation):
+    name_a, name_b = partition_name(a, generation), partition_name(b, generation)
+    data_a, data_b = storage.get(name_a), storage.get(name_b)
+    storage.put(name_a, data_b)
+    storage.put(name_b, data_a)
+
+
+def test_partition_file_carrying_another_id_is_refused(tmp_path):
+    """A partition file that holds another partition fails a reveal, as
+    it fails add-family, instead of revealing the other partition's rows
+    under its name."""
+    dst, family_id = _encrypted_table(tmp_path)
+    keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
+    _swap_partition_files(dst, 1, 2, 1)
+    for fil in (None, (1, 1)):
+        with pytest.raises(OrchestratorError, match="partition file 1 carries id 2"):
+            run_reveal_view(dst, keys, tmp_path / "out", fil=fil, config=sequential_config())
+    with pytest.raises(OrchestratorError, match="partition file 1 carries id 2"):
+        run_add_family(dst, TABLE_KEY, SECOND_FAMILY_SQL, config=sequential_config())
+
+
 def test_key_files_round_trip(tmp_path):
     path = tmp_path / "keys" / "table.key"
     write_key(path, TABLE_KEY)

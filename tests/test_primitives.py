@@ -15,7 +15,6 @@ from sealview.primitives import (
     ZERO_BLOCK,
     counter_block_packer,
     counter_blocks,
-    first_counter_block,
     first_counter_blocks,
     hash_string,
     ote,
@@ -216,9 +215,9 @@ def test_ctr_matches_raw_aes_counter_blocks(length):
 
 def test_first_counter_block_is_block_zero_at_the_position():
     for fields in [(DOMAIN_SELECTION, 3, 7, 2), (DOMAIN_CELL, 1, 0, 0), (0xFF, 2**32 - 1, 2**32 - 1, 2**32 - 1)]:
-        assert first_counter_block(*fields) == CellPosition(*fields).prefix() + bytes(3)
+        assert counter_blocks(16, *fields) == CellPosition(*fields).prefix() + bytes(3)
     key, msg = AES_KAT_KEY, bytes(range(16))
-    stream = BlockCipher(key).prf(first_counter_block(DOMAIN_SELECTION, 3, 7, 2))
+    stream = BlockCipher(key).prf(counter_blocks(16, DOMAIN_SELECTION, 3, 7, 2))
     assert BlockCipher(key).ctr(CellPosition(DOMAIN_SELECTION, 3, 7, 2), msg) == xor_bytes(msg, stream)
 
 
@@ -307,7 +306,7 @@ def test_pack_block_layout():
 def test_batch_packers_match_the_single_block_encoders():
     rows = [1, 7, 70_000, 1 << 31]
     assert first_counter_blocks(DOMAIN_SELECTION, 9, rows, 3) == b"".join(
-        first_counter_block(DOMAIN_SELECTION, 9, r, 3) for r in rows
+        counter_blocks(16, DOMAIN_SELECTION, 9, r, 3) for r in rows
     )
     assert pack_blocks(range(5, 40)) == b"".join(map(pack_block, range(5, 40)))
     messages = ((DOMAIN_CELL, 64, 0), (DOMAIN_SELECTION, 16, 2), (DOMAIN_CELL, 17, 5))

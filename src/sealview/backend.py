@@ -299,10 +299,14 @@ class RevealStats:
     """Counters of one or more reveals: each call adds to every field,
     and to each key's count in `final_counts`.
 
-    `tag_hits` counts occurrences of a key's next expected tag at an
-    aligned offset in that key's own predicate slot; each one costs one
-    decrypt attempt, and attempts minus successes are the truncation
-    false positives. With tags disabled, every key-row pair is an attempt.
+    A decrypt attempt is one key tried against one candidate row, and a
+    success one that opened the row. With tags, `tag_hits` counts
+    occurrences of a key's next expected tag at an aligned offset in that
+    key's own predicate slot; each one costs one attempt, so the two are
+    equal, and attempts minus successes are the truncation false
+    positives. Without tags, every key is tried against every row, so
+    attempts are keys times rows and `tag_hits` stays 0; successes,
+    emitted rows and `final_counts` are those of the tagged scan.
     """
 
     rows_scanned: int = 0
@@ -574,11 +578,25 @@ class _KeyEntry:
             tags += [flat[off : off + self._tag_length] for off in range(0, len(flat), 16)]
         return tags[n]
 
-    def slot_stream(self, partition_id: int, rows: list[int]) -> bytes:
-        """The CTR keystream of the key's selection slots at `rows`."""
+    def projection_keys(self, selection: FixedWidthColumn, partition_id: int, rows: list[int]) -> bytes:
+        """The projection keys the key's slots of the selection column
+        hold at `rows`, back to back, from one decrypt."""
         if self._slot_cipher is None:
             self._slot_cipher = BlockCipher(self._slot_key)
-        return self._slot_cipher.prf_many(_slot_inputs(partition_id, self.j0, rows))
+        width, data, off = selection.width, selection.data, 16 * self.j0
+        slots = b"".join([data[r0 * width + off : r0 * width + off + 16] for r0 in rows])
+        return xor_bytes(slots, self._slot_cipher.prf_many(_slot_inputs(partition_id, self.j0, rows)))
+
+
+def _slot_tags(tagging: FixedWidthColumn, j0: int, n_pred: int, tag_length: int) -> bytes | bytearray:
+    """Predicate j0's tags alone, row after row, copied out of the
+    row-major tagging column; with one predicate, that column."""
+    if n_pred == 1:
+        return tagging.data
+    out = bytearray(len(tagging.data) // n_pred)
+    for b in range(tag_length):
+        out[b::tag_length] = tagging.data[j0 * tag_length + b :: n_pred * tag_length]
+    return out
 
 
 def _family_columns(enc_part: EncryptedPartition, family_id: str) -> FamilyColumns:
@@ -600,24 +618,30 @@ def reveal_partition(
 ) -> list[tuple]:
     """Decrypt the rows this view key set can open, in row order.
 
-    With tags enabled, each predicate that has view keys gets its slot of
-    the row-major tagging column copied out once, into a column of its
-    own tags alone (with one predicate, the tagging column is that
-    column). The keys run one at a time, and each follows its chain of
-    expected tags through its predicate's copy: it finds tag n at an
+    One loop runs the keys one at a time, in four steps:
+    - key entry: each key's slot and tagging keys in this partition;
+    - candidates: the rows a key tries next, from a given row on;
+    - confirm: one selection-slot decrypt serves a batch of candidates,
+      which are then opened in row order up to the first that fails,
+      and the key asks for candidates again from the row after the last
+      one it tried;
+    - decode: the rows matched by any key are decoded once each, in row
+      order, so a row matching several predicates is emitted once while
+      every matching key still advances.
+
+    The two scans differ only in their candidate rule. With tags, each
+    predicate that has view keys gets its slot of the row-major tagging
+    column copied out once (`_slot_tags`), and a key's candidates are its
+    chain of expected tags through that copy: it finds tag n at an
     aligned offset, then tag n + 1 from the next row on, and so on, as if
     every hit confirmed. A misaligned hit straddles two rows' tags and is
-    skipped. Rows no key's tag hits cost no cryptographic work. One
-    selection-slot decrypt serves all the chain's candidate rows, which
-    are then confirmed in chain order.
-    The first that fails is a truncation false positive: the key's count
+    skipped, and rows no key's tag hits cost no cryptographic work. A
+    candidate that fails is a truncation false positive: the key's count
     stays, and its chain restarts from the next row with the same tag, so
     every counter equals that of confirming each hit before searching for
-    the next tag. Rows matched by any key are decoded once each, in row
-    order, so a row matching several predicates is emitted once while
-    every matching key still advances. With tags disabled, every key is
-    tried against every row: the reference the tagged path must agree
-    with.
+    the next tag. Without tags, a key's one candidate is the next row, so
+    every key is tried against every row: the reference the tagged scan
+    must agree with.
 
     A key is confirmed against a row by decrypting its selection slot and
     opening the row's projection entry with the projection key that
@@ -627,104 +651,76 @@ def reveal_partition(
     if view_keys.family_id != family.family_id:
         raise BackendError("view keys were minted for a different family")
     cols = _family_columns(enc_part, family.family_id)
-    if len(view_keys.keys) != family.n_pred:
+    n_pred = family.n_pred
+    if len(view_keys.keys) != n_pred:
         raise BackendError("view key set predicate count mismatch")
-    if enc_part.n_rows and cols.selection.width < 16 * family.n_pred:
+    if enc_part.n_rows and cols.selection.width < 16 * n_pred:
         raise BackendError("selection column too short")
     stats = stats if stats is not None else RevealStats()
     n_rows, p = enc_part.n_rows, enc_part.partition_id
     tag_len = view_keys.tag_length
     projection = _Projection(family, len(schema), p)
-    sel_width, sel_data = cols.selection.width, cols.selection.data
-    proj_entries = cols.projection
 
-    def projection_keys(entry: _KeyEntry, rows: list[int]) -> bytes:
-        """The projection keys the key's selection slots at `rows` hold,
-        back to back, from one decrypt."""
-        offs = [r0 * sel_width + 16 * entry.j0 for r0 in rows]
-        return xor_bytes(b"".join(sel_data[o : o + 16] for o in offs), entry.slot_stream(p, rows))
-
+    # Key entry.
     pairs = [(j0, key) for j0, pred_keys in enumerate(view_keys.keys) for key in pred_keys]
     slot_keys, tag_keys = _selection_keys([view_keys.selection_cipher(key) for _, key in pairs], p)
     entries = [
         _KeyEntry(key, j0, slot_key, tag_key, tag_len)
         for (j0, key), slot_key, tag_key in zip(pairs, slot_keys, tag_keys)
     ]
-    clock = time.perf_counter
-    matched: dict[int, list[bytes]] = {}  # row -> its projected cells' keys, from any key
 
-    if not use_tags:
-        started = clock()
-        for r0 in range(n_rows):
-            for entry in entries:
-                stats.decrypt_attempts += 1
-                keys = projection.open(r0, projection_keys(entry, [r0]), proj_entries[r0])
-                if keys is not None:
-                    stats.decrypt_successes += 1
-                    matched[r0] = keys
-                    break
-        crypto_time = clock() - started
-    else:
-        n_pred = family.n_pred
-        stride = n_pred * tag_len
-        if n_rows and cols.tagging.width != stride:
+    # Candidates.
+    if use_tags:
+        if n_rows and cols.tagging.width != n_pred * tag_len:
             raise BackendError("tagging column does not match the tag length")
-        tagging = cols.tagging.data
+        slots = {j0: _slot_tags(cols.tagging, j0, n_pred, tag_len) for j0 in {entry.j0 for entry in entries}}
 
-        def own_tags(j0: int) -> bytes | bytearray:
-            """Predicate j0's tags alone, row after row."""
-            if n_pred == 1:
-                return tagging
-            out = bytearray(tag_len * n_rows)
-            for b in range(tag_len):
-                out[b::tag_len] = tagging[j0 * tag_len + b :: stride]
-            return out
+    def candidates(entry: _KeyEntry, start: int) -> list[int]:
+        """The rows the key tries next, from row `start` on: with tags, the
+        rows of its next occurrences, found as if every hit confirmed;
+        without, row `start` alone."""
+        if not use_tags:
+            return [start] if start < n_rows else []
+        find = slots[entry.j0].find
+        start *= tag_len
+        rows: list[int] = []
+        n = entry.count
+        while (pos := find(entry.tag(n), start)) >= 0:
+            r0, misalign = divmod(pos, tag_len)
+            start = (r0 + 1) * tag_len
+            if not misalign:  # else it straddles two rows' tags
+                rows.append(r0)
+                n += 1
+        return rows
 
-        slots = {j0: own_tags(j0) for j0 in {entry.j0 for entry in entries}}
+    # Confirm.
+    clock = time.perf_counter
+    crypto_time = 0.0
+    attempts = 0
+    matched: dict[int, list[bytes]] = {}  # row -> its projected cells' keys, from any key
+    for entry in entries:
+        rows = candidates(entry, 0)
+        while rows:
+            t0 = clock()
+            pks = entry.projection_keys(cols.selection, p, rows)
+            for k, r0 in enumerate(rows):
+                attempts += 1
+                keys = projection.open(r0, pks[16 * k : 16 * k + 16], cols.projection[r0])
+                if keys is None:
+                    break
+                stats.decrypt_successes += 1
+                matched.setdefault(r0, keys)
+                entry.count += 1
+            crypto_time += clock() - t0
+            rows = candidates(entry, r0 + 1)
+    stats.decrypt_attempts += attempts
+    stats.tag_hits += attempts if use_tags else 0
+    # One count per (predicate, key) per call, even if a set repeats a key.
+    final_counts = {(entry.j0 + 1, entry.key): entry.count for entry in entries}
+    for key, count in final_counts.items():
+        stats.final_counts[key] = stats.final_counts.get(key, 0) + count
 
-        def chain(entry: _KeyEntry, start: int) -> list[int]:
-            """The rows of the key's next occurrences from row `start` on,
-            found as if every hit confirmed."""
-            find = slots[entry.j0].find
-            start *= tag_len
-            rows: list[int] = []
-            n = entry.count
-            while (pos := find(entry.tag(n), start)) >= 0:
-                r0, misalign = divmod(pos, tag_len)
-                start = (r0 + 1) * tag_len
-                if not misalign:  # else it straddles two rows' tags
-                    rows.append(r0)
-                    n += 1
-            return rows
-
-        crypto_time = 0.0
-        for entry in entries:
-            rows = chain(entry, 0)
-            while rows:
-                t0 = clock()
-                pks = projection_keys(entry, rows)
-                miss = None
-                for k, r0 in enumerate(rows):
-                    stats.tag_hits += 1
-                    stats.decrypt_attempts += 1
-                    keys = projection.open(r0, pks[16 * k : 16 * k + 16], proj_entries[r0])
-                    if keys is None:
-                        miss = r0
-                        break
-                    stats.decrypt_successes += 1
-                    matched.setdefault(r0, keys)
-                    entry.count += 1
-                crypto_time += clock() - t0
-                # Without a miss the chain ended at a tag that no later row
-                # holds. A miss is a truncation false positive: the rest of
-                # the chain assumed it, so search for the same tag again
-                # from the next row on.
-                rows = [] if miss is None else chain(entry, miss + 1)
-        # One count per (predicate, key) per call, even if a set repeats a key.
-        final_counts = {(entry.j0 + 1, entry.key): entry.count for entry in entries}
-        for key, count in final_counts.items():
-            stats.final_counts[key] = stats.final_counts.get(key, 0) + count
-
+    # Decode.
     t0 = clock()
     rows = sorted(matched)
     cell_keys = [matched[r0] for r0 in rows]

@@ -291,7 +291,7 @@ def cmd_bench(args) -> int:
 
     doc = {"rows": args.rows, "partitions": args.partitions, "plaintext_bytes": plain_bytes}
     for phase, report in reports.items():
-        mbps = plain_bytes / report.compute_seconds / 1e6 if report.compute_seconds else None
+        mbps = plain_bytes / report.wall_seconds / 1e6 if report.wall_seconds else None
         doc[phase] = {
             "fetch_seconds": round(report.fetch_seconds, 6),
             "compute_seconds": round(report.compute_seconds, 6),

@@ -63,8 +63,9 @@ from .planner import DEFAULT_BRANCHING_BITS, plan_family, plan_view
 
 PARTITION_NAME = "part-%05d.g%d.mep"
 PARTITION_FILE = re.compile(r"part-\d+\.g\d+\.mep")
-INFLIGHT_SUFFIX = ".inflight"  # a local put's file until it is renamed into place
+INFLIGHT_SUFFIX = ".inflight"  # a file being written, until it is renamed into place
 VIEW_PARTITION_NAME = "view-part-%05d.csv"
+VIEW_PARTITION_FILE = re.compile(r"view-part-\d+\.csv(\.inflight)?")
 HTTP_TOKEN_ENV = "SEALVIEW_STORAGE_TOKEN"
 
 
@@ -576,7 +577,15 @@ def run_reveal_view(
     config: OrchestratorConfig | None = None,
     report: RunReport | None = None,
 ) -> list[Path]:
-    """Decrypt the view into local CSV partitions (never uploaded)."""
+    """Decrypt the view into local CSV partitions (never uploaded), one
+    `view-part-%05d.csv` per partition in `out_dir`.
+
+    The output replaces the directory's view files as a whole: each
+    partition is stored under a temporary name, and only once the last
+    is stored are they renamed into place and every other view file in
+    the directory, an earlier reveal's or a cut-off one's, deleted. On
+    an error the temporary files are deleted, and the directory's other
+    files stay as they were."""
     config = config or OrchestratorConfig()
     report = report if report is not None else RunReport()
     manifest = load_manifest(storage)
@@ -592,13 +601,22 @@ def run_reveal_view(
     ids = _apply_filter(manifest, fil)
     out_root = Path(out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    inflight: list[Path] = []  # the stored partitions' files, until the last is stored
 
     def store(stats, blob):
-        path = out_root / (VIEW_PARTITION_NAME % stats.pid)
+        path = out_root / (VIEW_PARTITION_NAME % stats.pid + INFLIGHT_SUFFIX)
         path.write_bytes(blob)
-        written.append(path)
+        inflight.append(path)
 
     context = (storage, manifest.generation, manifest.schema, record.family, view_keys)
-    _map_partitions(ids, _reveal_worker, context, store, config.workers, report)
+    try:
+        _map_partitions(ids, _reveal_worker, context, store, config.workers, report)
+    except BaseException:
+        for path in inflight:
+            path.unlink(missing_ok=True)
+        raise
+    written = [path.replace(path.with_suffix("")) for path in inflight]
+    for path in out_root.iterdir():
+        if VIEW_PARTITION_FILE.fullmatch(path.name) and path not in written:
+            path.unlink(missing_ok=True)
     return sorted(written)

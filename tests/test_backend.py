@@ -806,6 +806,30 @@ def test_batched_reader_matches_sequential_scan():
     assert misaligned_hits, "no search met a misaligned hit"
 
 
+@pytest.mark.parametrize("tag_length", [1, 4])
+def test_untagged_reference_tries_every_key_on_every_row(tag_length):
+    """The reference scan tries each key against each row, so it makes
+    keys times rows attempts and no tag hits, and it confirms, emits and
+    counts exactly what the tagged scan does."""
+    rng = random.Random(0x4EF + tag_length)
+    schema = _REFERENCE_SCHEMA
+    cases = [(sql, view_sql, 6, 500) for sql, view_sql in zip(_REFERENCE_FAMILIES, _READER_VIEWS)]
+    for case, (family_sql, view_sql, a_values, n_rows) in enumerate(cases + [_MANY_KEYS_CASE]):
+        family = plan_family(family_sql, schema)
+        rows = [[rng.randrange(a_values), rng.choice(["x", "yy", None]), rng.randrange(3)] for _ in range(n_rows)]
+        enc_part = encrypt_partition(PlainPartition(case + 2, rows), schema, TABLE_KEY)
+        add_family(enc_part, schema, TABLE_KEY, family, FAMILY_KEY, FamilyParams(tag_length, rng_seed=case))
+        keys = generate_view_keys(plan_view(view_sql, family, schema), FAMILY_KEY, tag_length)
+        tagged_stats, naive_stats = RevealStats(), RevealStats()
+        tagged = reveal_partition(enc_part, schema, family, keys, stats=tagged_stats)
+        naive = reveal_partition(enc_part, schema, family, keys, use_tags=False, stats=naive_stats)
+        assert naive == tagged == eval_view(schema, rows, view_sql)
+        assert naive_stats.decrypt_attempts == keys.total_keys() * n_rows
+        assert naive_stats.tag_hits == 0
+        for name in ("rows_scanned", "decrypt_successes", "rows_emitted", "final_counts"):
+            assert getattr(naive_stats, name) == getattr(tagged_stats, name), name
+
+
 def _count_block_ciphers(monkeypatch) -> Counter:
     """Count BlockCipher constructions made from sealview.backend, the
     way the benchmark's trace counts key schedules, and from

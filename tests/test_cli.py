@@ -129,6 +129,61 @@ def test_reveal_respects_fil(tmp_path, capsys, src_dir):
     assert [p.name for p in sorted(out_dir.iterdir())] == ["view-part-00002.csv"]
 
 
+def _table_and_view_keys(tmp_path, capsys, src_dir, *views):
+    """Encrypt `src_dir` into tmp_path/table, add the family, and mint
+    each view's keys: the table, then one view key file per view."""
+    table, keys = tmp_path / "table", tmp_path / "keys"
+    run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
+    run_cli(
+        capsys, "add-family", "--table", str(table),
+        "--table-key", str(keys / "boats.tablekey"), "--family", FAMILY_SQL, "--keys-dir", str(keys),
+    )
+    (family_key,) = keys.glob("fam-*.familykey")
+    paths = []
+    for i, view_sql in enumerate(views):
+        paths.append(keys / f"{i}.viewkeys")
+        run_cli(
+            capsys, "view-gen", "--table", str(table), "--family-id", family_key.name[4:20],
+            "--family-key", str(family_key), "--view", view_sql, "--out", str(paths[-1]),
+        )
+    return table, *paths
+
+
+def _dir_snapshot(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+def test_reveal_replaces_the_view_files_of_an_earlier_reveal(tmp_path, capsys, src_dir):
+    table, wide, narrow = _table_and_view_keys(
+        tmp_path, capsys, src_dir, VIEW_SQL, "SELECT bname, color FROM boats WHERE color = 'red'"
+    )
+    out_dir = tmp_path / "revealed"
+    for vk, fil in ((wide, []), (narrow, ["--fil", "1:1"])):
+        rc, _, _ = run_cli(
+            capsys, "reveal-view", "--table", str(table), "--view-keys", str(vk), "--out", str(out_dir), *fil
+        )
+        assert rc == 0
+    assert _dir_snapshot(out_dir) == {"view-part-00001.csv": b"Interlake,red\n"}
+
+
+def test_failed_reveal_exits_two_and_leaves_the_output_directory_as_it_was(tmp_path, capsys, src_dir):
+    (src_dir / "part-00003.csv").write_text("105,Driftwood,red\n")
+    table, vk = _table_and_view_keys(tmp_path, capsys, src_dir, VIEW_SQL)
+    out_dir = tmp_path / "revealed"
+    reveal = ("reveal-view", "--table", str(table), "--view-keys", str(vk), "--out", str(out_dir))
+    assert run_cli(capsys, *reveal, "--fil", "3:3")[0] == 0
+    before = _dir_snapshot(out_dir)
+    assert before == {"view-part-00003.csv": b"Driftwood,red\n"}
+    second, third = table / "part-00002.g1.mep", table / "part-00003.g1.mep"
+    second_bytes = second.read_bytes()
+    second.write_bytes(third.read_bytes())
+    third.write_bytes(second_bytes)
+    rc, err = _run_cli_process(*reveal)
+    assert (rc, "Traceback" in err) == (2, False), err
+    assert "partition file 2 carries id 3" in err
+    assert _dir_snapshot(out_dir) == before
+
+
 def test_plan_json_golden(tmp_path, capsys):
     schema_path = tmp_path / "schema.json"
     schema_path.write_text(json.dumps(SCHEMA_DOC))

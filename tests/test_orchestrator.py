@@ -461,6 +461,38 @@ def test_partition_file_carrying_another_id_is_refused(tmp_path):
         run_add_family(dst, TABLE_KEY, SECOND_FAMILY_SQL, config=sequential_config())
 
 
+def test_reveal_replaces_the_view_files_of_an_earlier_reveal(tmp_path):
+    """A narrower reveal into the same directory leaves only its own view
+    files, and deletes what a cut-off reveal left; other files stay."""
+    dst, family_id = _encrypted_table(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
+    assert len(run_reveal_view(dst, keys, out, config=sequential_config())) == 4
+    (out / "view-part-00002.csv.inflight").write_text("cut off")
+    narrow = run_view_gen(dst, family_id, FAMILY_KEY, "SELECT bname, color FROM boats WHERE color = 'red'")
+    paths = run_reveal_view(dst, narrow, out, fil=(1, 1), config=sequential_config())
+    assert paths == [out / "view-part-00001.csv"]
+    want = {"notes.txt": b"kept", "view-part-00001.csv": b"Interlake,red\n"}
+    assert _file_snapshot(LocalDirStorage(out)) == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_reveal_leaves_the_output_directory_as_it_was(tmp_path, workers):
+    """A reveal that fails after storing a partition deletes what it
+    stored, and leaves an earlier reveal's files as they were."""
+    dst, family_id = _encrypted_table(tmp_path)
+    keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
+    out = tmp_path / "out"
+    run_reveal_view(dst, keys, out, fil=(3, 4), config=sequential_config())
+    before = _file_snapshot(LocalDirStorage(out))
+    _swap_partition_files(dst, 2, 3, 1)
+    with pytest.raises(OrchestratorError, match="partition file 2 carries id 3"):
+        run_reveal_view(dst, keys, out, config=OrchestratorConfig(workers=workers))
+    assert _file_snapshot(LocalDirStorage(out)) == before
+
+
 def test_key_files_round_trip(tmp_path):
     path = tmp_path / "keys" / "table.key"
     write_key(path, TABLE_KEY)

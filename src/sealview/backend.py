@@ -40,6 +40,7 @@ import secrets
 import struct
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 
@@ -616,7 +617,8 @@ def reveal_partition(
     use_tags: bool = True,
     stats: RevealStats | None = None,
 ) -> list[tuple]:
-    """Decrypt the rows this view key set can open, in row order.
+    """Decrypt the rows this view key set can open, in row order: the
+    partition's scan (`scan_partition`), then its finish (`finish_reveal`).
 
     One loop runs the keys one at a time, in four steps:
     - key entry: each key's slot and tagging keys in this partition;
@@ -628,6 +630,9 @@ def reveal_partition(
     - decode: the rows matched by any key are decoded once each, in row
       order, so a row matching several predicates is emitted once while
       every matching key still advances.
+
+    The scan does key entry and each key's first candidates; the finish
+    does the rest, and every counter.
 
     The two scans differ only in their candidate rule. With tags, each
     predicate that has view keys gets its slot of the row-major tagging
@@ -648,6 +653,47 @@ def reveal_partition(
     yields (`_Projection.open`); that check is what turns a truncated-tag
     false positive into a clean failure.
     """
+    return finish_reveal(scan_partition(enc_part, schema, family, view_keys, use_tags), stats)
+
+
+@dataclass
+class PartitionScan:
+    """One partition's reveal after key entry: every key's entry, each
+    key's first candidate rows (`first`, in key order), and the rule that
+    proposes a key's next candidates (`candidates(entry, start)`)."""
+
+    enc_part: EncryptedPartition
+    schema: Schema
+    family: CanonicalFamily
+    cols: FamilyColumns
+    entries: list[_KeyEntry]
+    first: list[list[int]]
+    candidates: Callable[[_KeyEntry, int], list[int]]
+    uses_tags: bool
+    seconds: float  # the scan's time
+
+    def candidate_count(self) -> int:
+        """How many rows the keys' first candidates hold: the confirm
+        attempts the finish makes if every candidate confirms."""
+        return sum(map(len, self.first))
+
+    def finish_estimate(self) -> float:
+        """Seconds the finish is expected to take. Confirming and decoding
+        a candidate row costs about what entering a key and finding its
+        first candidates does (a key setup and an AES call or two each),
+        so each candidate is priced at the scan's time per key."""
+        return self.seconds * self.candidate_count() / len(self.entries) if self.entries else 0.0
+
+
+def scan_partition(
+    enc_part: EncryptedPartition,
+    schema: Schema,
+    family: CanonicalFamily,
+    view_keys: ViewKeySet,
+    use_tags: bool = True,
+) -> PartitionScan:
+    """Key entry and each key's first candidates: the first step of
+    `reveal_partition`, which checks the partition against the keys."""
     if view_keys.family_id != family.family_id:
         raise BackendError("view keys were minted for a different family")
     cols = _family_columns(enc_part, family.family_id)
@@ -656,10 +702,9 @@ def reveal_partition(
         raise BackendError("view key set predicate count mismatch")
     if enc_part.n_rows and cols.selection.width < 16 * n_pred:
         raise BackendError("selection column too short")
-    stats = stats if stats is not None else RevealStats()
+    started = time.perf_counter()
     n_rows, p = enc_part.n_rows, enc_part.partition_id
     tag_len = view_keys.tag_length
-    projection = _Projection(family, len(schema), p)
 
     # Key entry.
     pairs = [(j0, key) for j0, pred_keys in enumerate(view_keys.keys) for key in pred_keys]
@@ -693,13 +738,26 @@ def reveal_partition(
                 n += 1
         return rows
 
+    first = [candidates(entry, 0) for entry in entries]
+    seconds = time.perf_counter() - started
+    return PartitionScan(enc_part, schema, family, cols, entries, first, candidates, use_tags, seconds)
+
+
+def finish_reveal(scan: PartitionScan, stats: RevealStats | None = None) -> list[tuple]:
+    """Confirm and decode: the rows of a scanned partition that its keys
+    open, in row order, each call adding to `stats`' counters. A scan is
+    finished once; the finish advances its keys' counts."""
+    stats = stats if stats is not None else RevealStats()
+    enc_part, schema, family, cols = scan.enc_part, scan.schema, scan.family, scan.cols
+    n_rows, p = enc_part.n_rows, enc_part.partition_id
+    projection = _Projection(family, len(schema), p)
+
     # Confirm.
     clock = time.perf_counter
     crypto_time = 0.0
     attempts = 0
     matched: dict[int, list[bytes]] = {}  # row -> its projected cells' keys, from any key
-    for entry in entries:
-        rows = candidates(entry, 0)
+    for entry, rows in zip(scan.entries, scan.first):
         while rows:
             t0 = clock()
             pks = entry.projection_keys(cols.selection, p, rows)
@@ -712,11 +770,11 @@ def reveal_partition(
                 matched.setdefault(r0, keys)
                 entry.count += 1
             crypto_time += clock() - t0
-            rows = candidates(entry, r0 + 1)
+            rows = scan.candidates(entry, r0 + 1)
     stats.decrypt_attempts += attempts
-    stats.tag_hits += attempts if use_tags else 0
+    stats.tag_hits += attempts if scan.uses_tags else 0
     # One count per (predicate, key) per call, even if a set repeats a key.
-    final_counts = {(entry.j0 + 1, entry.key): entry.count for entry in entries}
+    final_counts = {(entry.j0 + 1, entry.key): entry.count for entry in scan.entries}
     for key, count in final_counts.items():
         stats.final_counts[key] = stats.final_counts.get(key, 0) + count
 

@@ -43,11 +43,13 @@ from .backend import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_TAG_LENGTH,
     FamilyParams,
+    PartitionScan,
     ViewKeySet,
     add_family,
     encrypt_partition,
+    finish_reveal,
     generate_view_keys,
-    reveal_partition,
+    scan_partition,
 )
 from .manifest import MANIFEST_NAME, FamilyRecord, ManifestError, TableManifest
 from .mep import (
@@ -250,6 +252,12 @@ class RunReport:
     sums the byte lengths of the stored results. `wall_seconds` spans the
     whole map, and `stats` holds one `PartitionStats` per partition, in
     partition order.
+
+    `pool_workers` is the size of the process pool the map started, 0 if
+    it ran inline. `probe_seconds` is time the driving process spent
+    reading and scanning a reveal's first partition to decide on a pool
+    that it then started, so that a pool worker did that work again; a
+    dropped read is in neither `input_bytes` nor `fetch_seconds`.
     """
 
     partitions: int = 0
@@ -259,7 +267,30 @@ class RunReport:
     compute_seconds: float = 0.0
     store_seconds: float = 0.0
     wall_seconds: float = 0.0
+    pool_workers: int = 0
+    probe_seconds: float = 0.0
     stats: list[PartitionStats] = field(default_factory=list)
+
+
+# What starting a process pool costs a reveal, beyond splitting its work:
+# fork, each worker's first partition (its view keys' ciphers built
+# anew), and shutdown. On a 2-vCPU host, a reveal through a 2-worker pool
+# took about 20 ms more than half its inline time on the perfbench sparse
+# and dense tables, and a bare 2-worker pool given two no-op tasks took
+# 9-12 ms from start to shutdown.
+POOL_START_SECONDS = 0.02
+
+
+def _pool_pays(partition_seconds: float, partitions: int, workers: int) -> bool:
+    """Whether `partitions` partitions of `partition_seconds` each finish
+    sooner on a pool of `workers` than inline: whether the time the pool
+    saves, the partitions less its rounds of one partition per worker,
+    outweighs its start. A pool of one worker saves nothing."""
+    workers = min(workers, partitions)
+    if workers < 2:
+        return False
+    rounds = -(-partitions // workers)
+    return (partitions - rounds) * partition_seconds > POOL_START_SECONDS
 
 
 _worker_task = None  # in a pool worker: the (work, context) of its operation
@@ -282,47 +313,103 @@ def _map_partitions(items, work, context, store, workers: int, report: RunReport
     itself and returns its `PartitionStats` and its output; `context`
     holds the operation's constant inputs. One item, or one worker, runs
     inline. Otherwise a process pool of at most one worker per item
-    starts, each worker receiving `work` and `context` once (inherited
-    under fork, pickled under other start methods), and a task carries
-    only its item. At most 2 * workers tasks are in flight, and on any
-    error the pool is shut down with its queued tasks cancelled. Every
-    `store` call runs in this process, in item order, so the results
-    are written, and the caller commits, in one place.
+    starts (`_map_on_pool`), but for a reveal only when it pays:
+
+    - This process reads and scans the first partition and times it.
+      That time plus the scan's estimate of its finish is what each
+      partition is expected to cost.
+    - If a pool for every partition pays (`_pool_pays`), it starts and
+      the scan is dropped.
+    - If not, this process finishes the partition from its scan and goes
+      on inline. After each partition it asks again, with the mean time
+      of the partitions it ran, whether a pool for the rest pays.
+
+    Every `store` call runs in this process, in item order, so the
+    results are written, and the caller commits, in one place.
     """
     clock = time.perf_counter
     started = clock()
+    pending = deque(items)
     workers = min(workers, len(items))
-    pool = None
-    if workers > 1:
-        pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(work, context))
-    in_flight: deque = deque()  # futures with a pool, items without
+    worked: list[float] = []  # seconds each partition run here took, read included
 
-    def store_oldest():
-        t0 = clock()
-        head = in_flight.popleft()
-        stats, out = head.result() if pool else work(context, head)
+    def keep(result, t0: float | None) -> None:
+        """Store a result; t0 is when this process started its work,
+        None if a pool worker did it."""
         t1 = clock()
+        stats, out = result
+        if t0 is not None:
+            worked.append(t1 - t0)
+            # Inline, the read ran here, and it is fetch time, not compute time.
+            report.compute_seconds += t1 - t0 - stats.read_seconds
         store(stats, out)
+        report.store_seconds += clock() - t1
         report.stats.append(stats)
         report.input_bytes += stats.input_bytes
         report.fetch_seconds += stats.read_seconds
         report.output_bytes += len(out)
-        # Inline, the read ran here, and it is fetch time, not compute time.
-        report.compute_seconds += t1 - t0 - (0.0 if pool else stats.read_seconds)
-        report.store_seconds += clock() - t1
+
+    def stay_inline() -> bool:
+        return not _pool_pays(sum(worked) / len(worked), len(pending), workers)
+
+    inline = workers == 1
+    if work in _SCANNED_WORK and not inline:
+        steps = _SCANNED_WORK[work]
+        inline = _first_here_if_cheaper(steps, context, pending, workers, keep, report) and stay_inline()
+    while pending and inline:
+        t0 = clock()
+        keep(work(context, pending.popleft()), t0)
+        inline = stay_inline()
+    if pending:
+        _map_on_pool(pending, work, context, min(workers, len(pending)), keep, report)
+    report.partitions = len(items)
+    report.wall_seconds += clock() - started
+
+
+def _first_here_if_cheaper(steps, context, pending: deque, workers: int, keep, report: RunReport) -> bool:
+    """Read and scan the first pending item in this process, timed. If a
+    pool for every item pays, drop the scan, which a pool worker does
+    again, and return False; otherwise finish the item, keep it, and
+    return True."""
+    scan, finish = steps
+    t0 = time.perf_counter()
+    stats, scanned = scan(context, pending[0])
+    probe = time.perf_counter() - t0
+    if _pool_pays(probe + scanned.finish_estimate(), len(pending), workers):
+        report.probe_seconds += probe
+        return False
+    pending.popleft()
+    keep(finish(stats, scanned), t0)
+    return True
+
+
+def _map_on_pool(items, work, context, workers: int, keep, report: RunReport) -> None:
+    """keep(work(context, item), None) for every item, in item order, on
+    a process pool of `workers`. Each worker receives `work` and `context`
+    once (inherited under fork, pickled under other start methods), and a
+    task carries only its item. At most 2 * workers tasks are in flight,
+    and on any error the pool is shut down with its queued tasks
+    cancelled."""
+    clock = time.perf_counter
+    pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(work, context))
+    report.pool_workers = workers
+    in_flight: deque = deque()
+
+    def keep_oldest():
+        t0 = clock()
+        result = in_flight.popleft().result()
+        report.compute_seconds += clock() - t0
+        keep(result, None)
 
     try:
         for item in items:
-            in_flight.append(pool.submit(_run_task, item) if pool else item)
-            if len(in_flight) >= (2 * workers if pool else 1):
-                store_oldest()
+            in_flight.append(pool.submit(_run_task, item))
+            if len(in_flight) >= 2 * workers:
+                keep_oldest()
         while in_flight:
-            store_oldest()
+            keep_oldest()
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    report.partitions = len(items)
-    report.wall_seconds += clock() - started
+        pool.shutdown(cancel_futures=True)
 
 
 def partition_name(pid: int, generation: int) -> str:
@@ -406,14 +493,28 @@ def _add_family_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
     return stats, serialize_encrypted(enc_part, schema)
 
 
-def _reveal_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
+def _reveal_scan(context, pid: int) -> tuple[PartitionStats, PartitionScan]:
+    """A reveal's first step: partition `pid` read and scanned."""
     storage, generation, schema, family, view_keys = context
     stats, enc_part = _read_encrypted(storage, generation, schema, pid)
-    rows = reveal_partition(enc_part, schema, family, view_keys)
+    return stats, scan_partition(enc_part, schema, family, view_keys)
+
+
+def _reveal_finish(stats: PartitionStats, scan: PartitionScan) -> tuple[PartitionStats, bytes]:
+    """A reveal's second step: the scanned partition's view rows as CSV."""
+    rows = finish_reveal(scan)
     out = io.StringIO()
     partition_to_csv(rows, out)
     stats.rows_emitted = len(rows)
     return stats, out.getvalue().encode("utf-8")
+
+
+def _reveal_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
+    return _reveal_finish(*_reveal_scan(context, pid))
+
+
+# Worker bodies that run as a scan, which estimates the rest, then a finish.
+_SCANNED_WORK = {_reveal_worker: (_reveal_scan, _reveal_finish)}
 
 
 # -------------------------------------------------------- table operations
@@ -585,7 +686,7 @@ def run_reveal_view(
     is stored are they renamed into place and every other view file in
     the directory, an earlier reveal's or a cut-off one's, deleted. On
     an error the temporary files are deleted, and the directory's other
-    files stay as they were."""
+    files stay as they were; a directory the call created is removed."""
     config = config or OrchestratorConfig()
     report = report if report is not None else RunReport()
     manifest = load_manifest(storage)
@@ -600,6 +701,7 @@ def run_reveal_view(
         )
     ids = _apply_filter(manifest, fil)
     out_root = Path(out_dir)
+    created = [d for d in (out_root, *out_root.parents) if not d.exists()]  # deepest first
     out_root.mkdir(parents=True, exist_ok=True)
     inflight: list[Path] = []  # the stored partitions' files, until the last is stored
 
@@ -614,6 +716,11 @@ def run_reveal_view(
     except BaseException:
         for path in inflight:
             path.unlink(missing_ok=True)
+        for directory in created:
+            try:
+                directory.rmdir()
+            except OSError:  # something else was put there: keep it and its parents
+                break
         raise
     written = [path.replace(path.with_suffix("")) for path in inflight]
     for path in out_root.iterdir():

@@ -22,9 +22,11 @@ from sealview.backend import (
     ViewKeySet,
     add_family,
     encrypt_partition,
+    finish_reveal,
     generate_view_keys,
     random_key,
     reveal_partition,
+    scan_partition,
 )
 from sealview.encoding import TYPE_INT64, TYPE_UTF8, EncodingError, decode_cell, encode_cell
 from sealview.mep import parse_encrypted, serialize_encrypted
@@ -828,6 +830,33 @@ def test_untagged_reference_tries_every_key_on_every_row(tag_length):
         assert naive_stats.tag_hits == 0
         for name in ("rows_scanned", "decrypt_successes", "rows_emitted", "final_counts"):
             assert getattr(naive_stats, name) == getattr(tagged_stats, name), name
+
+
+@pytest.mark.parametrize("tag_length", [1, 16])
+def test_scan_then_finish_is_the_reveal(tag_length):
+    """`reveal_partition` is `scan_partition` then `finish_reveal`, with
+    the same rows and counters. The scan counts nothing, and its first
+    candidates are every attempt the finish makes unless a tag hit is a
+    false positive, which 16-byte tags do not meet."""
+    rng = random.Random(0x5CA9 + tag_length)
+    schema = _REFERENCE_SCHEMA
+    for case, (family_sql, view_sql) in enumerate(zip(_REFERENCE_FAMILIES, _READER_VIEWS)):
+        family = plan_family(family_sql, schema)
+        rows = [[rng.randrange(6), rng.choice(["x", "yy", None]), rng.randrange(3)] for _ in range(500)]
+        enc_part = encrypt_partition(PlainPartition(case + 2, rows), schema, TABLE_KEY)
+        add_family(enc_part, schema, TABLE_KEY, family, FAMILY_KEY, FamilyParams(tag_length, rng_seed=case))
+        keys = generate_view_keys(plan_view(view_sql, family, schema), FAMILY_KEY, tag_length)
+        want_stats, stats = RevealStats(), RevealStats()
+        want = reveal_partition(enc_part, schema, family, keys, stats=want_stats)
+        scan = scan_partition(enc_part, schema, family, keys)
+        assert scan.seconds > 0 and scan.finish_estimate() >= 0
+        candidates = scan.candidate_count()
+        assert finish_reveal(scan, stats) == want == eval_view(schema, rows, view_sql)
+        assert _counters(stats) == _counters(want_stats)
+        if tag_length == 16:
+            assert candidates == stats.decrypt_attempts == stats.decrypt_successes
+        else:
+            assert candidates <= stats.decrypt_attempts
 
 
 def _count_block_ciphers(monkeypatch) -> Counter:

@@ -7,6 +7,7 @@ import multiprocessing
 import pickle
 import re
 import threading
+import time
 
 import pytest
 
@@ -249,15 +250,24 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert snapshots[0] == snapshots[1]
 
 
-def test_reveal_output_identical_for_one_and_two_workers(tmp_path):
+def _always_pool(monkeypatch):
+    """Make a pool pay for any reveal, however small its table."""
+    monkeypatch.setattr(orchestrator, "POOL_START_SECONDS", 0.0)
+
+
+def test_reveal_output_identical_for_one_and_two_workers(tmp_path, monkeypatch):
+    _always_pool(monkeypatch)
     dst, family_id = _encrypted_table(tmp_path)
     keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
-    texts = []
+    texts, pools = [], []
     for workers in (1, 2):
         out = tmp_path / f"out-{workers}"
-        paths = run_reveal_view(dst, keys, out, config=OrchestratorConfig(workers=workers))
+        report = RunReport()
+        paths = run_reveal_view(dst, keys, out, config=OrchestratorConfig(workers=workers), report=report)
         texts.append([p.read_text() for p in paths])
+        pools.append(report.pool_workers)
     assert texts[0] == texts[1]
+    assert pools == [0, 2]
 
 
 class CrashingStorage(LocalDirStorage):
@@ -479,18 +489,36 @@ def test_reveal_replaces_the_view_files_of_an_earlier_reveal(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_failed_reveal_leaves_the_output_directory_as_it_was(tmp_path, workers):
+def test_failed_reveal_leaves_the_output_directory_as_it_was(tmp_path, monkeypatch, workers):
     """A reveal that fails after storing a partition deletes what it
     stored, and leaves an earlier reveal's files as they were."""
+    _always_pool(monkeypatch)
     dst, family_id = _encrypted_table(tmp_path)
     keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
     out = tmp_path / "out"
     run_reveal_view(dst, keys, out, fil=(3, 4), config=sequential_config())
     before = _file_snapshot(LocalDirStorage(out))
     _swap_partition_files(dst, 2, 3, 1)
+    report = RunReport()
     with pytest.raises(OrchestratorError, match="partition file 2 carries id 3"):
-        run_reveal_view(dst, keys, out, config=OrchestratorConfig(workers=workers))
+        run_reveal_view(dst, keys, out, config=OrchestratorConfig(workers=workers), report=report)
     assert _file_snapshot(LocalDirStorage(out)) == before
+    assert report.pool_workers == (2 if workers == 2 else 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_reveal_removes_the_directories_it_created(tmp_path, monkeypatch, workers):
+    """A reveal that fails into a directory that did not exist leaves no
+    directory behind, however far up it had to create them."""
+    _always_pool(monkeypatch)
+    dst, family_id = _encrypted_table(tmp_path)
+    keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
+    _swap_partition_files(dst, 2, 3, 1)
+    report = RunReport()
+    with pytest.raises(OrchestratorError, match="partition file 2 carries id 3"):
+        run_reveal_view(dst, keys, tmp_path / "never" / "out", config=OrchestratorConfig(workers=workers), report=report)
+    assert not (tmp_path / "never").exists()
+    assert report.pool_workers == (2 if workers == 2 else 0)
 
 
 def test_key_files_round_trip(tmp_path):
@@ -587,16 +615,19 @@ def _view_texts(storage, keys, out, workers, **kw):
     return [(p.name, p.read_text()) for p in paths]
 
 
-def test_two_worker_reveal_over_http_matches_one_worker(tmp_path):
+def test_two_worker_reveal_over_http_matches_one_worker(tmp_path, monkeypatch):
+    _always_pool(monkeypatch)
+    report = RunReport()
     with _http_store() as store:
         config = OrchestratorConfig(workers=2)
         run_encrypt_table(make_src(tmp_path), store, TABLE_KEY, config)
         family_id, _ = run_add_family(store, TABLE_KEY, FAMILY_SQL, FAMILY_KEY, rng_seed=3, config=config)
         keys = run_view_gen(store, family_id, FAMILY_KEY, VIEW_SQL)
         one = _view_texts(store, keys, tmp_path / "out-1", 1)
-        two = _view_texts(store, keys, tmp_path / "out-2", 2)
+        two = _view_texts(store, keys, tmp_path / "out-2", 2, report=report)
     assert one == two
     assert any(text for _, text in one)
+    assert report.pool_workers == 2
 
 
 def test_single_partition_reveal_starts_no_pool(tmp_path, monkeypatch):
@@ -610,6 +641,97 @@ def test_single_partition_reveal_starts_no_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", no_pool)
     assert _view_texts(dst, keys, tmp_path / "out-2", 2, fil=(2, 2)) == want
     assert want == [("view-part-00002.csv", "Marine,red\n")]
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool started")
+
+
+def test_two_worker_reveal_of_a_small_table_runs_inline_and_reads_each_file_once(tmp_path, monkeypatch):
+    """On the boats table a pool would cost more than it saves: the
+    reveal runs inline, and the first partition's scan is finished, not
+    read again."""
+    dst, family_id = _encrypted_table(tmp_path)
+    keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
+    want = _view_texts(dst, keys, tmp_path / "out-1", 1)
+    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", _no_pool)
+    dst.gets.clear()
+    report = RunReport()
+    assert _view_texts(dst, keys, tmp_path / "out-2", 2, report=report) == want
+    assert [n for n in dst.gets if n.startswith("part-")] == [partition_name(pid, 1) for pid in sorted(BOATS_CSV)]
+    assert (report.pool_workers, report.probe_seconds) == (0, 0.0)
+
+
+class SlowStorage(LocalDirStorage):
+    """Local storage whose every get takes at least 30 ms, as a remote
+    object store's might."""
+
+    def get(self, name):
+        time.sleep(0.03)
+        return super().get(name)
+
+
+def test_reveal_through_slow_storage_starts_a_pool(tmp_path):
+    """The same reveal as the inline one above starts a pool once reads
+    are slow: the rule follows the measured cost, not the table."""
+    fast, family_id = _encrypted_table(tmp_path)
+    keys = run_view_gen(fast, family_id, FAMILY_KEY, VIEW_SQL)
+    want = _view_texts(fast, keys, tmp_path / "out-1", 1)
+    slow = SlowStorage(fast.root)
+    report = RunReport()
+    assert _view_texts(slow, keys, tmp_path / "out-2", 2, report=report) == want
+    assert report.pool_workers == 2
+    assert report.probe_seconds >= 0.03  # the dropped scan's read
+    assert report.input_bytes == sum(len(fast.get(partition_name(pid, 1))) for pid in BOATS_CSV)
+    assert [stats.pid for stats in report.stats] == sorted(BOATS_CSV)
+
+
+def test_skewed_reveal_switches_to_a_pool_part_way(tmp_path, monkeypatch):
+    """Partition 1 matches no row and is cheap, so the reveal starts
+    inline; the later partitions match every row, and once one of them
+    has been timed the rest go to a pool. The output is that of one
+    worker, byte for byte."""
+    parts = {1: "1,Sloop,blue\n"}
+    for pid in range(2, 7):
+        parts[pid] = "".join(f"{1000 * pid + k},Boat{k},red\n" for k in range(3000))
+    dst = LocalDirStorage(tmp_path / "table")
+    run_encrypt_table(make_src(tmp_path, parts), dst, TABLE_KEY, sequential_config())
+    family_id, _ = run_add_family(dst, TABLE_KEY, FAMILY_SQL, FAMILY_KEY, config=sequential_config())
+    keys = run_view_gen(dst, family_id, FAMILY_KEY, "SELECT bname, color FROM boats WHERE color = 'red'")
+    one = run_reveal_view(dst, keys, tmp_path / "out-1", config=sequential_config())
+    submitted = []
+
+    class RecordingPool(orchestrator.ProcessPoolExecutor):
+        def submit(self, fn, item):
+            submitted.append(item)
+            return super().submit(fn, item)
+
+    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", RecordingPool)
+    report = RunReport()
+    two = run_reveal_view(dst, keys, tmp_path / "out-2", config=OrchestratorConfig(workers=2), report=report)
+    assert [p.read_bytes() for p in two] == [p.read_bytes() for p in one]
+    assert [p.name for p in two] == [p.name for p in one]
+    assert len(one[1].read_bytes().splitlines()) == 3000
+    assert report.pool_workers == 2
+    assert 1 not in submitted and submitted == list(range(7 - len(submitted), 7))
+    assert [stats.pid for stats in report.stats] == list(range(1, 7))
+
+
+def test_pool_pays_when_the_rounds_it_saves_outweigh_its_start(monkeypatch):
+    monkeypatch.setattr(orchestrator, "POOL_START_SECONDS", 0.010)
+    pays = orchestrator._pool_pays
+    # 8 partitions on 2 workers take 4 rounds: the pool saves 4 partitions' time.
+    assert not pays(0.002, 8, 2)
+    assert pays(0.003, 8, 2)
+    # 7 on 2 still take 4 rounds, so 3 are saved.
+    assert not pays(0.003, 7, 2)
+    assert pays(0.004, 7, 2)
+    # No more workers than partitions: 3 on 4 workers take 1 round.
+    assert not pays(0.004, 3, 4)
+    assert pays(0.006, 3, 4)
+    # One partition, or one worker, saves nothing.
+    assert not pays(1.0, 1, 2)
+    assert not pays(1.0, 8, 1)
 
 
 def test_input_bytes_are_the_partition_files_read(tmp_path):
@@ -684,6 +806,7 @@ def test_worker_contexts_survive_pickling(tmp_path, monkeypatch, kind):
 
 
 def test_reveal_under_forkserver_matches_inline(tmp_path, monkeypatch):
+    _always_pool(monkeypatch)
     dst = LocalDirStorage(tmp_path / "table")
     run_encrypt_table(make_src(tmp_path), dst, TABLE_KEY, sequential_config())
     family_id, _ = run_add_family(dst, TABLE_KEY, FAMILY_SQL, FAMILY_KEY, config=sequential_config())
@@ -692,7 +815,9 @@ def test_reveal_under_forkserver_matches_inline(tmp_path, monkeypatch):
     context = multiprocessing.get_context("forkserver")
     pool = functools.partial(orchestrator.ProcessPoolExecutor, mp_context=context)
     monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", pool)
-    assert _view_texts(dst, keys, tmp_path / "out-2", 2) == want
+    report = RunReport()
+    assert _view_texts(dst, keys, tmp_path / "out-2", 2, report=report) == want
+    assert report.pool_workers == 2
 
 
 def test_failure_mid_run_does_not_hang(tmp_path):

@@ -40,7 +40,6 @@ import secrets
 import struct
 import time
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 
@@ -600,15 +599,6 @@ def _slot_tags(tagging: FixedWidthColumn, j0: int, n_pred: int, tag_length: int)
     return out
 
 
-def _family_columns(enc_part: EncryptedPartition, family_id: str) -> FamilyColumns:
-    cols = enc_part.families.get(family_id)
-    if cols is None:
-        raise BackendError(f"family {family_id} not instantiated in partition")
-    if cols.row_count() != enc_part.n_rows:
-        raise BackendError("family columns out of step with partition rows")
-    return cols
-
-
 def reveal_partition(
     enc_part: EncryptedPartition,
     schema: Schema,
@@ -618,7 +608,8 @@ def reveal_partition(
     stats: RevealStats | None = None,
 ) -> list[tuple]:
     """Decrypt the rows this view key set can open, in row order: the
-    partition's scan (`scan_partition`), then its finish (`finish_reveal`).
+    partition's scan (`PartitionScan`), then its finish
+    (`PartitionScan.finish`).
 
     One loop runs the keys one at a time, in four steps:
     - key entry: each key's slot and tagging keys in this partition;
@@ -653,80 +644,62 @@ def reveal_partition(
     yields (`_Projection.open`); that check is what turns a truncated-tag
     false positive into a clean failure.
     """
-    return finish_reveal(scan_partition(enc_part, schema, family, view_keys, use_tags), stats)
+    return PartitionScan(enc_part, schema, family, view_keys, use_tags).finish(stats)
 
 
-@dataclass
 class PartitionScan:
-    """One partition's reveal after key entry: every key's entry, each
-    key's first candidate rows (`first`, in key order), and the rule that
-    proposes a key's next candidates (`candidates(entry, start)`)."""
+    """One partition's reveal, scanned: the partition checked against the
+    view keys, every key's entry (`entries`), and each key's first
+    candidate rows (`first`, in key order). `finish` does the rest."""
 
-    enc_part: EncryptedPartition
-    schema: Schema
-    family: CanonicalFamily
-    cols: FamilyColumns
-    entries: list[_KeyEntry]
-    first: list[list[int]]
-    candidates: Callable[[_KeyEntry, int], list[int]]
-    uses_tags: bool
-    seconds: float  # the scan's time
+    def __init__(
+        self,
+        enc_part: EncryptedPartition,
+        schema: Schema,
+        family: CanonicalFamily,
+        view_keys: ViewKeySet,
+        use_tags: bool = True,
+    ):
+        if view_keys.family_id != family.family_id:
+            raise BackendError("view keys were minted for a different family")
+        cols = enc_part.families.get(family.family_id)
+        if cols is None:
+            raise BackendError(f"family {family.family_id} not instantiated in partition")
+        if cols.row_count() != enc_part.n_rows:
+            raise BackendError("family columns out of step with partition rows")
+        n_pred, n_rows, tag_len = family.n_pred, enc_part.n_rows, view_keys.tag_length
+        if len(view_keys.keys) != n_pred:
+            raise BackendError("view key set predicate count mismatch")
+        if n_rows and cols.selection.width < 16 * n_pred:
+            raise BackendError("selection column too short")
+        self.enc_part, self.schema, self.family, self.cols = enc_part, schema, family, cols
+        self.uses_tags, self.tag_len = use_tags, tag_len
 
-    def candidate_count(self) -> int:
-        """How many rows the keys' first candidates hold: the confirm
-        attempts the finish makes if every candidate confirms."""
-        return sum(map(len, self.first))
+        # Key entry.
+        pairs = [(j0, key) for j0, pred_keys in enumerate(view_keys.keys) for key in pred_keys]
+        ciphers = [view_keys.selection_cipher(key) for _, key in pairs]
+        slot_keys, tag_keys = _selection_keys(ciphers, enc_part.partition_id)
+        self.entries = [
+            _KeyEntry(key, j0, slot_key, tag_key, tag_len)
+            for (j0, key), slot_key, tag_key in zip(pairs, slot_keys, tag_keys)
+        ]
 
-    def finish_estimate(self) -> float:
-        """Seconds the finish is expected to take. Confirming and decoding
-        a candidate row costs about what entering a key and finding its
-        first candidates does (a key setup and an AES call or two each),
-        so each candidate is priced at the scan's time per key."""
-        return self.seconds * self.candidate_count() / len(self.entries) if self.entries else 0.0
+        # Candidates.
+        if use_tags:
+            if n_rows and cols.tagging.width != n_pred * tag_len:
+                raise BackendError("tagging column does not match the tag length")
+            j0s = {entry.j0 for entry in self.entries}
+            self.slots = {j0: _slot_tags(cols.tagging, j0, n_pred, tag_len) for j0 in j0s}
+        self.first = [self.candidates(entry, 0) for entry in self.entries]
 
-
-def scan_partition(
-    enc_part: EncryptedPartition,
-    schema: Schema,
-    family: CanonicalFamily,
-    view_keys: ViewKeySet,
-    use_tags: bool = True,
-) -> PartitionScan:
-    """Key entry and each key's first candidates: the first step of
-    `reveal_partition`, which checks the partition against the keys."""
-    if view_keys.family_id != family.family_id:
-        raise BackendError("view keys were minted for a different family")
-    cols = _family_columns(enc_part, family.family_id)
-    n_pred = family.n_pred
-    if len(view_keys.keys) != n_pred:
-        raise BackendError("view key set predicate count mismatch")
-    if enc_part.n_rows and cols.selection.width < 16 * n_pred:
-        raise BackendError("selection column too short")
-    started = time.perf_counter()
-    n_rows, p = enc_part.n_rows, enc_part.partition_id
-    tag_len = view_keys.tag_length
-
-    # Key entry.
-    pairs = [(j0, key) for j0, pred_keys in enumerate(view_keys.keys) for key in pred_keys]
-    slot_keys, tag_keys = _selection_keys([view_keys.selection_cipher(key) for _, key in pairs], p)
-    entries = [
-        _KeyEntry(key, j0, slot_key, tag_key, tag_len)
-        for (j0, key), slot_key, tag_key in zip(pairs, slot_keys, tag_keys)
-    ]
-
-    # Candidates.
-    if use_tags:
-        if n_rows and cols.tagging.width != n_pred * tag_len:
-            raise BackendError("tagging column does not match the tag length")
-        slots = {j0: _slot_tags(cols.tagging, j0, n_pred, tag_len) for j0 in {entry.j0 for entry in entries}}
-
-    def candidates(entry: _KeyEntry, start: int) -> list[int]:
+    def candidates(self, entry: _KeyEntry, start: int) -> list[int]:
         """The rows the key tries next, from row `start` on: with tags, the
         rows of its next occurrences, found as if every hit confirmed;
         without, row `start` alone."""
-        if not use_tags:
-            return [start] if start < n_rows else []
-        find = slots[entry.j0].find
+        if not self.uses_tags:
+            return [start] if start < self.enc_part.n_rows else []
+        tag_len = self.tag_len
+        find = self.slots[entry.j0].find
         start *= tag_len
         rows: list[int] = []
         n = entry.count
@@ -738,59 +711,57 @@ def scan_partition(
                 n += 1
         return rows
 
-    first = [candidates(entry, 0) for entry in entries]
-    seconds = time.perf_counter() - started
-    return PartitionScan(enc_part, schema, family, cols, entries, first, candidates, use_tags, seconds)
+    def candidate_count(self) -> int:
+        """How many rows the keys' first candidates hold: the confirm
+        attempts the finish makes if every candidate confirms."""
+        return sum(map(len, self.first))
 
+    def finish(self, stats: RevealStats | None = None) -> list[tuple]:
+        """Confirm and decode: the rows of the partition that its keys
+        open, in row order, each call adding to `stats`' counters. A scan
+        is finished once; the finish advances its keys' counts."""
+        stats = stats if stats is not None else RevealStats()
+        enc_part, schema, family, cols = self.enc_part, self.schema, self.family, self.cols
+        p = enc_part.partition_id
+        projection = _Projection(family, len(schema), p)
 
-def finish_reveal(scan: PartitionScan, stats: RevealStats | None = None) -> list[tuple]:
-    """Confirm and decode: the rows of a scanned partition that its keys
-    open, in row order, each call adding to `stats`' counters. A scan is
-    finished once; the finish advances its keys' counts."""
-    stats = stats if stats is not None else RevealStats()
-    enc_part, schema, family, cols = scan.enc_part, scan.schema, scan.family, scan.cols
-    n_rows, p = enc_part.n_rows, enc_part.partition_id
-    projection = _Projection(family, len(schema), p)
+        # Confirm.
+        clock = time.perf_counter
+        crypto_time = 0.0
+        attempts = 0
+        matched: dict[int, list[bytes]] = {}  # row -> its projected cells' keys, from any key
+        for entry, rows in zip(self.entries, self.first):
+            while rows:
+                t0 = clock()
+                pks = entry.projection_keys(cols.selection, p, rows)
+                for k, r0 in enumerate(rows):
+                    attempts += 1
+                    keys = projection.open(r0, pks[16 * k : 16 * k + 16], cols.projection[r0])
+                    if keys is None:
+                        break
+                    stats.decrypt_successes += 1
+                    matched.setdefault(r0, keys)
+                    entry.count += 1
+                crypto_time += clock() - t0
+                rows = self.candidates(entry, r0 + 1)
+        stats.decrypt_attempts += attempts
+        stats.tag_hits += attempts if self.uses_tags else 0
+        # One count per (predicate, key) per call, even if a set repeats a key.
+        final_counts = {(entry.j0 + 1, entry.key): entry.count for entry in self.entries}
+        for key, count in final_counts.items():
+            stats.final_counts[key] = stats.final_counts.get(key, 0) + count
 
-    # Confirm.
-    clock = time.perf_counter
-    crypto_time = 0.0
-    attempts = 0
-    matched: dict[int, list[bytes]] = {}  # row -> its projected cells' keys, from any key
-    for entry, rows in zip(scan.entries, scan.first):
-        while rows:
-            t0 = clock()
-            pks = entry.projection_keys(cols.selection, p, rows)
-            for k, r0 in enumerate(rows):
-                attempts += 1
-                keys = projection.open(r0, pks[16 * k : 16 * k + 16], cols.projection[r0])
-                if keys is None:
-                    break
-                stats.decrypt_successes += 1
-                matched.setdefault(r0, keys)
-                entry.count += 1
-            crypto_time += clock() - t0
-            rows = scan.candidates(entry, r0 + 1)
-    stats.decrypt_attempts += attempts
-    stats.tag_hits += attempts if scan.uses_tags else 0
-    # One count per (predicate, key) per call, even if a set repeats a key.
-    final_counts = {(entry.j0 + 1, entry.key): entry.count for entry in scan.entries}
-    for key, count in final_counts.items():
-        stats.final_counts[key] = stats.final_counts.get(key, 0) + count
-
-    # Decode.
-    t0 = clock()
-    rows = sorted(matched)
-    cell_keys = [matched[r0] for r0 in rows]
-    values = []  # column by column, then zipped into rows
-    key_columns = zip(*cell_keys) if rows else repeat(())
-    for c, keys in zip(family.projected, key_columns):
-        cells = enc_part.columns[c]
-        ct = [cells[r0] for r0 in rows]
-        plain = CellColumn(ote_many(keys, ct), tuple(accumulate(map(len, ct))))
-        values.append(list(map(decode_cell, plain, repeat(schema.columns[c].type))))
-    out = list(zip(*values)) if values else [() for _ in rows]
-    stats.rows_scanned += n_rows
-    stats.rows_emitted += len(out)
-    stats.crypto_seconds += crypto_time + clock() - t0
-    return out
+        # Decode.
+        t0 = clock()
+        rows = sorted(matched)
+        values = []  # column by column, then zipped into rows
+        for c, keys in zip(family.projected, zip(*[matched[r0] for r0 in rows])):
+            cells = enc_part.columns[c]
+            ct = [cells[r0] for r0 in rows]
+            plain = CellColumn(ote_many(keys, ct), tuple(accumulate(map(len, ct))))
+            values.append(list(map(decode_cell, plain, repeat(schema.columns[c].type))))
+        out = list(zip(*values))
+        stats.rows_scanned += enc_part.n_rows
+        stats.rows_emitted += len(out)
+        stats.crypto_seconds += crypto_time + clock() - t0
+        return out

@@ -80,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encrypt-table", help="encrypt a plaintext table directory")
+    p.set_defaults(handler=cmd_encrypt_table)
     p.add_argument("--src", required=True, help="directory with schema.json and part-*.csv/.mep")
     p.add_argument("--dst", required=True, help="storage root for the encrypted table")
     p.add_argument("--keys-dir", required=True, help="directory that receives the table key file")
@@ -87,6 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
 
     p = sub.add_parser("add-family", help="instantiate an access-control view family")
+    p.set_defaults(handler=cmd_add_family)
     p.add_argument("--table", required=True, help="encrypted table storage root")
     p.add_argument("--table-key", required=True, help="path to the table key file")
     p.add_argument("--family", required=True, help="family SQL with ?wildcards")
@@ -97,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
 
     p = sub.add_parser("view-gen", help="mint view keys for a view in a family")
+    p.set_defaults(handler=cmd_view_gen)
     p.add_argument("--table", required=True)
     p.add_argument("--family-id", required=True)
     p.add_argument("--family-key", required=True, help="path to the family key file")
@@ -105,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--insecure-print-keys", action="store_true")
 
     p = sub.add_parser("reveal-view", help="decrypt a view into local CSV partitions")
+    p.set_defaults(handler=cmd_reveal_view)
     p.add_argument("--table", required=True)
     p.add_argument("--view-keys", required=True, help="path to the view key blob")
     p.add_argument("--out", required=True, help="local output directory")
@@ -112,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
 
     p = sub.add_parser("plan", help="show the canonical form of a family or view")
+    p.set_defaults(handler=cmd_plan)
     p.add_argument("--family", required=True, help="family SQL")
     p.add_argument("--view", default=None, help="view SQL to bind against the family")
     p.add_argument("--schema", default=None, help="schema.json path")
@@ -120,10 +125,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("check", help="evaluate a view over plaintext partitions (debugging)")
+    p.set_defaults(handler=cmd_check)
     p.add_argument("--src", required=True, help="plaintext table directory")
     p.add_argument("--view", required=True)
 
     p = sub.add_parser("bench", help="synthetic throughput report (informational)")
+    p.set_defaults(handler=cmd_bench)
     p.add_argument("phase", choices=["encrypt-table", "add-family", "reveal-view"])
     p.add_argument("--rows", type=int, default=20_000)
     p.add_argument("--partitions", type=int, default=4)
@@ -314,17 +321,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "encrypt-table": cmd_encrypt_table,
-    "add-family": cmd_add_family,
-    "view-gen": cmd_view_gen,
-    "reveal-view": cmd_reveal_view,
-    "plan": cmd_plan,
-    "check": cmd_check,
-    "bench": cmd_bench,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -334,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return 1  # argparse usage errors
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

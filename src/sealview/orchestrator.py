@@ -47,9 +47,7 @@ from .backend import (
     ViewKeySet,
     add_family,
     encrypt_partition,
-    finish_reveal,
     generate_view_keys,
-    scan_partition,
 )
 from .manifest import MANIFEST_NAME, FamilyRecord, ManifestError, TableManifest
 from .mep import (
@@ -165,8 +163,10 @@ class HttpStorage(Storage):
     """
 
     def __init__(self, base_url: str):
-        import requests  # noqa: F401  (fail here, not at the first request, if it is missing)
-
+        try:
+            import requests  # noqa: F401  (fail here, not at the first request, if it is missing)
+        except ImportError as exc:
+            raise StorageError("http storage needs requests: pip install 'sealview[http]'") from exc
         self.base_url = base_url.rstrip("/")
         self._headers = {}
         token = os.environ.get(HTTP_TOKEN_ENV)
@@ -179,7 +179,10 @@ class HttpStorage(Storage):
         resp = requests.get(self.base_url + "/", headers=self._headers, timeout=60)
         if resp.status_code != 200:
             raise StorageError(f"list failed with status {resp.status_code}")
-        return sorted(resp.json())
+        names = resp.json()
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise StorageError("list did not return a JSON array of names")
+        return sorted(names)
 
     def get(self, name: str) -> bytes:
         import requests
@@ -278,6 +281,12 @@ class RunReport:
 # took about 20 ms more than half its inline time on the perfbench sparse
 # and dense tables, and a bare 2-worker pool given two no-op tasks took
 # 9-12 ms from start to shutdown.
+#
+# A reveal prices each partition from its first one's probe: the probe's
+# time (read, parse and scan), plus the finish. Confirming and decoding a
+# candidate row costs about what entering a key and finding its first
+# candidates does (a key setup and an AES call or two each), so each
+# candidate is priced at the probe's time per key, less the read.
 POOL_START_SECONDS = 0.02
 
 
@@ -316,8 +325,9 @@ def _map_partitions(items, work, context, store, workers: int, report: RunReport
     starts (`_map_on_pool`), but for a reveal only when it pays:
 
     - This process reads and scans the first partition and times it.
-      That time plus the scan's estimate of its finish is what each
-      partition is expected to cost.
+      That time, plus each candidate row the scan found priced at the
+      probe's time per key less the read, is what each partition is
+      expected to cost.
     - If a pool for every partition pays (`_pool_pays`), it starts and
       the scan is dropped.
     - If not, this process finishes the partition from its scan and goes
@@ -353,9 +363,8 @@ def _map_partitions(items, work, context, store, workers: int, report: RunReport
         return not _pool_pays(sum(worked) / len(worked), len(pending), workers)
 
     inline = workers == 1
-    if work in _SCANNED_WORK and not inline:
-        steps = _SCANNED_WORK[work]
-        inline = _first_here_if_cheaper(steps, context, pending, workers, keep, report) and stay_inline()
+    if work is _reveal_worker and not inline:
+        inline = _first_here_if_cheaper(context, pending, workers, keep, report) and stay_inline()
     while pending and inline:
         t0 = clock()
         keep(work(context, pending.popleft()), t0)
@@ -366,20 +375,20 @@ def _map_partitions(items, work, context, store, workers: int, report: RunReport
     report.wall_seconds += clock() - started
 
 
-def _first_here_if_cheaper(steps, context, pending: deque, workers: int, keep, report: RunReport) -> bool:
-    """Read and scan the first pending item in this process, timed. If a
-    pool for every item pays, drop the scan, which a pool worker does
-    again, and return False; otherwise finish the item, keep it, and
-    return True."""
-    scan, finish = steps
+def _first_here_if_cheaper(context, pending: deque, workers: int, keep, report: RunReport) -> bool:
+    """Read and scan a reveal's first pending partition in this process,
+    timed. If a pool for every partition pays, drop the scan, which a
+    pool worker does again, and return False; otherwise finish the
+    partition, keep it, and return True."""
     t0 = time.perf_counter()
-    stats, scanned = scan(context, pending[0])
+    stats, scanned = _reveal_scan(context, pending[0])
     probe = time.perf_counter() - t0
-    if _pool_pays(probe + scanned.finish_estimate(), len(pending), workers):
+    per_key = (probe - stats.read_seconds) / len(scanned.entries) if scanned.entries else 0.0
+    if _pool_pays(probe + per_key * scanned.candidate_count(), len(pending), workers):
         report.probe_seconds += probe
         return False
     pending.popleft()
-    keep(finish(stats, scanned), t0)
+    keep(_reveal_finish(stats, scanned), t0)
     return True
 
 
@@ -497,12 +506,12 @@ def _reveal_scan(context, pid: int) -> tuple[PartitionStats, PartitionScan]:
     """A reveal's first step: partition `pid` read and scanned."""
     storage, generation, schema, family, view_keys = context
     stats, enc_part = _read_encrypted(storage, generation, schema, pid)
-    return stats, scan_partition(enc_part, schema, family, view_keys)
+    return stats, PartitionScan(enc_part, schema, family, view_keys)
 
 
 def _reveal_finish(stats: PartitionStats, scan: PartitionScan) -> tuple[PartitionStats, bytes]:
     """A reveal's second step: the scanned partition's view rows as CSV."""
-    rows = finish_reveal(scan)
+    rows = scan.finish()
     out = io.StringIO()
     partition_to_csv(rows, out)
     stats.rows_emitted = len(rows)
@@ -511,10 +520,6 @@ def _reveal_finish(stats: PartitionStats, scan: PartitionScan) -> tuple[Partitio
 
 def _reveal_worker(context, pid: int) -> tuple[PartitionStats, bytes]:
     return _reveal_finish(*_reveal_scan(context, pid))
-
-
-# Worker bodies that run as a scan, which estimates the rest, then a finish.
-_SCANNED_WORK = {_reveal_worker: (_reveal_scan, _reveal_finish)}
 
 
 # -------------------------------------------------------- table operations

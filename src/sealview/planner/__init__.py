@@ -17,15 +17,15 @@ from .rewrite import (
 from .sql import parse
 
 DEFAULT_BRANCHING_BITS = 8
-DEFAULT_MAX_CLAUSES = 4096
+MAX_CLAUSES = 4096  # the most clauses a canonical form may hold
 
 __all__ = [
     "Atom",
     "CanonicalFamily",
     "CanonicalView",
     "DEFAULT_BRANCHING_BITS",
-    "DEFAULT_MAX_CLAUSES",
     "DEFAULT_MAX_VALUES",
+    "MAX_CLAUSES",
     "ParseError",
     "PlannerError",
     "PredicateFn",
@@ -43,23 +43,16 @@ def _projection_indices(stmt, schema: Schema) -> tuple[int, ...]:
     return tuple(schema.index_of(name) for name in stmt.projection)
 
 
-def _run_passes(
-    where, schema: Schema, branching_bits: int, max_clauses: int, max_values: int = DEFAULT_MAX_VALUES
-):
+def _run_passes(where, schema: Schema, branching_bits: int, max_values: int = DEFAULT_MAX_VALUES):
     node = push_not_down(where)
     node = to_typed(node, schema)
     node = consolidate(node)
     node = ranges_to_in(node, branching_bits, max_values)
-    conjuncts = to_dnf(node, max_clauses)
+    conjuncts = to_dnf(node, MAX_CLAUSES)
     return eliminate_ands(conjuncts, max_values)
 
 
-def plan_family(
-    sql: str,
-    schema: Schema,
-    branching_bits: int = DEFAULT_BRANCHING_BITS,
-    max_clauses: int = DEFAULT_MAX_CLAUSES,
-) -> CanonicalFamily:
+def plan_family(sql: str, schema: Schema, branching_bits: int = DEFAULT_BRANCHING_BITS) -> CanonicalFamily:
     """Rewrite family SQL (wildcard predicates) into canonical form.
 
     `branching_bits` must be 1, 2, 4, 8, 16, 32 or 64; any other value
@@ -67,7 +60,7 @@ def plan_family(
     check_branching_bits(branching_bits)
     stmt = parse(sql, "family")
     projected = _projection_indices(stmt, schema)
-    triples = _run_passes(stmt.where, schema, branching_bits, max_clauses)
+    triples = _run_passes(stmt.where, schema, branching_bits)
     if not triples:
         raise PlannerError("family WHERE clause vanished during rewriting")
     return CanonicalFamily(
@@ -79,11 +72,7 @@ def plan_family(
 
 
 def plan_view(
-    sql: str,
-    family: CanonicalFamily,
-    schema: Schema,
-    max_clauses: int = DEFAULT_MAX_CLAUSES,
-    max_values: int = DEFAULT_MAX_VALUES,
+    sql: str, family: CanonicalFamily, schema: Schema, max_values: int = DEFAULT_MAX_VALUES
 ) -> CanonicalView:
     """Bind view SQL (literal predicates) against an instantiated family.
 
@@ -100,7 +89,7 @@ def plan_view(
         raise ViewFamilyMismatch(
             "view projection does not match the family's projected columns"
         )
-    triples = _run_passes(stmt.where, schema, family.branching_bits, max_clauses, max_values)
+    triples = _run_passes(stmt.where, schema, family.branching_bits, max_values)
     by_atoms = {pred.atoms: j for j, pred in enumerate(family.predicates)}
     values: list[tuple[bytes, ...]] = [()] * family.n_pred
     # eliminate_ands merged equal atom tuples, so each j is bound once.

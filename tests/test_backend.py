@@ -18,15 +18,14 @@ from sealview.backend import (
     AddFamilyStats,
     BackendError,
     FamilyParams,
+    PartitionScan,
     RevealStats,
     ViewKeySet,
     add_family,
     encrypt_partition,
-    finish_reveal,
     generate_view_keys,
     random_key,
     reveal_partition,
-    scan_partition,
 )
 from sealview.encoding import TYPE_INT64, TYPE_UTF8, EncodingError, decode_cell, encode_cell
 from sealview.mep import parse_encrypted, serialize_encrypted
@@ -834,7 +833,7 @@ def test_untagged_reference_tries_every_key_on_every_row(tag_length):
 
 @pytest.mark.parametrize("tag_length", [1, 16])
 def test_scan_then_finish_is_the_reveal(tag_length):
-    """`reveal_partition` is `scan_partition` then `finish_reveal`, with
+    """`reveal_partition` is a `PartitionScan` then its `finish`, with
     the same rows and counters. The scan counts nothing, and its first
     candidates are every attempt the finish makes unless a tag hit is a
     false positive, which 16-byte tags do not meet."""
@@ -848,10 +847,9 @@ def test_scan_then_finish_is_the_reveal(tag_length):
         keys = generate_view_keys(plan_view(view_sql, family, schema), FAMILY_KEY, tag_length)
         want_stats, stats = RevealStats(), RevealStats()
         want = reveal_partition(enc_part, schema, family, keys, stats=want_stats)
-        scan = scan_partition(enc_part, schema, family, keys)
-        assert scan.seconds > 0 and scan.finish_estimate() >= 0
+        scan = PartitionScan(enc_part, schema, family, keys)
         candidates = scan.candidate_count()
-        assert finish_reveal(scan, stats) == want == eval_view(schema, rows, view_sql)
+        assert scan.finish(stats) == want == eval_view(schema, rows, view_sql)
         assert _counters(stats) == _counters(want_stats)
         if tag_length == 16:
             assert candidates == stats.decrypt_attempts == stats.decrypt_successes

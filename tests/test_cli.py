@@ -528,6 +528,15 @@ def test_keys_not_echoed_without_flag(tmp_path, capsys, src_dir):
     assert key_hex2 in out
 
 
+def test_http_table_without_requests_exits_two_without_traceback(tmp_path, capsys, monkeypatch):
+    """With the optional `requests` missing, an http table is a data
+    error that names the extra to install."""
+    monkeypatch.setitem(sys.modules, "requests", None)
+    argv = ["reveal-view", "--table", "http://127.0.0.1:9/t", "--view-keys", str(tmp_path / "k"), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "pip install 'sealview[http]'" in capsys.readouterr().err
+
+
 def test_every_documented_flag_in_help(capsys):
     parser = build_parser()
     sub_actions = [a for a in parser._actions if hasattr(a, "choices") and a.choices]

@@ -12,9 +12,11 @@ import time
 import pytest
 
 from sealview import orchestrator
+from sealview.encoding import TYPE_INT64
 from sealview.keys import read_key, read_view_keys, write_key, write_view_keys
 from sealview.manifest import MANIFEST_NAME, TableManifest
 from sealview.mep import csv_to_partition
+from sealview.model import Column, Schema
 from sealview.oracle import eval_view
 from sealview.orchestrator import (
     LocalDirStorage,
@@ -122,8 +124,6 @@ def test_full_pipeline_matches_oracle(tmp_path):
 
 
 def _view_schema(manifest):
-    from sealview.model import Schema
-
     cols = tuple(manifest.schema.columns[i] for i in manifest.families[0].family.projected)
     return Schema(cols)
 
@@ -548,9 +548,10 @@ def test_memory_storage_roundtrip():
 
 
 @contextlib.contextmanager
-def _http_store():
+def _http_store(listing=None):
     """An HttpStorage over a stdlib object-store server on localhost,
-    serving a dict of files from this process."""
+    serving a dict of files from this process; with `listing`, a GET of
+    the base URL serves that JSON value instead of the names."""
     pytest.importorskip("requests")
     import http.server
 
@@ -565,7 +566,7 @@ def _http_store():
         def do_GET(self):
             name = self.path.lstrip("/")
             if not name:
-                body = json.dumps(sorted(files)).encode()
+                body = json.dumps(sorted(files) if listing is None else listing).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.end_headers()
@@ -608,6 +609,18 @@ def test_http_storage_round_trip():
         store.delete("part-00001.g0.mep")
         store.delete("part-00001.g0.mep")  # a missing file is not an error
         assert store.list_files() == ["part-00002.g0.mep"]
+
+
+@pytest.mark.parametrize("listing", [[1, 2], {"a": 1}])
+def test_http_listing_that_is_not_an_array_of_names_is_a_storage_error(listing):
+    """A bad listing raises StorageError, which a commit's cleanup, run
+    after the manifest put, treats as a failure to leave for later."""
+    manifest = TableManifest("t", Schema((Column("a", TYPE_INT64),)), [(1, 0)])
+    with _http_store(listing) as store:
+        with pytest.raises(StorageError, match="JSON array of names"):
+            store.list_files()
+        orchestrator._commit(store, manifest)
+        assert TableManifest.from_json(store.get(MANIFEST_NAME)) == manifest
 
 
 def _view_texts(storage, keys, out, workers, **kw):

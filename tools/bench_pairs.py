@@ -18,10 +18,14 @@ which the change is strictly better. `gap_over_parent_iqr` is the
 improvement of the median over the parent's interquartile range, so a
 claimed gain needs it above 1 and at least 9 wins in 10 pairs.
 
+A run that exits non-zero or prints no result counts as failed and adds
+no values: its seed's place in its side's list holds null. The two runs
+of a pair share a seed, and only pairs in which both runs have a value
+are counted (`pairs`) and can be wins.
+
 With `--out`, the workload's entry is written into that JSON file,
 whose other workloads and keys are kept; the summary is printed either
-way. A run that exits non-zero or prints no result counts as failed and
-adds no values.
+way.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ from pathlib import Path
 PROTOCOL = (
     "alternating parent/change pairs, pair i at seed A+i; the parent runs first in even pairs, "
     "the change first in odd ones; each side runs from its own copy of the tree; quartiles are "
-    "statistics.quantiles(n=4, method='inclusive') over one side's runs; a win is a pair in which "
-    "the change is strictly better; every run made is listed"
+    "statistics.quantiles(n=4, method='inclusive') over one side's runs; a run that exits non-zero "
+    "adds no value; a win is a pair whose runs both have a value and in which the change is strictly "
+    "better; every run made is listed"
 )
 
 
@@ -61,10 +66,21 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
-    """One metric's values on both sides and their comparison."""
+def run_values(runs: list[dict], name: str) -> list[float | None]:
+    """Metric `name` of each run, in seed order; None where the run
+    failed or did not report it."""
+    return [r["metrics"][name]["value"] if r["exit"] == 0 and name in r["metrics"] else None for r in runs]
+
+
+def compare(spec: dict, parent_runs: list[float | None], change_runs: list[float | None]) -> dict:
+    """One metric's values on both sides, one per seed (None for a failed
+    run), and their comparison."""
     lower = spec["better"] == "lower"
-    out = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"], "parent": parent, "change": change}
+    out = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"]}
+    out.update(parent=parent_runs, change=change_runs)
+    pairs = [(p, c) for p, c in zip(parent_runs, change_runs) if p is not None and c is not None]
+    parent = [p for p in parent_runs if p is not None]
+    change = [c for c in change_runs if c is not None]
     if not parent or not change:
         return out
     pq, cq = quartiles(parent), quartiles(change)
@@ -85,9 +101,25 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
         within_bound=worse_by <= spec["bound"],
         parent_iqr_over_median=p_iqr / pm if pm else 0.0,
         gap_over_parent_iqr=gain / p_iqr if p_iqr else None,
-        change_wins=sum((c < p) if lower else (c > p) for p, c in zip(parent, change)),
+        pairs=len(pairs),
+        change_wins=sum((c < p) if lower else (c > p) for p, c in pairs),
     )
     return out
+
+
+def summarize(seeds: list[int], runs: dict[str, list[dict]], specs: dict[str, dict]) -> dict:
+    """The workload's entry: each side's runs, one per seed in seed
+    order, compared metric by metric."""
+    return {
+        "seeds": seeds,
+        "failed": {side: [r["failed"] if r["metrics"] else None for r in rs] for side, rs in runs.items()},
+        "exit": {side: [r["exit"] for r in rs] for side, rs in runs.items()},
+        "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
+        "metrics": {
+            name: compare(spec, run_values(runs["parent"], name), run_values(runs["change"], name))
+            for name, spec in specs.items()
+        },
+    }
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -125,21 +157,13 @@ def main(argv: list[str]) -> int:
             value = result["metrics"].get("reveal_s", {}).get("value")
             print(f"seed {seed} {side}: exit {result['exit']}, reveal_s {value}", file=sys.stderr, flush=True)
 
-    def values(side, name):
-        return [r["metrics"][name]["value"] for r in runs[side] if name in r["metrics"]]
-
-    entry = {
-        "seeds": args.seeds,
-        "failed": {side: [r["failed"] if r["metrics"] else None for r in rs] for side, rs in runs.items()},
-        "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
-        "metrics": {name: compare(spec, values("parent", name), values("change", name)) for name, spec in specs.items()},
-    }
+    entry = summarize(args.seeds, runs, specs)
     for name, m in entry["metrics"].items():
         if "parent_median" in m:
             print(
                 f"{args.workload:14s} {name:30s} {m['parent_median']:.6g} -> {m['change_median']:.6g} "
                 f"({100 * m['change_vs_parent']:+.1f}%, parent IQR {100 * m['parent_iqr_over_median']:.1f}%, "
-                f"wins {m['change_wins']}/{len(args.seeds)}, within bound: {m['within_bound']})"
+                f"wins {m['change_wins']}/{m['pairs']}, within bound: {m['within_bound']})"
             )
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}

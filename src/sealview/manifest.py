@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .model import Schema, SchemaError
+from .model import MAX_PARTITION_ID, Schema, SchemaError
 from .planner.canonical import CanonicalFamily
 from .planner.errors import PlannerError
 
@@ -61,14 +61,13 @@ class FamilyRecord:
     family_id: str
     family: CanonicalFamily
     tag_length: int
-    branching_bits: int
 
     def to_json(self) -> dict:
         return {
             "family_id": self.family_id,
             "canonical": self.family.serialize().hex(),
             "tag_length_bytes": self.tag_length,
-            "branching_factor_bits": self.branching_bits,
+            "branching_factor_bits": self.family.branching_bits,
         }
 
     @classmethod
@@ -82,11 +81,14 @@ class FamilyRecord:
             raise ManifestError(f"family {family_id}: bad canonical form ({exc})") from exc
         if family.family_id != family_id:
             raise ManifestError(f"family {family_id}: id does not match its canonical form")
+        if _field(data, "branching_factor_bits", int, "family record") != family.branching_bits:
+            raise ManifestError(
+                f"family {family_id}: branching_factor_bits does not match its canonical form"
+            )
         return cls(
             family_id=family_id,
             family=family,
             tag_length=_int_field(data, "tag_length_bytes", "family record", 1, 16),
-            branching_bits=_int_field(data, "branching_factor_bits", "family record", 1),
         )
 
 
@@ -102,8 +104,8 @@ class TableManifest:
         ids = [pid for pid, _ in self.partitions]
         if len(set(ids)) != len(ids):
             raise ManifestError("duplicate partition ids")
-        if any(pid < 1 for pid in ids):
-            raise ManifestError("partition ids start at 1")
+        if any(not 1 <= pid <= MAX_PARTITION_ID for pid in ids):
+            raise ManifestError(f"partition ids must be in 1..{MAX_PARTITION_ID}")
         seen = set()
         for rec in self.families:
             if rec.family_id in seen:

@@ -208,26 +208,33 @@ def decode_csv(data: bytes, name: str) -> str:
 
 
 def csv_to_partition(text: str, schema: Schema, partition_id: int) -> PlainPartition:
+    """The partition in CSV `text`; a bad record raises
+    PartitionFormatError naming the line it ends on."""
     rows = []
-    for line_no, record in enumerate(csv.reader(io.StringIO(text)), start=1):
-        if not record:
-            continue
-        if len(record) != len(schema):
-            raise PartitionFormatError(
-                f"line {line_no}: {len(record)} fields, schema has {len(schema)}"
-            )
-        row = []
-        for raw, col in zip(record, schema.columns):
-            if raw == NULL_TOKEN:
-                row.append(None)
-            elif col.type == TYPE_INT64:
-                try:
-                    row.append(int(raw))
-                except ValueError as exc:
-                    raise PartitionFormatError(f"line {line_no}: bad integer {raw!r}") from exc
-            else:
-                row.append(raw)
-        rows.append(row)
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for record in reader:
+            line_no = reader.line_num
+            if not record:
+                continue
+            if len(record) != len(schema):
+                raise PartitionFormatError(
+                    f"line {line_no}: {len(record)} fields, schema has {len(schema)}"
+                )
+            row = []
+            for raw, col in zip(record, schema.columns):
+                if raw == NULL_TOKEN:
+                    row.append(None)
+                elif col.type == TYPE_INT64:
+                    try:
+                        row.append(int(raw))
+                    except ValueError as exc:
+                        raise PartitionFormatError(f"line {line_no}: bad integer {raw!r}") from exc
+                else:
+                    row.append(raw)
+            rows.append(row)
+    except csv.Error as exc:  # only the reader raises it, e.g. for a field over its size limit
+        raise PartitionFormatError(f"line {reader.line_num}: {exc}") from exc
     return PlainPartition(partition_id, rows)
 
 

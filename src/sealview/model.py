@@ -9,8 +9,16 @@ from itertools import accumulate, chain
 from .encoding import TYPE_INT64, TYPE_UTF8
 
 
+MAX_PARTITION_ID = 2**32 - 1  # MEP2 stores the id as a u32
+
+
 class SchemaError(ValueError):
     pass
+
+
+def _check_partition_id(partition_id: int) -> None:
+    if not 1 <= partition_id <= MAX_PARTITION_ID:
+        raise SchemaError(f"partition ids must be in 1..{MAX_PARTITION_ID}, got {partition_id}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,7 @@ class PlainPartition:
     rows: list[list]
 
     def __post_init__(self):
-        if self.partition_id < 1:
-            raise SchemaError("partition ids start at 1")
+        _check_partition_id(self.partition_id)
 
 
 class CellColumn(Sequence):
@@ -181,8 +188,7 @@ class EncryptedPartition:
     families: dict[str, FamilyColumns] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.partition_id < 1:
-            raise SchemaError("partition ids start at 1")
+        _check_partition_id(self.partition_id)
         if len({len(col) for col in self.columns}) > 1:
             raise SchemaError("cell columns differ in length")
 

@@ -78,7 +78,8 @@ class OrchestratorError(Exception):
 
 
 class Storage:
-    """Whole-file get/put/delete plus listing; puts are atomic per file."""
+    """The four calls of an object store: listing and whole-file
+    get/put/delete; puts are atomic per file."""
 
     def list_files(self) -> list[str]:
         raise NotImplementedError
@@ -92,9 +93,6 @@ class Storage:
     def delete(self, name: str) -> None:
         """Remove a file; a missing file is not an error."""
         raise NotImplementedError
-
-    def exists(self, name: str) -> bool:
-        return name in self.list_files()
 
 
 class LocalDirStorage(Storage):
@@ -117,9 +115,6 @@ class LocalDirStorage(Storage):
         tmp = self.root / (name + INFLIGHT_SUFFIX)
         tmp.write_bytes(data)
         os.replace(tmp, self.root / name)
-
-    def exists(self, name: str) -> bool:
-        return (self.root / name).is_file()
 
     def delete(self, name: str) -> None:
         try:
@@ -146,9 +141,6 @@ class MemoryStorage(Storage):
     def put(self, name: str, data: bytes) -> None:
         self.files[name] = data
 
-    def exists(self, name: str) -> bool:
-        return name in self.files
-
     def delete(self, name: str) -> None:
         self.files.pop(name, None)
 
@@ -157,6 +149,7 @@ class HttpStorage(Storage):
     """Object-store endpoint speaking plain GET/PUT/DELETE per file.
 
     Listing is a GET of the base URL returning a JSON array of names.
+    Each call is one request, sent and checked by `_request`.
     A bearer token is read from the environment, never from arguments.
     The storage holds no module or session, so it pickles, and a pool
     worker started by any method can read through it.
@@ -173,40 +166,36 @@ class HttpStorage(Storage):
         if token:
             self._headers["Authorization"] = f"Bearer {token}"
 
-    def list_files(self) -> list[str]:
+    def _request(self, method: str, name: str, ok: tuple[int, ...], timeout: int, **kwargs):
+        """The response to one request for file `name`, or for the
+        listing if `name` is "", whose status must be in `ok`."""
         import requests
 
-        resp = requests.get(self.base_url + "/", headers=self._headers, timeout=60)
-        if resp.status_code != 200:
-            raise StorageError(f"list failed with status {resp.status_code}")
-        names = resp.json()
+        resp = requests.request(
+            method, f"{self.base_url}/{name}", headers=self._headers, timeout=timeout, **kwargs
+        )
+        if resp.status_code not in ok:
+            raise StorageError(f"{method} /{name} failed with status {resp.status_code}")
+        return resp
+
+    def list_files(self) -> list[str]:
+        resp = self._request("GET", "", (200,), 60)
+        try:
+            names = resp.json()
+        except ValueError as exc:  # a body that is not JSON
+            raise StorageError("list did not return a JSON array of names") from exc
         if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
             raise StorageError("list did not return a JSON array of names")
         return sorted(names)
 
     def get(self, name: str) -> bytes:
-        import requests
-
-        resp = requests.get(f"{self.base_url}/{name}", headers=self._headers, timeout=300)
-        if resp.status_code != 200:
-            raise StorageError(f"get {name!r} failed with status {resp.status_code}")
-        return resp.content
+        return self._request("GET", name, (200,), 300).content
 
     def put(self, name: str, data: bytes) -> None:
-        import requests
-
-        resp = requests.put(
-            f"{self.base_url}/{name}", data=data, headers=self._headers, timeout=300
-        )
-        if resp.status_code not in (200, 201, 204):
-            raise StorageError(f"put {name!r} failed with status {resp.status_code}")
+        self._request("PUT", name, (200, 201, 204), 300, data=data)
 
     def delete(self, name: str) -> None:
-        import requests
-
-        resp = requests.delete(f"{self.base_url}/{name}", headers=self._headers, timeout=60)
-        if resp.status_code not in (200, 202, 204, 404):
-            raise StorageError(f"delete {name!r} failed with status {resp.status_code}")
+        self._request("DELETE", name, (200, 202, 204, 404), 60)
 
 
 def open_storage(locator: str | Path) -> Storage:
@@ -426,8 +415,8 @@ def partition_name(pid: int, generation: int) -> str:
 
 
 def load_manifest(storage: Storage) -> TableManifest:
-    if not storage.exists(MANIFEST_NAME):
-        raise OrchestratorError("no manifest.json at the storage root")
+    """The table's manifest, read with one get: a table without one
+    raises the get's StorageError."""
     return TableManifest.from_json(storage.get(MANIFEST_NAME))
 
 
@@ -596,7 +585,7 @@ def run_encrypt_table(
     0; the manifest put commits the table."""
     config = config or OrchestratorConfig()
     report = report if report is not None else RunReport()
-    if dst.exists(MANIFEST_NAME):
+    if MANIFEST_NAME in dst.list_files():
         raise OrchestratorError("destination already holds a table; refusing to overwrite")
     table_name, schema = load_schema_descriptor(Path(src))
     sources = discover_plain_partitions(Path(src))
@@ -660,7 +649,7 @@ def run_add_family(
     if before_commit is not None:
         before_commit(family_id, family_key)
     manifest.generation = following
-    manifest.families.append(FamilyRecord(family_id, family, tag_length, branching_bits))
+    manifest.families.append(FamilyRecord(family_id, family, tag_length))
     _commit(storage, manifest)
     return family_id, family_key
 

@@ -104,6 +104,8 @@ class CanonicalFamily:
     branching_bits: int
 
     def __post_init__(self):
+        if not self.projected:
+            raise PlannerError("canonical family needs at least one projected column")
         if not self.predicates:
             raise PlannerError("canonical family needs at least one predicate")
         if len(self.wildcard_names) != len(self.predicates):

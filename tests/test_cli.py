@@ -343,6 +343,35 @@ def test_non_utf8_csv_exits_two_without_traceback(tmp_path, src_dir):
         assert "part-00001.csv is not UTF-8" in err
 
 
+def test_csv_field_over_the_csv_limit_exits_two_without_traceback(tmp_path, src_dir):
+    (src_dir / "part-00002.csv").write_text("103,Clipper,green\n104," + "M" * 200_000 + ",red\n")
+    for argv in [
+        ("encrypt-table", "--src", str(src_dir), "--dst", str(tmp_path / "table"),
+         "--keys-dir", str(tmp_path / "keys")),
+        ("check", "--src", str(src_dir), "--view", VIEW_SQL),
+    ]:
+        rc, err = _run_cli_process(*argv)
+        assert (rc, "Traceback" in err) == (2, False), err
+        assert "line 2: field larger than field limit" in err
+
+
+def test_partition_id_beyond_u32_exits_two_without_traceback(tmp_path, src_dir):
+    (src_dir / "part-4294967296.csv").write_text("105,Driftwood,blue\n")
+    rc, err = _run_cli_process(
+        "encrypt-table", "--src", str(src_dir), "--dst", str(tmp_path / "table"),
+        "--keys-dir", str(tmp_path / "keys"),
+    )
+    assert (rc, "Traceback" in err) == (2, False), err
+    assert "partition ids must be in 1..4294967295, got 4294967296" in err
+
+
+def test_table_without_a_manifest_exits_two_naming_it(tmp_path, capsys):
+    (tmp_path / "table").mkdir()
+    rc, _, err = run_cli(capsys, "plan", "--table", str(tmp_path / "table"), "--family", FAMILY_SQL)
+    assert rc == 2
+    assert "missing file 'manifest.json'" in err
+
+
 def test_directory_file_arguments_exit_two_without_traceback(tmp_path, capsys, src_dir):
     table, keys = tmp_path / "table", tmp_path / "keys"
     run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))

@@ -38,6 +38,7 @@ from sealview.model import (
     FixedWidthColumn,
     PlainPartition,
     Schema,
+    SchemaError,
 )
 from sealview.planner import plan_family
 
@@ -121,7 +122,7 @@ def test_manifest_round_trip(boats_schema):
         name="boats",
         schema=boats_schema,
         partitions=[(1, 4), (2, 0)],
-        families=[FamilyRecord(family.family_id, family, 4, 8)],
+        families=[FamilyRecord(family.family_id, family, 4)],
     )
     text = manifest.to_json()
     back = TableManifest.from_json(text)
@@ -137,7 +138,7 @@ def test_manifest_rejects_duplicates(boats_schema):
     with pytest.raises(ManifestError, match="duplicate partition"):
         TableManifest("t", boats_schema, [(1, 4), (1, 2)])
     family = plan_family("SELECT * FROM t WHERE color = ?x", boats_schema)
-    rec = FamilyRecord(family.family_id, family, 4, 8)
+    rec = FamilyRecord(family.family_id, family, 4)
     with pytest.raises(ManifestError, match="duplicate family"):
         TableManifest("t", boats_schema, [(1, 4)], [rec, rec])
 
@@ -146,12 +147,12 @@ def test_manifest_rejects_out_of_schema_family(boats_schema):
     family = plan_family("SELECT * FROM t WHERE color = ?x", boats_schema)
     small = Schema((Column("only", TYPE_INT64),))
     with pytest.raises(ManifestError, match="outside the schema"):
-        TableManifest("t", small, [(1, 4)], [FamilyRecord(family.family_id, family, 4, 8)])
+        TableManifest("t", small, [(1, 4)], [FamilyRecord(family.family_id, family, 4)])
 
 
 def _manifest_doc(boats_schema) -> dict:
     family = plan_family("SELECT * FROM t WHERE color = ?x", boats_schema)
-    manifest = TableManifest("boats", boats_schema, [(1, 4), (2, 0)], [FamilyRecord(family.family_id, family, 4, 8)], 3)
+    manifest = TableManifest("boats", boats_schema, [(1, 4), (2, 0)], [FamilyRecord(family.family_id, family, 4)], 3)
     return json.loads(manifest.to_json())
 
 
@@ -181,6 +182,26 @@ def test_manifest_rejects_ill_typed_fields(boats_schema):
     for text in ('{"format_version":1}', "[1]", "[" * 100_000, b"\xff"):
         with pytest.raises(ManifestError):
             TableManifest.from_json(text)
+
+
+def test_manifest_rejects_what_the_format_or_its_families_cannot_hold(boats_schema):
+    doc = _manifest_doc(boats_schema)
+    family = doc["families"][0]
+    canonical = bytes.fromhex(family["canonical"])
+    assert canonical[7:9] == b"\x00\x03"  # magic, version and branching bits, then 3 projected columns
+    unprojected = (canonical[:7] + b"\x00\x00" + canonical[15:]).hex()
+    bad = {
+        "partition ids must be in 1..4294967295": {**doc, "partitions": [{"id": 2**32, "rows": 1}]},
+        "branching_factor_bits does not match": {**doc, "families": [{**family, "branching_factor_bits": 4}]},
+        "needs at least one projected column": {**doc, "families": [{**family, "canonical": unprojected}]},
+    }
+    for message, broken in bad.items():
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            TableManifest.from_json(json.dumps(broken))
+    for kind in (PlainPartition, EncryptedPartition):
+        assert kind(2**32 - 1, []).partition_id == 2**32 - 1
+        with pytest.raises(SchemaError, match=re.escape("in 1..4294967295, got 4294967296")):
+            kind(2**32, [])
 
 
 _JSON_VALUES = st.recursive(

@@ -85,8 +85,9 @@ def test_encrypt_table_end_to_end(tmp_path):
     manifest, key = run_encrypt_table(src, dst, TABLE_KEY, sequential_config())
     assert key == TABLE_KEY
     assert manifest.partitions == [(1, 2), (2, 2), (3, 1), (4, 0)]
-    assert dst.exists(MANIFEST_NAME)
-    assert all(dst.exists(partition_name(pid, 0)) for pid in (1, 2, 3, 4))
+    names = dst.list_files()
+    assert MANIFEST_NAME in names
+    assert all(partition_name(pid, 0) in names for pid in (1, 2, 3, 4))
 
 
 def test_encrypt_table_refuses_overwrite(tmp_path):
@@ -402,7 +403,7 @@ def test_add_family_crash_during_cleanup_leaves_committed_version(tmp_path):
     manifest = TableManifest.from_json(dst.get(MANIFEST_NAME))
     assert (manifest.generation, len(manifest.families)) == (2, 2)
     assert [family_id for family_id, _ in saved] == [manifest.families[1].family_id]
-    assert all(dst.exists(partition_name(pid, 2)) for pid, _ in manifest.partitions)
+    assert all(partition_name(pid, 2) in dst.list_files() for pid, _ in manifest.partitions)
     assert _unreferenced_partitions(dst) == [partition_name(pid, 1) for pid in (2, 3, 4)]
     _assert_reveals_oracle(dst, tmp_path / "out-crashed")
     with pytest.raises(OrchestratorError, match="already instantiated"):
@@ -446,7 +447,7 @@ def test_commit_deletes_files_left_by_cut_off_local_puts(tmp_path):
     for name in planted:
         (dst.root / name).write_bytes(b"cut off")
     _add_second_family(dst)
-    assert not any(dst.exists(name) for name in planted)
+    assert not any(name in dst.list_files() for name in planted)
     assert _file_snapshot(dst) == expected
 
 
@@ -542,16 +543,18 @@ def test_memory_storage_roundtrip():
     store.delete("a")
     store.delete("a")  # a missing file is not an error
     assert store.list_files() == ["b"]
-    assert not store.exists("a")
+    assert "a" not in store.list_files()
     with pytest.raises(StorageError):
         store.get("zz")
 
 
 @contextlib.contextmanager
-def _http_store(listing=None):
+def _http_store(listing=None, log=None):
     """An HttpStorage over a stdlib object-store server on localhost,
     serving a dict of files from this process; with `listing`, a GET of
-    the base URL serves that JSON value instead of the names."""
+    the base URL serves that JSON value, or those bytes as they are,
+    instead of the names. With `log`, each request appends its (method,
+    file name) to it, the name "" for the listing."""
     pytest.importorskip("requests")
     import http.server
 
@@ -563,10 +566,16 @@ def _http_store(listing=None):
         def log_message(self, *args):
             pass
 
+        def log_request(self, *args):
+            if log is not None:
+                log.append((self.command, self.path.lstrip("/")))
+
         def do_GET(self):
             name = self.path.lstrip("/")
             if not name:
-                body = json.dumps(sorted(files) if listing is None else listing).encode()
+                body = sorted(files) if listing is None else listing
+                if not isinstance(body, bytes):
+                    body = json.dumps(body).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.end_headers()
@@ -621,6 +630,43 @@ def test_http_listing_that_is_not_an_array_of_names_is_a_storage_error(listing):
             store.list_files()
         orchestrator._commit(store, manifest)
         assert TableManifest.from_json(store.get(MANIFEST_NAME)) == manifest
+
+
+def test_http_listing_that_is_not_json_is_a_storage_error():
+    with _http_store(b"<html>not a listing</html>") as store:
+        with pytest.raises(StorageError, match="JSON array of names"):
+            store.list_files()
+
+
+def test_each_command_makes_only_the_requests_it_needs(tmp_path):
+    """The object-store traffic of each table command, one worker, three
+    partitions: every command reads the manifest with one GET, and only
+    encrypt-table and a commit's cleanup list the table."""
+    log = []
+    src = make_src(tmp_path, {pid: BOATS_CSV[pid] for pid in (1, 2, 3)})
+    listing, manifest = ("GET", ""), ("GET", MANIFEST_NAME)
+
+    def parts(method, generation):
+        return [(method, partition_name(pid, generation)) for pid in (1, 2, 3)]
+
+    def traffic(command, *args, **kwargs):
+        log.clear()
+        result = command(*args, **kwargs)
+        return result, list(log)
+
+    with _http_store(log=log) as store:
+        config = sequential_config()
+        _, sent = traffic(run_encrypt_table, src, store, TABLE_KEY, config)
+        assert sent == [listing, *parts("PUT", 0), ("PUT", MANIFEST_NAME), listing]
+        (family_id, _), sent = traffic(
+            run_add_family, store, TABLE_KEY, FAMILY_SQL, FAMILY_KEY, rng_seed=3, config=config
+        )
+        each = [call for pair in zip(parts("GET", 0), parts("PUT", 1)) for call in pair]
+        assert sent == [manifest, *each, ("PUT", MANIFEST_NAME), listing, *parts("DELETE", 0)]
+        keys, sent = traffic(run_view_gen, store, family_id, FAMILY_KEY, VIEW_SQL)
+        assert sent == [manifest]
+        _, sent = traffic(run_reveal_view, store, keys, tmp_path / "out", config=config)
+        assert sent == [manifest, *parts("GET", 1)]
 
 
 def _view_texts(storage, keys, out, workers, **kw):

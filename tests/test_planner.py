@@ -468,6 +468,16 @@ def test_family_counts_past_the_end_rejected():
         CanonicalFamily.deserialize(blob.replace(b"\x00\x01\x01\x00\x01", b"\x00\x01\x09\x00\x01", 1))
 
 
+def test_family_without_projected_columns_rejected():
+    blob = _MCF_BLOBS[0]
+    family = CanonicalFamily.deserialize(blob)
+    assert blob[7:9] == b"\x00\x02" and family.projected == (1, 2)
+    with pytest.raises(PlannerError, match="at least one projected column"):
+        CanonicalFamily((), family.predicates, family.wildcard_names, family.branching_bits)
+    with pytest.raises(PlannerError, match="at least one projected column"):
+        CanonicalFamily.deserialize(blob[:7] + b"\x00\x00" + blob[13:])
+
+
 def test_family_with_bad_branching_bits_rejected():
     blob = _MCF_BLOBS[1]
     assert blob[6] == 8  # magic, version, then the branching bits

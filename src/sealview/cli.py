@@ -152,9 +152,16 @@ def _load_plan_schema(args) -> Schema:
 def cmd_encrypt_table(args) -> int:
     report = RunReport()
     storage = open_storage(args.dst)
-    manifest, table_key = run_encrypt_table(args.src, storage, None, _config(args), report)
-    key_path = Path(args.keys_dir) / f"{manifest.name}.tablekey"
-    write_key(key_path, table_key)
+    key_dir = Path(args.keys_dir)
+
+    def save_key(table_name, table_key):
+        # Before the commit: a committed table always has its key on disk.
+        write_key(key_dir / f"{table_name}.tablekey", table_key)
+
+    manifest, table_key = run_encrypt_table(
+        args.src, storage, None, _config(args), report, before_commit=save_key
+    )
+    key_path = key_dir / f"{manifest.name}.tablekey"
     print(f"encrypted {report.partitions} partitions into {args.dst}")
     print(f"table key written to {key_path}")
     if args.insecure_print_keys:

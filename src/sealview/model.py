@@ -10,10 +10,21 @@ from .encoding import TYPE_INT64, TYPE_UTF8
 
 
 MAX_PARTITION_ID = 2**32 - 1  # MEP2 stores the id as a u32
+MAX_COLUMNS = 2**16 - 1  # MEP2 stores the column count as a u16
+MAX_NAME_BYTES = 2**16 - 1  # and each column name's UTF-8 length as a u16
 
 
 class SchemaError(ValueError):
     pass
+
+
+def utf8_name(name: str, what: str) -> bytes:
+    """`name` in UTF-8; a string UTF-8 cannot encode (a lone surrogate)
+    raises SchemaError naming `what`."""
+    try:
+        return name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SchemaError(f"{what} {name!r} is not valid UTF-8 text") from exc
 
 
 def _check_partition_id(partition_id: int) -> None:
@@ -30,6 +41,9 @@ class Column:
     def __post_init__(self):
         if not self.name:
             raise SchemaError("column name must be non-empty")
+        size = len(utf8_name(self.name, "schema column name"))
+        if size > MAX_NAME_BYTES:
+            raise SchemaError(f"schema column name is {size} UTF-8 bytes; the limit is {MAX_NAME_BYTES}")
         if self.type not in (TYPE_INT64, TYPE_UTF8):
             raise SchemaError(f"unknown column type {self.type!r}")
 
@@ -41,6 +55,8 @@ class Schema:
     def __post_init__(self):
         if not self.columns:
             raise SchemaError("schema needs at least one column")
+        if len(self.columns) > MAX_COLUMNS:
+            raise SchemaError(f"schema has {len(self.columns)} columns; the limit is {MAX_COLUMNS}")
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise SchemaError("duplicate column names")

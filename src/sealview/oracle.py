@@ -20,7 +20,7 @@ row.
 from __future__ import annotations
 
 from .model import Schema
-from .planner import CanonicalView, parse
+from .planner import CanonicalView, _projection_indices, parse
 from .planner.sql import And, Leaf, Not
 
 _TRUE, _FALSE, _UNKNOWN = True, False, None
@@ -90,10 +90,7 @@ def _eval_node(node, row, schema: Schema):
 def eval_view(schema: Schema, rows: list[list], sql: str) -> list[tuple]:
     """Rows (in table order) whose WHERE is true, projected."""
     stmt = parse(sql, "view")
-    if stmt.projection is None:
-        projected = tuple(range(len(schema)))
-    else:
-        projected = tuple(schema.index_of(n) for n in stmt.projection)
+    projected = _projection_indices(stmt, schema)
     out = []
     for row in rows:
         if _eval_node(stmt.where, row, schema) is _TRUE:

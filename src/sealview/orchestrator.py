@@ -58,7 +58,7 @@ from .mep import (
     partition_to_csv,
     serialize_encrypted,
 )
-from .model import PlainPartition, Schema, SchemaError
+from .model import PlainPartition, Schema, SchemaError, utf8_name
 from .planner import DEFAULT_BRANCHING_BITS, plan_family, plan_view
 
 PARTITION_NAME = "part-%05d.g%d.mep"
@@ -562,6 +562,7 @@ def parse_schema_descriptor(data: bytes, default_name: str) -> tuple[str, Schema
     name = doc.get("table", default_name)
     if not isinstance(name, str):
         raise SchemaError('schema descriptor field "table" must be a string')
+    utf8_name(name, "schema table name")  # it names the table's key file
     return name, Schema.from_json(doc["columns"])
 
 
@@ -580,9 +581,14 @@ def run_encrypt_table(
     table_key: bytes | None = None,
     config: OrchestratorConfig | None = None,
     report: RunReport | None = None,
+    before_commit: Callable[[str, bytes], None] | None = None,
 ) -> tuple[TableManifest, bytes]:
     """Encrypt every partition under one fresh table key into generation
-    0; the manifest put commits the table."""
+    0; the manifest put commits the table.
+
+    `before_commit(table_name, table_key)` runs once every partition is
+    stored and before the manifest put, so a caller can save the key
+    before the table it opens exists; if it raises, nothing commits."""
     config = config or OrchestratorConfig()
     report = report if report is not None else RunReport()
     if MANIFEST_NAME in dst.list_files():
@@ -599,6 +605,8 @@ def run_encrypt_table(
         dst.put(partition_name(stats.pid, 0), blob)
 
     _map_partitions(sources, _encrypt_worker, (schema, table_key), store, config.workers, report)
+    if before_commit is not None:
+        before_commit(table_name, table_key)
     manifest = TableManifest(table_name, schema, census, generation=0)
     _commit(dst, manifest)
     return manifest, table_key

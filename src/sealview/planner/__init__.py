@@ -6,7 +6,8 @@ from ..model import Schema
 from .canonical import Atom, CanonicalFamily, CanonicalView, PredicateFn, check_branching_bits
 from .errors import ParseError, PlannerError, ViewFamilyMismatch
 from .rewrite import (
-    DEFAULT_MAX_VALUES,
+    MAX_CLAUSES,
+    MAX_VALUES,
     consolidate,
     eliminate_ands,
     push_not_down,
@@ -17,15 +18,14 @@ from .rewrite import (
 from .sql import parse
 
 DEFAULT_BRANCHING_BITS = 8
-MAX_CLAUSES = 4096  # the most clauses a canonical form may hold
 
 __all__ = [
     "Atom",
     "CanonicalFamily",
     "CanonicalView",
     "DEFAULT_BRANCHING_BITS",
-    "DEFAULT_MAX_VALUES",
     "MAX_CLAUSES",
+    "MAX_VALUES",
     "ParseError",
     "PlannerError",
     "PredicateFn",
@@ -43,13 +43,12 @@ def _projection_indices(stmt, schema: Schema) -> tuple[int, ...]:
     return tuple(schema.index_of(name) for name in stmt.projection)
 
 
-def _run_passes(where, schema: Schema, branching_bits: int, max_values: int = DEFAULT_MAX_VALUES):
+def _run_passes(where, schema: Schema, branching_bits: int):
     node = push_not_down(where)
     node = to_typed(node, schema)
     node = consolidate(node)
-    node = ranges_to_in(node, branching_bits, max_values)
-    conjuncts = to_dnf(node, MAX_CLAUSES)
-    return eliminate_ands(conjuncts, max_values)
+    node = ranges_to_in(node, branching_bits)
+    return eliminate_ands(to_dnf(node))
 
 
 def plan_family(sql: str, schema: Schema, branching_bits: int = DEFAULT_BRANCHING_BITS) -> CanonicalFamily:
@@ -61,8 +60,6 @@ def plan_family(sql: str, schema: Schema, branching_bits: int = DEFAULT_BRANCHIN
     stmt = parse(sql, "family")
     projected = _projection_indices(stmt, schema)
     triples = _run_passes(stmt.where, schema, branching_bits)
-    if not triples:
-        raise PlannerError("family WHERE clause vanished during rewriting")
     return CanonicalFamily(
         projected=projected,
         predicates=tuple(PredicateFn(atoms) for atoms, _, _ in triples),
@@ -71,15 +68,13 @@ def plan_family(sql: str, schema: Schema, branching_bits: int = DEFAULT_BRANCHIN
     )
 
 
-def plan_view(
-    sql: str, family: CanonicalFamily, schema: Schema, max_values: int = DEFAULT_MAX_VALUES
-) -> CanonicalView:
+def plan_view(sql: str, family: CanonicalFamily, schema: Schema) -> CanonicalView:
     """Bind view SQL (literal predicates) against an instantiated family.
 
     The view runs through the identical pass pipeline; its predicates are
     aligned to the family's by atom identity. Family predicates the view
     does not bind get empty value lists. A view binds at most
-    `max_values` values (by default 2^20, which is 16 MiB of view keys):
+    `MAX_VALUES` values (2^20, which is 16 MiB of view keys):
     a range cover or a cross product of conjoined lists that would
     exceed it raises PlannerError before it is built in full.
     """
@@ -89,7 +84,7 @@ def plan_view(
         raise ViewFamilyMismatch(
             "view projection does not match the family's projected columns"
         )
-    triples = _run_passes(stmt.where, schema, family.branching_bits, max_values)
+    triples = _run_passes(stmt.where, schema, family.branching_bits)
     by_atoms = {pred.atoms: j for j, pred in enumerate(family.predicates)}
     values: list[tuple[bytes, ...]] = [()] * family.n_pred
     # eliminate_ands merged equal atom tuples, so each j is bound once.

@@ -7,6 +7,10 @@ aligned-subtree covers, distribute to disjunctive normal form, and merge
 each conjunction into a single predicate via secure concatenation of its
 atoms (value sets combine as cross products).
 
+Every pass reads and writes one leaf type, `TypedLeaf`; after
+`ranges_to_in` no leaf is `ranged`. False is `FALSE`, the empty OR, so
+an OR drops a false child by splicing it like any other OR child.
+
 Families and views run the same passes, and the leaves say which is
 which: a family's leaves (wildcards) carry `values=None` and only their
 structure matters, while a view's leaves (literals) carry values. Every
@@ -32,8 +36,8 @@ from .sql import And, Leaf, Not, Or, Wildcard
 INT_BITS = 64
 HASH_BITS = 256
 
-# The most values a view may bind (16 MiB of 16-byte view keys).
-DEFAULT_MAX_VALUES = 1 << 20
+MAX_VALUES = 1 << 20  # the most values a view may bind (16 MiB of 16-byte view keys)
+MAX_CLAUSES = 4096  # the most clauses a canonical form may hold
 
 _FLIP = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", ">": "<=", "<=": ">", "in": "not in", "not in": "in"}
 
@@ -58,14 +62,6 @@ class RangeSet:
             else:
                 merged.append((lo, hi))
         return cls(total_bits, tuple(merged))
-
-    @classmethod
-    def full(cls, total_bits: int) -> "RangeSet":
-        return cls(total_bits, ((0, (1 << total_bits) - 1),))
-
-    @classmethod
-    def empty(cls, total_bits: int) -> "RangeSet":
-        return cls(total_bits, ())
 
     @classmethod
     def excluding_points(cls, total_bits: int, points) -> "RangeSet":
@@ -96,13 +92,13 @@ class RangeSet:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def cover(self, step_bits: int, max_values: int = DEFAULT_MAX_VALUES) -> dict[int, list[int]]:
+    def cover(self, step_bits: int) -> dict[int, list[int]]:
         """Minimal aligned-subtree cover, as prefix values per level.
 
         Levels are counted in bits of prefix (0 = whole domain, total =
         a single value); each interval contributes at most 2*(2^b - 1)
         values per level. Greedy largest-aligned-block emission yields
-        the canonical minimal cover. A cover of more than `max_values`
+        the canonical minimal cover. A cover of more than `MAX_VALUES`
         prefixes raises PlannerError as soon as it gets there, so the
         work stays bounded even where a wide branching factor would
         list 2^63 single values.
@@ -125,9 +121,9 @@ class RangeSet:
                 prefix = cur >> width
                 run = min((1 << step_bits) - prefix % (1 << step_bits), (hi - cur + 1) >> width)
                 emitted += run
-                if emitted > max_values:
+                if emitted > MAX_VALUES:
                     raise PlannerError(
-                        f"view binding expands past {max_values} values; "
+                        f"view binding expands past {MAX_VALUES} values; "
                         f"the range cover at {step_bits} branching bits is too fine"
                     )
                 levels.setdefault(self.total_bits - width, []).extend(range(prefix, prefix + run))
@@ -139,10 +135,11 @@ class RangeSet:
 class TypedLeaf:
     """A predicate leaf resolved against the schema.
 
-    `atom` is the full-precision atom of the column; `ranged` leaves are
-    split into per-level prefixes later. For views, `values` holds the
-    atom's value bytes (exact leaves) or a RangeSet of its points (ranged
-    leaves); for families it is None and only the structure matters.
+    `atom` is the column's atom; `ranged` leaves hold the full-precision
+    atom and are split into one membership leaf per level by
+    `ranges_to_in`. For views, `values` holds the atom's value bytes
+    (exact leaves) or a RangeSet of its points (ranged leaves); for
+    families it is None and only the structure matters.
     """
 
     atom: Atom
@@ -151,20 +148,7 @@ class TypedLeaf:
     wildcards: tuple[str, ...]
 
 
-@dataclass
-class InLeaf:
-    """A single-atom membership test after range decomposition."""
-
-    atom: Atom
-    values: tuple[bytes, ...] | None
-    wildcards: tuple[str, ...]
-
-
-class FalseLeaf:
-    """A predicate no row can satisfy (empty range)."""
-
-
-FALSE = FalseLeaf()
+FALSE = Or([])  # the empty disjunction: no row satisfies it
 
 
 def push_not_down(node):
@@ -187,8 +171,10 @@ def _negate(node):
 
 
 def _check_literal(value, column_type: str, column_name: str, exact: bool):
-    """Reject a literal of the wrong type, and an Int64 literal outside
-    the domain where it must equal a value (a range clamps it instead)."""
+    """Reject a literal of the wrong type, a string that UTF-8 cannot
+    encode (a command line's undecodable bytes), and an Int64 literal
+    outside the domain where it must equal a value (a range clamps it
+    instead)."""
     if value is None:
         return
     if column_type == TYPE_INT64 and not isinstance(value, int):
@@ -197,6 +183,11 @@ def _check_literal(value, column_type: str, column_name: str, exact: bool):
         raise PlannerError(f"literal {value} is out of Int64 range for column {column_name!r}")
     if column_type == TYPE_UTF8 and not isinstance(value, str):
         raise PlannerError(f"column {column_name!r} is Utf8; got {value!r}")
+    if column_type == TYPE_UTF8:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise PlannerError(f"literal {value!r} for column {column_name!r} is not valid UTF-8") from exc
 
 
 def to_typed(node, schema):
@@ -223,7 +214,7 @@ def to_typed(node, schema):
     if family:
         values = None
     elif exact:
-        # Not deduplicated here: `max_values` counts the literals as written.
+        # Not deduplicated here: `MAX_VALUES` counts the literals as written.
         values = tuple(atom.evaluate(v, ctype) for v in literals)
     elif excluding:
         points = [atom.point(v) for v in literals if v is not None]
@@ -241,23 +232,14 @@ def to_typed(node, schema):
 
 
 def consolidate(node):
-    """Merge same-field siblings: OR unions values, AND intersects ranges."""
+    """Merge same-field siblings: OR unions values, AND intersects ranges.
+    An AND that holds FALSE is FALSE, and an OR splices FALSE away."""
     if isinstance(node, TypedLeaf):
         return _collapse_leaf(node)
-    if isinstance(node, FalseLeaf):
-        return node
-    children = _splice(node, [consolidate(c) for c in node.children])
-    if isinstance(node, And):
-        children = _merge_siblings(children, And)
-        if any(isinstance(c, FalseLeaf) for c in children):
-            return FALSE
-    else:
-        children = _merge_siblings([c for c in children if not isinstance(c, FalseLeaf)], Or)
-        if not children:
-            return FALSE
-    if len(children) == 1:
-        return children[0]
-    return type(node)(children)
+    children = _merge_siblings(_splice(node, [consolidate(c) for c in node.children]), type(node))
+    if isinstance(node, And) and any(isinstance(c, Or) and not c.children for c in children):
+        return FALSE
+    return children[0] if len(children) == 1 else type(node)(children)
 
 
 def _splice(node, children) -> list:
@@ -269,11 +251,9 @@ def _splice(node, children) -> list:
 
 
 def _collapse_leaf(leaf: TypedLeaf):
-    """FALSE for a view leaf that binds nothing, else the leaf."""
-    if leaf.values is None:
-        return leaf
-    empty = leaf.values.is_empty() if leaf.ranged else not leaf.values
-    return FALSE if empty else leaf
+    """FALSE for a view range that holds no point, else the leaf. An
+    exact leaf always binds a value: the grammar has no empty IN list."""
+    return FALSE if leaf.ranged and leaf.values is not None and leaf.values.is_empty() else leaf
 
 
 def _merge_siblings(children, op):
@@ -308,56 +288,50 @@ def _merge_siblings(children, op):
     return [_collapse_leaf(c) if isinstance(c, TypedLeaf) else c for c in out]
 
 
-def ranges_to_in(node, branching_bits: int, max_values: int = DEFAULT_MAX_VALUES):
-    """Rewrite ranged leaves into per-level membership tests.
+def ranges_to_in(node, branching_bits: int):
+    """Rewrite ranged leaves into per-level membership leaves.
 
-    A family gets one test per level of the `2^branching_bits`-ary tree;
+    A family gets one leaf per level of the `2^branching_bits`-ary tree;
     a view gets the levels its range cover uses, with the cover's
-    prefixes as values (at most `max_values` of them)."""
-    if isinstance(node, (FalseLeaf, InLeaf)):
-        return node
+    prefixes as values. Either list has a level: a family's holds level
+    0, and `consolidate` has turned a view range with no point into
+    FALSE, so its cover is not empty."""
     if isinstance(node, (And, Or)):
-        children = _splice(node, [ranges_to_in(c, branching_bits, max_values) for c in node.children])
+        children = _splice(node, [ranges_to_in(c, branching_bits) for c in node.children])
         return type(node)(children) if len(children) != 1 else children[0]
-    assert isinstance(node, TypedLeaf)
     if not node.ranged:
-        return InLeaf(node.atom, node.values, node.wildcards)
+        return node
     total = node.atom.total_bits
     if node.values is None:
         levels = dict.fromkeys(range(0, total + 1, branching_bits))
     else:
-        cover = node.values.cover(branching_bits, max_values)
+        cover = node.values.cover(branching_bits)
         levels = {
             bits: tuple(prefix_value(p, bits) for p in cover[bits]) for bits in sorted(cover)
         }
     leaves = [
-        InLeaf(Atom(node.atom.kind, node.atom.column, bits, total), values, node.wildcards)
+        TypedLeaf(Atom(node.atom.kind, node.atom.column, bits, total), False, values, node.wildcards)
         for bits, values in levels.items()
     ]
-    if not leaves:
-        return FALSE
     return Or(leaves) if len(leaves) > 1 else leaves[0]
 
 
-def to_dnf(node, max_clauses: int) -> list[list[InLeaf]]:
-    """Distribute into a disjunction of conjunctions of membership tests.
+def to_dnf(node) -> list[list[TypedLeaf]]:
+    """Distribute into a disjunction of conjunctions of membership leaves;
+    FALSE, the empty OR, has no clauses.
 
     Each step's clause count is checked before its clauses are built, so
-    a product past `max_clauses` is refused without being built."""
-    if isinstance(node, FalseLeaf):
-        return []
-    if isinstance(node, InLeaf):
+    a product past `MAX_CLAUSES` is refused without being built."""
+    if isinstance(node, TypedLeaf):
         return [[node]]
     disjunction = isinstance(node, Or)
-    result: list[list[InLeaf]] = [] if disjunction else [[]]
+    result: list[list[TypedLeaf]] = [] if disjunction else [[]]
     for child in node.children:
-        branches = to_dnf(child, max_clauses)
-        if not (disjunction or branches):
-            return []
+        branches = to_dnf(child)
         size = len(result) + len(branches) if disjunction else len(result) * len(branches)
-        if size > max_clauses:
+        if size > MAX_CLAUSES:
             raise PlannerError(
-                f"canonical form exceeds {max_clauses} clauses; "
+                f"canonical form exceeds {MAX_CLAUSES} clauses; "
                 "a larger branching factor keeps the rewrite tractable"
             )
         if disjunction:
@@ -367,12 +341,12 @@ def to_dnf(node, max_clauses: int) -> list[list[InLeaf]]:
     return result
 
 
-def eliminate_ands(conjuncts, max_values: int = DEFAULT_MAX_VALUES):
+def eliminate_ands(conjuncts):
     """Merge each conjunction into one predicate; values cross-multiply.
 
     Returns (atoms, values, wildcards) triples with duplicate predicates
     (same atom tuple) merged in first-occurrence order; a family's values
-    are empty. `max_values` bounds the combination effect: the total
+    are empty. `MAX_VALUES` bounds the combination effect: the total
     value count across predicates grows as the product of the conjoined
     lists' sizes.
     """
@@ -384,9 +358,9 @@ def eliminate_ands(conjuncts, max_values: int = DEFAULT_MAX_VALUES):
         if conj[0].values is None:
             continue
         total += math.prod(len(leaf.values) for leaf in conj)
-        if total > max_values:
+        if total > MAX_VALUES:
             raise PlannerError(
-                f"view binding expands past {max_values} values; "
+                f"view binding expands past {MAX_VALUES} values; "
                 "the conjoined value lists multiply out"
             )
         combos = itertools.product(*(leaf.values for leaf in conj))

@@ -63,9 +63,7 @@ class Or:
 @dataclass
 class Statement:
     projection: list[str] | None  # None means SELECT *
-    table: str
     where: object
-    kind: str  # 'family' | 'view'
 
 
 def _tokenize(sql: str) -> list[tuple[str, str]]:
@@ -111,14 +109,14 @@ class _Parser:
         self.take("select")
         projection = self.select_list()
         self.take("from")
-        table = self.take("ident")[1]
+        self.take("ident")  # the table name, which the statement does not keep
         self.take("where")
         where = self.or_expr()
         if self.at("punct") and self.peek()[1] == ";":
             self.take()
         if not self.at("eof"):
             raise ParseError(f"trailing input near {self.peek()[1]!r}")
-        return Statement(projection, table, where, self.kind)
+        return Statement(projection, where)
 
     def select_list(self) -> list[str] | None:
         if self.at("punct") and self.peek()[1] == "*":
@@ -184,7 +182,7 @@ class _Parser:
 
     def in_rhs(self):
         if self.kind == "family":
-            return Wildcard(self.take("wildcard")[1][1:])
+            return self.wildcard()
         self.take_open()
         values = [self.literal()]
         while self.at("punct") and self.peek()[1] == ",":
@@ -195,8 +193,16 @@ class _Parser:
 
     def scalar_rhs(self):
         if self.kind == "family":
-            return Wildcard(self.take("wildcard")[1][1:])
+            return self.wildcard()
         return (self.literal(),)
+
+    def wildcard(self) -> Wildcard:
+        name = self.take("wildcard")[1][1:]
+        # A serialized family stores a name's length in one byte; the
+        # grammar's names are ASCII, one byte a character.
+        if len(name) > 255:
+            raise ParseError(f"wildcard ?{name[:16]}... is longer than 255 characters")
+        return Wildcard(name)
 
     def take_open(self):
         if not (self.at("punct") and self.peek()[1] == "("):

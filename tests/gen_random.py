@@ -8,10 +8,11 @@ AND nodes multiply them out.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 from sealview.encoding import TYPE_INT64, TYPE_UTF8
 from sealview.model import Column, Schema
-from sealview.planner import PlannerError, plan_family, plan_view
+from sealview.planner import PlannerError, plan_family, plan_view, rewrite
 
 _WORDS = ["ash", "birch", "cedar", "elm", "fir", "oak", "pine", "yew"]
 
@@ -141,7 +142,9 @@ def random_family_and_view(rng: random.Random, schema: Schema, branching_bits: i
             family = plan_family(family_sql, schema, branching_bits=branching_bits)
             if family.n_pred > 150:
                 continue
-            view = plan_view(view_sql, family, schema, max_values=6_000)
+            # A tighter value bound keeps each generated view small.
+            with mock.patch.object(rewrite, "MAX_VALUES", 6_000):
+                view = plan_view(view_sql, family, schema)
         except PlannerError:
             continue
         return family_sql, view_sql, family, view

@@ -54,3 +54,16 @@ def test_a_side_without_values_is_not_compared():
     runs = {"parent": [_run(1.0)], "change": [_run(None, exit_code=1)]}
     m = bench_pairs.summarize([1], runs, SPECS)["metrics"]["reveal_s"]
     assert m["change"] == [None] and "change_median" not in m
+
+
+def test_a_spread_wider_than_the_bound_is_unresolved():
+    # The parent's quartiles are 1.0 and 1.3: an IQR of 30% of its median
+    # of 1.0, past the 25% bound.
+    parent = [_run(v) for v in (1.0, 0.9, 1.3, 1.4, 1.0)]
+    for change, unresolved in [((1.0, 1.0, 1.0, 1.0, 1.0), True), ((0.8, 0.8, 0.8, 0.8, 0.85), False)]:
+        runs = {"parent": parent, "change": [_run(v) for v in change]}
+        m = bench_pairs.summarize([1, 2, 3, 4, 5], runs, SPECS)["metrics"]["reveal_s"]
+        assert m["parent_iqr_over_median"] > SPECS["reveal_s"]["bound"]
+        assert m["unresolved"] is unresolved
+    runs = {"parent": [_run(v) for v in (1.0, 1.0, 1.1)], "change": [_run(1.0)] * 3}
+    assert bench_pairs.summarize([1, 2, 3], runs, SPECS)["metrics"]["reveal_s"]["unresolved"] is False

@@ -107,6 +107,33 @@ def test_full_workflow(tmp_path, capsys, src_dir):
     assert (out_dir / "view-part-00002.csv").read_text() == "Marine,red\n"
 
 
+def test_encrypt_table_saves_its_key_before_it_commits(tmp_path, capsys, src_dir):
+    """A table key that cannot be saved leaves no table: the rerun with a
+    good keys directory commits, and its key opens the table."""
+    table, keys = tmp_path / "table", tmp_path / "keys"
+    (tmp_path / "a-file").write_text("")
+    rc, _, err = run_cli(
+        capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table),
+        "--keys-dir", str(tmp_path / "a-file" / "keys"),
+    )
+    assert rc == 2 and "Not a directory" in err
+    assert not (table / "manifest.json").exists()
+    rc, _, _ = run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
+    assert rc == 0
+    _, out, _ = run_cli(
+        capsys, "add-family", "--table", str(table),
+        "--table-key", str(keys / "boats.tablekey"), "--family", FAMILY_SQL, "--keys-dir", str(keys),
+    )
+    family_id = out.split()[1]
+    vk = keys / "a.viewkeys"
+    run_cli(
+        capsys, "view-gen", "--table", str(table), "--family-id", family_id,
+        "--family-key", str(keys / f"fam-{family_id}.familykey"), "--view", VIEW_SQL, "--out", str(vk),
+    )
+    rc, out, _ = run_cli(capsys, "reveal-view", "--table", str(table), "--view-keys", str(vk), "--out", str(tmp_path / "o"))
+    assert (rc, out.split()[1]) == (0, "3")
+
+
 def test_reveal_respects_fil(tmp_path, capsys, src_dir):
     table, keys = tmp_path / "table", tmp_path / "keys"
     run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
@@ -281,8 +308,22 @@ def test_short_key_blobs_exit_two_without_traceback(tmp_path, capsys, src_dir):
     assert "truncated key file" in err
 
 
+def _columns(*names):
+    return json.dumps({"columns": [{"name": name, "type": "utf8"} for name in names]})
+
+
 @pytest.mark.parametrize(
-    "text", ['{"table": "t"}', '{"columns": [{"name": "a"}]}', "not json"]
+    "text",
+    [
+        '{"table": "t"}',
+        '{"columns": [{"name": "a"}]}',
+        "not json",
+        pytest.param(_columns("bid", "\udcff"), id="lone-surrogate-column-name"),
+        pytest.param(_columns("a" * 65_536), id="column-name-over-65535-bytes"),
+        pytest.param(
+            json.dumps(dict(SCHEMA_DOC, table="\ud800")), id="lone-surrogate-table-name"
+        ),
+    ],
 )
 def test_bad_schema_descriptor_exits_two_without_traceback(tmp_path, src_dir, text):
     (src_dir / "schema.json").write_text(text)
@@ -294,6 +335,28 @@ def test_bad_schema_descriptor_exits_two_without_traceback(tmp_path, src_dir, te
         rc, err = _run_cli_process(*argv)
         assert (rc, "Traceback" in err) == (2, False), err
         assert "error: schema" in err
+
+
+@pytest.mark.parametrize(
+    "family, view, error",
+    [
+        # A serialized family stores a wildcard name's length in one byte.
+        pytest.param(
+            "SELECT * FROM boats WHERE bname IN ?" + "w" * 256, None, "longer than 255 characters",
+            id="wildcard-over-255-bytes",
+        ),
+        # An undecodable command-line byte reaches the planner as a lone surrogate.
+        pytest.param(
+            FAMILY_SQL, "SELECT bname, color FROM boats WHERE bname = '\udcff'", "is not valid UTF-8",
+            id="literal-not-utf8",
+        ),
+    ],
+)
+def test_text_the_formats_cannot_hold_exits_two_without_traceback(tmp_path, src_dir, family, view, error):
+    argv = ["plan", "--schema", str(src_dir / "schema.json"), "--family", family]
+    rc, err = _run_cli_process(*argv, *(["--view", view] if view else []))
+    assert (rc, "Traceback" in err) == (2, False), err
+    assert error in err
 
 
 def test_reveal_of_a_partition_file_carrying_another_id_exits_two(tmp_path, capsys, src_dir):

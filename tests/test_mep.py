@@ -204,6 +204,19 @@ def test_manifest_rejects_what_the_format_or_its_families_cannot_hold(boats_sche
             kind(2**32, [])
 
 
+def test_schema_holds_what_the_header_can_count():
+    """The header stores the column count and each name's UTF-8 length
+    as u16s, so a schema past either is refused when it is built."""
+    widest = Schema(tuple(Column(f"c{i}", TYPE_INT64) for i in range(2**16 - 1)))
+    header = serialize_plain(PlainPartition(1, []), widest)
+    assert struct.unpack(">H", header[15:17]) == (2**16 - 1,)
+    with pytest.raises(SchemaError, match="65536 columns; the limit is 65535"):
+        Schema(widest.columns + (Column("extra", TYPE_INT64),))
+    assert len(Column("é" * 32_767 + "a", TYPE_UTF8).name.encode()) == 2**16 - 1
+    with pytest.raises(SchemaError, match="65536 UTF-8 bytes; the limit is 65535"):
+        Column("é" * 32_768, TYPE_UTF8)
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 2**70) | st.floats(allow_nan=False) | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),

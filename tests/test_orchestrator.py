@@ -549,12 +549,14 @@ def test_memory_storage_roundtrip():
 
 
 @contextlib.contextmanager
-def _http_store(listing=None, log=None):
+def _http_store(listing=None, log=None, headers=None, status=None):
     """An HttpStorage over a stdlib object-store server on localhost,
     serving a dict of files from this process; with `listing`, a GET of
     the base URL serves that JSON value, or those bytes as they are,
     instead of the names. With `log`, each request appends its (method,
-    file name) to it, the name "" for the listing."""
+    file name) to it, the name "" for the listing; with `headers`, its
+    headers as a dict. With `status`, every request is answered with
+    that status and nothing else."""
     pytest.importorskip("requests")
     import http.server
 
@@ -570,7 +572,18 @@ def _http_store(listing=None, log=None):
             if log is not None:
                 log.append((self.command, self.path.lstrip("/")))
 
+        def answered(self):
+            """Record the headers, and send `status` if one is chosen."""
+            if headers is not None:
+                headers.append(dict(self.headers))
+            if status is not None:
+                self.send_response(status)
+                self.end_headers()
+            return status is not None
+
         def do_GET(self):
+            if self.answered():
+                return
             name = self.path.lstrip("/")
             if not name:
                 body = sorted(files) if listing is None else listing
@@ -589,12 +602,16 @@ def _http_store(listing=None, log=None):
                 self.end_headers()
 
         def do_PUT(self):
-            length = int(self.headers["Content-Length"])
-            files[self.path.lstrip("/")] = self.rfile.read(length)
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            if self.answered():
+                return
+            files[self.path.lstrip("/")] = body
             self.send_response(201)
             self.end_headers()
 
         def do_DELETE(self):
+            if self.answered():
+                return
             files.pop(self.path.lstrip("/"), None)
             self.send_response(204)
             self.end_headers()
@@ -636,6 +653,40 @@ def test_http_listing_that_is_not_json_is_a_storage_error():
     with _http_store(b"<html>not a listing</html>") as store:
         with pytest.raises(StorageError, match="JSON array of names"):
             store.list_files()
+
+
+_NAME = "part-00001.g0.mep"
+_CALLS = [  # each storage call, with the method and file name it requests
+    ("PUT", _NAME, lambda store: store.put(_NAME, b"x")),
+    ("GET", _NAME, lambda store: store.get(_NAME)),
+    ("GET", "", lambda store: store.list_files()),
+    ("DELETE", _NAME, lambda store: store.delete(_NAME)),
+]
+
+
+@pytest.mark.parametrize("token", ["s3cret", None])
+def test_http_storage_sends_the_bearer_token_only_when_set(monkeypatch, token):
+    if token is None:
+        monkeypatch.delenv(orchestrator.HTTP_TOKEN_ENV, raising=False)
+    else:
+        monkeypatch.setenv(orchestrator.HTTP_TOKEN_ENV, token)
+    seen = []
+    with _http_store(headers=seen) as store:
+        for _, _, call in _CALLS:
+            call(store)
+    assert [h.get("Authorization") for h in seen] == [token and f"Bearer {token}"] * len(_CALLS)
+
+
+def test_http_status_outside_the_call_s_set_is_a_storage_error(capsys):
+    from sealview.cli import main
+
+    with _http_store(status=500) as store:
+        for method, name, call in _CALLS:
+            with pytest.raises(StorageError, match=f"^{method} /{re.escape(name)} failed with status 500$"):
+                call(store)
+        rc = main(["plan", "--table", store.base_url, "--family", FAMILY_SQL])
+    assert rc == 2
+    assert "error: GET /manifest.json failed with status 500" in capsys.readouterr().err
 
 
 def test_each_command_makes_only_the_requests_it_needs(tmp_path):

@@ -14,7 +14,7 @@ from sealview.encoding import TYPE_INT64, TYPE_UTF8
 from sealview.model import Column, Schema
 from sealview.oracle import eval_canonical, eval_view
 from sealview.planner import (
-    DEFAULT_MAX_VALUES,
+    MAX_VALUES,
     CanonicalFamily,
     ParseError,
     PlannerError,
@@ -22,9 +22,9 @@ from sealview.planner import (
     parse,
     plan_family,
     plan_view,
+    rewrite,
 )
 from sealview.planner.rewrite import (
-    FalseLeaf,
     RangeSet,
     consolidate,
     push_not_down,
@@ -129,6 +129,11 @@ def _typed(sql, schema=INTS, valued=True):
     return to_typed(push_not_down(stmt.where), schema)
 
 
+def _is_false(node):
+    """False is the empty OR, whatever sequence holds its children."""
+    return isinstance(node, Or) and not node.children
+
+
 def test_ge_becomes_top_range():
     leaf = _typed("SELECT * FROM t WHERE y >= 7")
     (interval,) = leaf.values.intervals
@@ -146,7 +151,7 @@ def test_ne_becomes_two_ranges():
 def test_below_domain_floor_collapses_to_false():
     leaf = _typed(f"SELECT * FROM t WHERE y < {-(1 << 63)}")
     assert leaf.values.is_empty()
-    assert isinstance(consolidate(leaf), FalseLeaf)
+    assert _is_false(consolidate(leaf))
 
 
 # ------------------------------------------------------------ consolidation
@@ -174,7 +179,7 @@ def test_consolidate_merges_overlapping_ranges():
 
 def test_consolidate_empty_intersection_is_false():
     node = consolidate(_typed("SELECT * FROM t WHERE y >= 9 AND y <= 3"))
-    assert isinstance(node, FalseLeaf)
+    assert _is_false(node)
 
 
 def test_consolidate_idempotent():
@@ -192,7 +197,7 @@ def test_cover_three_bit_example():
 
 
 def test_cover_full_domain_single_root():
-    assert RangeSet.full(8).cover(2) == {0: [0]}
+    assert RangeSet.from_intervals(8, [(0, 255)]).cover(2) == {0: [0]}
 
 
 def test_cover_point_range_is_exact_leaf():
@@ -234,13 +239,13 @@ def test_dnf_distributes():
         consolidate(_typed("SELECT * FROM t WHERE (x = 1 OR x = 2) AND y = 3")),
         8,
     )
-    conjuncts = to_dnf(node, 4096)
+    conjuncts = to_dnf(node)
     assert len(conjuncts) == 1  # x-leaf already merged to one two-value leaf
     node2 = ranges_to_in(
         consolidate(_typed("SELECT * FROM t WHERE (x = 1 OR y = 2) AND (x = 3 OR y = 4)")),
         8,
     )
-    assert len(to_dnf(node2, 4096)) == 4
+    assert len(to_dnf(node2)) == 4
 
 
 def test_dnf_cap_exceeded_raises():
@@ -309,7 +314,7 @@ def test_view_values_are_bounded_by_default():
     for bits in (32, 64):
         family = plan_family("SELECT * FROM t WHERE x < ?a", schema, branching_bits=bits)
         started = time.perf_counter()
-        with pytest.raises(PlannerError, match=f"expands past {DEFAULT_MAX_VALUES} values"):
+        with pytest.raises(PlannerError, match=f"expands past {MAX_VALUES} values"):
             plan_view("SELECT * FROM t WHERE x < 5", family, schema)
         assert time.perf_counter() - started < 5
 
@@ -343,10 +348,12 @@ def test_out_of_range_int64_literal_in_ranges_and_exclusions(family_sql, where, 
     assert got.values == plan_view(f"SELECT * FROM t WHERE {same_as}", family, INTS).values
 
 
-def test_range_cover_stops_at_the_bound():
-    assert RangeSet.from_intervals(8, [(1, 6)]).cover(1, max_values=4) == {8: [1, 6], 7: [1, 2]}
+def test_range_cover_stops_at_the_bound(monkeypatch):
+    monkeypatch.setattr(rewrite, "MAX_VALUES", 4)
+    assert RangeSet.from_intervals(8, [(1, 6)]).cover(1) == {8: [1, 6], 7: [1, 2]}
+    monkeypatch.setattr(rewrite, "MAX_VALUES", 3)
     with pytest.raises(PlannerError, match="expands past 3 values"):
-        RangeSet.from_intervals(8, [(1, 6)]).cover(1, max_values=3)
+        RangeSet.from_intervals(8, [(1, 6)]).cover(1)
 
 
 # ----------------------------------------------------- family/view planning

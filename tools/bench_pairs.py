@@ -16,7 +16,10 @@ interquartile ranges, the change against the parent's median, whether
 that stays within the metric's bound, and the change's wins: pairs in
 which the change is strictly better. `gap_over_parent_iqr` is the
 improvement of the median over the parent's interquartile range, so a
-claimed gain needs it above 1 and at least 9 wins in 10 pairs.
+claimed gain needs it above 1 and at least 9 wins in 10 pairs. A metric
+is `unresolved` when the parent's interquartile range over its median
+exceeds the metric's bound, unless every change run is better than
+every parent run: its runs spread too widely to call it unchanged.
 
 A run that exits non-zero or prints no result counts as failed and adds
 no values: its seed's place in its side's list holds null. The two runs
@@ -88,7 +91,9 @@ def compare(spec: dict, parent_runs: list[float | None], change_runs: list[float
     rel = (cm - pm) / pm if pm else 0.0
     worse_by = rel if lower else -rel
     p_iqr = pq[2] - pq[0]
+    spread = p_iqr / pm if pm else 0.0
     gain = (pm - cm) if lower else (cm - pm)
+    clear = max(change) < min(parent) if lower else min(change) > max(parent)
     out.update(
         parent_median=pm,
         change_median=cm,
@@ -99,7 +104,8 @@ def compare(spec: dict, parent_runs: list[float | None], change_runs: list[float
         change_vs_parent=rel,
         worse_by=worse_by,
         within_bound=worse_by <= spec["bound"],
-        parent_iqr_over_median=p_iqr / pm if pm else 0.0,
+        parent_iqr_over_median=spread,
+        unresolved=spread > spec["bound"] and not clear,
         gap_over_parent_iqr=gain / p_iqr if p_iqr else None,
         pairs=len(pairs),
         change_wins=sum((c < p) if lower else (c > p) for p, c in pairs),
@@ -163,7 +169,8 @@ def main(argv: list[str]) -> int:
             print(
                 f"{args.workload:14s} {name:30s} {m['parent_median']:.6g} -> {m['change_median']:.6g} "
                 f"({100 * m['change_vs_parent']:+.1f}%, parent IQR {100 * m['parent_iqr_over_median']:.1f}%, "
-                f"wins {m['change_wins']}/{m['pairs']}, within bound: {m['within_bound']})"
+                f"wins {m['change_wins']}/{m['pairs']}, within bound: {m['within_bound']}, "
+                f"unresolved: {m['unresolved']})"
             )
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}

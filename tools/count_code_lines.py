@@ -29,17 +29,25 @@ _WITH_DOCSTRING = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionD
 
 
 def code_lines(source: str) -> int:
-    """The number of lines of `source` that hold code."""
-    docstrings = set()
+    """The number of lines of `source` that hold code. A docstring's own
+    tokens are left out, not its lines, so `def f(): "doc"` is code."""
+    text = source.splitlines()
+
+    def position(line: int, byte_col: int) -> tuple[int, int]:
+        # ast counts columns in UTF-8 bytes, tokenize in characters.
+        return line, len(text[line - 1].encode("utf-8")[:byte_col].decode("utf-8"))
+
+    docstrings = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, _WITH_DOCSTRING) and ast.get_docstring(node, clean=False) is not None:
             first = node.body[0]
-            docstrings.update(range(first.lineno, first.end_lineno + 1))
+            span = position(first.lineno, first.col_offset), position(first.end_lineno, first.end_col_offset)
+            docstrings.append(span)
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type not in _LAYOUT:
+        if tok.type not in _LAYOUT and not any(lo <= tok.start and tok.end <= hi for lo, hi in docstrings):
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstrings)
+    return len(lines)
 
 
 def main(argv: list[str]) -> int:

@@ -41,7 +41,7 @@ import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
+from itertools import repeat
 
 from .encoding import ByteReader, decode_cell, encode_cell
 from .model import (
@@ -403,7 +403,7 @@ def encrypt_partition(
         if not col.nullable and None in values:
             raise SchemaError(f"null in non-nullable column {col.name!r}")
         cells = list(map(encode_cell, values, repeat(col.type)))
-        columns.append(CellColumn(ote_many(keys[c::n_col], cells), tuple(accumulate(map(len, cells)))))
+        columns.append(CellColumn.from_sizes(ote_many(keys[c::n_col], cells), map(len, cells)))
     return EncryptedPartition(plain.partition_id, columns)
 
 
@@ -464,7 +464,8 @@ def add_family(
     plain_cells = {}
     for c in where_cols:
         cells = enc_part.columns[c]
-        plain_cells[c] = list(CellColumn(ote_many(cell_keys[c], cells), cells.ends))
+        plain = ote_many(cell_keys[c], cells)  # reads every cell, which checks `cells`
+        plain_cells[c] = list(CellColumn(plain, cells.ends, cells.checked))
     # Each distinct cell is decoded once, so a malformed one still raises.
     decoded = {c: {b: decode_cell(b, types[c]) for b in dict.fromkeys(plain_cells[c])} for c in where_cols}
     all_proj_keys = b"".join(proj_keys)
@@ -758,7 +759,7 @@ class PartitionScan:
         for c, keys in zip(family.projected, zip(*[matched[r0] for r0 in rows])):
             cells = enc_part.columns[c]
             ct = [cells[r0] for r0 in rows]
-            plain = CellColumn(ote_many(keys, ct), tuple(accumulate(map(len, ct))))
+            plain = CellColumn.from_sizes(ote_many(keys, ct), map(len, ct))
             values.append(list(map(decode_cell, plain, repeat(schema.columns[c].type))))
         out = list(zip(*values))
         stats.rows_scanned += enc_part.n_rows

@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_plan_schema(args) -> Schema:
     if args.schema:
-        return parse_schema_descriptor(Path(args.schema).read_bytes(), "")[1]
+        path = Path(args.schema)  # plan uses no table name; the default is the file's stem
+        return parse_schema_descriptor(path.read_bytes(), path.stem)[1]
     if args.table:
         return load_manifest(open_storage(args.table)).schema
     raise OrchestratorError("plan needs --schema or --table")

@@ -21,6 +21,17 @@ families; encrypted ones store ciphertexts (same lengths). Encrypted
 payloads do not benefit from compression, so none is applied. MEP1, the
 row-major predecessor with a u32 length before every cell, is rejected.
 
+Parsing does work per column, not per row: it takes a column's offsets
+as one array and its bytes up to the last offset. It rejects a bad
+magic or version, truncated offsets or cells, a bad schema, families
+out of order or of bad widths, and trailing bytes. The cell offsets are
+checked where they are read (`CellColumn`): reading one cell checks its
+two offsets, and a reader of a whole column (iteration, serialization,
+and so the decoding of a plain partition at parse) checks all of them
+once. An encrypted file with an offset out of order thus parses, and
+only a read that reaches the bad offset raises PartitionFormatError, so
+a reveal pays for the rows it opens, not for those it skips.
+
 CSV (RFC 4180) is supported for plaintext ingestion and view egress
 only; the unquoted token NULL means a null cell, which makes the
 literal string "NULL" unrepresentable in CSV at this layer.
@@ -31,6 +42,8 @@ from __future__ import annotations
 import csv
 import io
 import struct
+import sys
+from array import array
 
 from .encoding import TYPE_INT64, TYPE_UTF8, ByteReader, EncodingError, decode_cell, encode_cell
 from .model import (
@@ -39,6 +52,7 @@ from .model import (
     EncryptedPartition,
     FamilyColumns,
     FixedWidthColumn,
+    PartitionFormatError,
     PlainPartition,
     Schema,
     SchemaError,
@@ -53,11 +67,10 @@ _RETIRED_MAGIC = b"MEP1"
 _TYPE_CODES = {TYPE_INT64: 0, TYPE_UTF8: 1}
 _TYPE_NAMES = {v: k for k, v in _TYPE_CODES.items()}
 
+_U32 = "I" if array("I").itemsize == 4 else "L"  # the array type code of a C u32
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
 NULL_TOKEN = "NULL"
-
-
-class PartitionFormatError(Exception):
-    pass
 
 
 def _header(flags: int, partition_id: int, n_rows: int, schema: Schema) -> list[bytes]:
@@ -69,8 +82,17 @@ def _header(flags: int, partition_id: int, n_rows: int, schema: Schema) -> list[
     return out
 
 
+def _swapped(ends: array) -> array:
+    """`ends` flipped between MEP2's big-endian u32s and native ones (a
+    flip only on a little-endian host; its own inverse)."""
+    if _LITTLE_ENDIAN:
+        ends.byteswap()
+    return ends
+
+
 def _cell_section(col: CellColumn) -> bytes:
-    return struct.pack(f">{len(col.ends)}I", *col.ends) + col.data
+    col.check()
+    return _swapped(array(_U32, col.ends)).tobytes() + col.data
 
 
 def serialize_plain(partition: PlainPartition, schema: Schema) -> bytes:
@@ -102,9 +124,9 @@ def serialize_encrypted(partition: EncryptedPartition, schema: Schema) -> bytes:
 
 
 def _cell_column(rd: ByteReader, n_rows: int) -> CellColumn:
-    ends = rd.unpack(f">{n_rows}I")
-    if list(ends) != sorted(ends):
-        raise PartitionFormatError("cell end offsets are not non-decreasing")
+    """The column's offsets as stored, unchecked (see `CellColumn`), and
+    its bytes up to the last one."""
+    ends = _swapped(array(_U32, rd.take(4 * n_rows)))
     return CellColumn(rd.take(ends[-1] if ends else 0), ends)
 
 
@@ -138,7 +160,8 @@ def _read_family(rd: ByteReader, n_rows: int) -> FamilyColumns:
 
 
 def parse_partition(data: bytes) -> tuple[Schema, PlainPartition | EncryptedPartition]:
-    """Parse a MEP2 file; any malformation raises PartitionFormatError."""
+    """Parse a MEP2 file; any malformation raises PartitionFormatError,
+    here or, for a cell offset, where the cell is read."""
     if data[:4] == _RETIRED_MAGIC:
         raise PartitionFormatError(
             "partition format version 1 (MEP1) is no longer supported; "

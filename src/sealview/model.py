@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
@@ -16,6 +16,13 @@ MAX_NAME_BYTES = 2**16 - 1  # and each column name's UTF-8 length as a u16
 
 class SchemaError(ValueError):
     pass
+
+
+class PartitionFormatError(Exception):
+    """A malformed partition file, or a cell offset read from one."""
+
+
+_OFFSETS_OUT_OF_ORDER = "cell end offsets are not non-decreasing"
 
 
 def utf8_name(name: str, what: str) -> bytes:
@@ -111,30 +118,59 @@ class CellColumn(Sequence):
 
     `data` holds the cells back to back and `ends[r]` is the end offset of
     row r's cell within it, so any cell is one slice away.
+
+    A column built in this process (`from_sizes`, `from_cells`) is in
+    order by construction, so it is `checked` and never checked again.
+    One taken from a partition file is not: reading one of its cells
+    checks that cell's two offsets, and a reader of the whole column
+    (iteration, serialization) checks every offset once (`check`) and
+    remembers it. A read that meets an offset out of order, or past the
+    column's end, raises PartitionFormatError, so a reader pays only
+    for the offsets of the cells it reads.
     """
 
-    __slots__ = ("data", "ends")
+    __slots__ = ("data", "ends", "checked")
 
-    def __init__(self, data: bytes, ends: Sequence[int]):
+    def __init__(self, data: bytes, ends: Sequence[int], checked: bool = False):
         if (ends[-1] if ends else 0) != len(data):
             raise SchemaError("cell offsets do not cover the column bytes")
         self.data = data
         self.ends = ends
+        self.checked = checked
+
+    @classmethod
+    def from_sizes(cls, data: bytes, sizes: Iterable[int]) -> "CellColumn":
+        """The column of `data`, cut into cells of `sizes` bytes in turn."""
+        return cls(data, tuple(accumulate(sizes)), checked=True)
 
     @classmethod
     def from_cells(cls, cells: list[bytes]) -> "CellColumn":
-        return cls(b"".join(cells), tuple(accumulate(map(len, cells))))
+        return cls.from_sizes(b"".join(cells), map(len, cells))
+
+    def check(self) -> None:
+        """Check every end offset once: non-decreasing from 0. The last is
+        the column's length, so none lies past its end."""
+        if not self.checked:
+            ends = list(self.ends)
+            if ends != sorted(ends) or (ends and ends[0] < 0):
+                raise PartitionFormatError(_OFFSETS_OUT_OF_ORDER)
+            self.checked = True
 
     def __len__(self) -> int:
         return len(self.ends)
 
     def __getitem__(self, r0: int) -> bytes:
-        if not -len(self.ends) <= r0 < len(self.ends):
+        ends = self.ends
+        if not -len(ends) <= r0 < len(ends):
             raise IndexError("cell index out of range")
-        r0 %= len(self.ends)
-        return self.data[self.ends[r0 - 1] if r0 else 0 : self.ends[r0]]
+        r0 %= len(ends)
+        start, end = ends[r0 - 1] if r0 else 0, ends[r0]
+        if not (self.checked or 0 <= start <= end <= len(self.data)):
+            raise PartitionFormatError(_OFFSETS_OUT_OF_ORDER)
+        return self.data[start:end]
 
     def __iter__(self):
+        self.check()
         ends = self.ends
         return map(self.data.__getitem__, map(slice, chain((0,), ends), ends))
 

@@ -35,7 +35,6 @@ import secrets
 import time
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -381,6 +380,18 @@ def _first_here_if_cheaper(context, pending: deque, workers: int, keep, report: 
     return True
 
 
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported when first asked for, by the first
+    pool or by a test that replaces it: a command that starts no pool
+    never loads `concurrent.futures.process`."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _map_on_pool(items, work, context, workers: int, keep, report: RunReport) -> None:
     """keep(work(context, item), None) for every item, in item order, on
     a process pool of `workers`. Each worker receives `work` and `context`
@@ -389,7 +400,8 @@ def _map_on_pool(items, work, context, workers: int, keep, report: RunReport) ->
     and on any error the pool is shut down with its queued tasks
     cancelled."""
     clock = time.perf_counter
-    pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(work, context))
+    executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+    pool = executor(workers, initializer=_start_worker, initargs=(work, context))
     report.pool_workers = workers
     in_flight: deque = deque()
 
@@ -551,8 +563,9 @@ def parse_plain_source(
 def parse_schema_descriptor(data: bytes, default_name: str) -> tuple[str, Schema]:
     """The table name and schema of a schema.json document: a JSON object
     with a "columns" list (see `Schema.from_json`) and an optional str
-    "table", which defaults to `default_name`. Anything else raises
-    SchemaError."""
+    "table", which defaults to `default_name`. The name is a file name,
+    that of the table's key file, so it is not empty, `.` or `..`, and
+    holds no `/`, `\\` or NUL. Anything else raises SchemaError."""
     try:
         doc = json.loads(data)
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
@@ -562,17 +575,19 @@ def parse_schema_descriptor(data: bytes, default_name: str) -> tuple[str, Schema
     name = doc.get("table", default_name)
     if not isinstance(name, str):
         raise SchemaError('schema descriptor field "table" must be a string')
-    utf8_name(name, "schema table name")  # it names the table's key file
+    utf8_name(name, "schema table name")
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise SchemaError(f"schema table name {name!r} is not a file name")
     return name, Schema.from_json(doc["columns"])
 
 
 def load_schema_descriptor(src: Path) -> tuple[str, Schema]:
     """The table name and schema in `src/schema.json`; the name defaults
-    to the directory's."""
+    to the directory's (the working directory's for `.`)."""
     desc_path = Path(src) / "schema.json"
     if not desc_path.is_file():
         raise OrchestratorError(f"missing schema.json in {src}")
-    return parse_schema_descriptor(desc_path.read_bytes(), Path(src).name)
+    return parse_schema_descriptor(desc_path.read_bytes(), Path(os.path.abspath(src)).name)
 
 
 def run_encrypt_table(

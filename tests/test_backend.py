@@ -28,7 +28,7 @@ from sealview.backend import (
     reveal_partition,
 )
 from sealview.encoding import TYPE_INT64, TYPE_UTF8, EncodingError, decode_cell, encode_cell
-from sealview.mep import parse_encrypted, serialize_encrypted
+from sealview.mep import PartitionFormatError, parse_encrypted, serialize_encrypted
 from sealview.model import Column, FamilyColumns, FixedWidthColumn, PlainPartition, Schema, SchemaError
 from sealview.oracle import eval_view
 from sealview.planner import plan_family, plan_view
@@ -47,6 +47,7 @@ from sealview.primitives import (
 )
 
 from gen_random import random_family_and_view, random_rows, random_schema
+from mep_edit import with_cell_end
 
 FAMILY_SQL = "SELECT bname, color FROM boats WHERE bname IN ?x1 OR color IN ?x2"
 VIEW_SQL = "SELECT bname, color FROM boats WHERE bname IN ('Interlake') OR color IN ('red')"
@@ -1132,3 +1133,39 @@ def test_reader_key_setups_follow_the_per_key_formula(monkeypatch, case, tag_len
     if tag_length == 4:
         assert reaching < keys.total_keys(), "every key reached a candidate"
     assert counts["setups"] == keys.total_keys() + reaching + stats.decrypt_attempts + long_cells
+
+
+# --------------------------------------------- cell offsets, read lazily
+
+
+@pytest.mark.parametrize("bad_end", ["out-of-order", "past-the-end"])
+def test_reveal_checks_the_offsets_of_the_cells_it_opens(boats_schema, bad_end):
+    """Row 4's bname end offset is set below row 3's, or past the column's
+    end, in the file. A reveal that opens row 4 raises a format error; one
+    that opens neither row 4 nor row 5 (whose cell starts at that offset)
+    returns the intact partition's rows and counters, as does one whose
+    only bad cells lie in a column it does not project."""
+    rows = [[100 + i, f"boat{i}", ("red", "blue", "green")[i % 3]] for i in range(12)]
+    family = plan_family("SELECT bname, color FROM boats WHERE color IN ?c", boats_schema)
+    enc_part = encrypt_partition(PlainPartition(1, rows), boats_schema, TABLE_KEY)
+    add_family(enc_part, boats_schema, TABLE_KEY, family, FAMILY_KEY, FamilyParams(rng_seed=7))
+    blob = serialize_encrypted(enc_part, boats_schema)
+
+    def tampered(column):
+        cells = enc_part.columns[column]
+        end = cells.ends[2] if bad_end == "out-of-order" else len(cells.data) + 1
+        return parse_encrypted(with_cell_end(blob, column, 4, end), boats_schema)
+
+    def reveal(part, color):
+        view = plan_view(f"SELECT bname, color FROM boats WHERE color = '{color}'", family, boats_schema)
+        keys = generate_view_keys(view, FAMILY_KEY)
+        stats = RevealStats()
+        return reveal_partition(part, boats_schema, family, keys, stats=stats), _counters(stats)
+
+    intact = parse_encrypted(blob, boats_schema)
+    with pytest.raises(PartitionFormatError, match="non-decreasing"):
+        reveal(tampered(1), "blue")  # rows 1, 4, 7 and 10
+    red = reveal(intact, "red")  # rows 0, 3, 6 and 9
+    assert red[0] == [(f"boat{i}", "red") for i in (0, 3, 6, 9)]
+    assert reveal(tampered(1), "red") == red
+    assert reveal(tampered(0), "blue") == reveal(intact, "blue")  # bid is not projected

@@ -11,9 +11,12 @@ import pytest
 
 import sealview
 from sealview.cli import build_parser, main
-from sealview.mep import serialize_plain
+from sealview.keys import read_key
+from sealview.mep import PartitionFormatError, parse_partition, serialize_plain
 from sealview.model import PlainPartition, Schema
-from sealview.orchestrator import LocalDirStorage, StorageError
+from sealview.orchestrator import LocalDirStorage, OrchestratorConfig, StorageError, run_add_family
+
+from mep_edit import with_cell_end
 
 SCHEMA_DOC = {
     "table": "boats",
@@ -426,6 +429,72 @@ def test_partition_id_beyond_u32_exits_two_without_traceback(tmp_path, src_dir):
     )
     assert (rc, "Traceback" in err) == (2, False), err
     assert "partition ids must be in 1..4294967295, got 4294967296" in err
+
+
+@pytest.mark.parametrize("name", ["../outside", "", ".", "..", "a/b", "a\\b", "a\0b"])
+def test_table_name_that_is_not_a_file_name_exits_two_and_writes_nothing(tmp_path, src_dir, name):
+    """The table name names the key file, so one that is a path would put
+    the key outside --keys-dir."""
+    (src_dir / "schema.json").write_text(json.dumps(dict(SCHEMA_DOC, table=name)))
+    files_before = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    rc, err = _run_cli_process(
+        "encrypt-table", "--src", str(src_dir), "--dst", str(tmp_path / "table"),
+        "--keys-dir", str(tmp_path / "keys"),
+    )
+    assert (rc, "Traceback" in err) == (2, False), err
+    assert "is not a file name" in err
+    assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == files_before
+
+
+def test_table_name_defaults_to_the_source_directory_name(tmp_path, capsys, src_dir, monkeypatch):
+    (src_dir / "schema.json").write_text(json.dumps({"columns": SCHEMA_DOC["columns"]}))
+    monkeypatch.chdir(src_dir)
+    rc, _, err = run_cli(capsys, "encrypt-table", "--src", ".", "--dst", str(tmp_path / "table"),
+                         "--keys-dir", str(tmp_path / "keys"))
+    assert (rc, err) == (0, "")
+    assert [p.name for p in (tmp_path / "keys").glob("*.tablekey")] == ["src.tablekey"]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool module loads when a pool starts, so a command that runs
+    inline does not pay for it."""
+    src = str(Path(sealview.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, sealview.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+def test_bad_cell_offset_fails_reveal_and_add_family_before_any_commit(tmp_path, capsys, src_dir):
+    """Partition 1's first bname offset points past the column's end. The
+    file parses, and the reveal that opens the row exits 2; an add-family
+    whose WHERE column is intact still raises, when it writes the column
+    out, and commits nothing."""
+    table, keys = tmp_path / "table", tmp_path / "keys"
+    run_cli(capsys, "encrypt-table", "--src", str(src_dir), "--dst", str(table), "--keys-dir", str(keys))
+    run_cli(capsys, "add-family", "--table", str(table), "--table-key", str(keys / "boats.tablekey"),
+            "--family", FAMILY_SQL, "--keys-dir", str(keys))
+    (family_key,) = keys.glob("fam-*.familykey")
+    view_keys = keys / "a.viewkeys"
+    run_cli(capsys, "view-gen", "--table", str(table), "--family-id", family_key.stem[4:],
+            "--family-key", str(family_key), "--view", VIEW_SQL, "--out", str(view_keys))
+    part = table / "part-00001.g1.mep"
+    blob = part.read_bytes()
+    bname = parse_partition(blob)[1].columns[1]
+    part.write_bytes(with_cell_end(blob, 1, 0, len(bname.data) + 1))
+
+    rc, err = _run_cli_process(
+        "reveal-view", "--table", str(table), "--view-keys", str(view_keys), "--out", str(tmp_path / "out")
+    )
+    assert (rc, "Traceback" in err) == (2, False), err
+    assert "cell end offsets are not non-decreasing" in err
+    manifest = (table / "manifest.json").read_bytes()
+    with pytest.raises(PartitionFormatError, match="non-decreasing"):
+        run_add_family(
+            LocalDirStorage(table), read_key(keys / "boats.tablekey"), "SELECT bid FROM boats WHERE bid IN ?b",
+            config=OrchestratorConfig(workers=1),
+        )
+    assert (table / "manifest.json").read_bytes() == manifest
 
 
 def test_table_without_a_manifest_exits_two_naming_it(tmp_path, capsys):

@@ -42,6 +42,8 @@ from sealview.model import (
 )
 from sealview.planner import plan_family
 
+from mep_edit import with_cell_end
+
 
 def test_plain_round_trip(boats_schema, boats_partition):
     blob = serialize_plain(boats_partition, boats_schema)
@@ -422,6 +424,30 @@ def test_non_monotone_offsets_rejected(boats_schema, boats_partition):
         parse_partition(huge_count)
 
 
+@pytest.mark.parametrize("end, bad_rows", [(3, [3]), (17, [3, 4])], ids=["out-of-order", "past-the-end"])
+def test_offsets_are_checked_where_their_cells_are_read(end, bad_rows):
+    """Column 1's offsets are 1, 3, 6, 10, 15, 16: row 3's end set below
+    row 2's inverts row 3's cell, and one past the column's 16 bytes also
+    row 4's. The file parses; each bad cell raises where it is read, and
+    the other cells read as before."""
+    part = _known_answer_partition(6)
+    assert all(col.checked for col in part.columns)  # built here, in order
+    assert part.columns[1].ends == (1, 3, 6, 10, 15, 16)
+    back = parse_encrypted(with_cell_end(serialize_encrypted(part, _KA_SCHEMA), 1, 3, end), _KA_SCHEMA)
+    assert not any(col.checked for col in back.columns)
+    for r0 in range(6):
+        if r0 in bad_rows:
+            with pytest.raises(PartitionFormatError, match="non-decreasing"):
+                back.columns[1][r0]
+        elif r0 not in (3, 4):
+            assert back.columns[1][r0] == part.columns[1][r0]
+    for whole_read in (lambda: list(back.columns[1]), lambda: back.rows, lambda: serialize_encrypted(back, _KA_SCHEMA)):
+        with pytest.raises(PartitionFormatError, match="non-decreasing"):
+            whole_read()
+    assert not back.columns[1].checked
+    assert list(back.columns[0]) == list(part.columns[0]) and back.columns[0].checked
+
+
 def test_families_must_be_ascending():
     part = _known_answer_partition(3)
     blob = serialize_encrypted(part, _KA_SCHEMA)
@@ -456,14 +482,15 @@ def test_mutated_partitions_raise_only_format_errors(data):
     started = time.perf_counter()
     try:
         _, part = parse_partition(data)
+        # Whatever parses is whole, or reading it raises a format error:
+        # an encrypted partition's offsets are checked where they are read.
+        if isinstance(part, EncryptedPartition):
+            assert all(len(col) == part.n_rows for col in part.columns)
+            for row in part.rows:
+                assert len(row) == len(part.columns)
+            for fam in part.families.values():
+                for col in (fam.projection, fam.selection, fam.tagging):
+                    assert len(list(col)) == part.n_rows
     except PartitionFormatError:
-        return
-    # Whatever parses must be whole: every cell and entry is reachable.
-    if isinstance(part, EncryptedPartition):
-        assert all(len(col) == part.n_rows for col in part.columns)
-        for row in part.rows:
-            assert len(row) == len(part.columns)
-        for fam in part.families.values():
-            for col in (fam.projection, fam.selection, fam.tagging):
-                assert len(list(col)) == part.n_rows
+        pass
     assert time.perf_counter() - started < 0.5

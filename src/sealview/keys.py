@@ -24,9 +24,12 @@ class KeyFileError(Exception):
 
 
 def _write_private(path: Path, data: bytes) -> None:
+    """Write `data` to `path`, readable by its owner only, also when it
+    replaces a file: open's mode applies only to a file it creates."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
     with os.fdopen(fd, "wb") as fh:
+        os.fchmod(fd, 0o600)
         fh.write(data)
 
 

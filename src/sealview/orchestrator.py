@@ -8,7 +8,9 @@ once, when it starts; a task then names only the partition (a source
 path for encrypt-table). The worker reads the partition itself and
 returns the result; this process stores every result, in partition
 order, and commits. With one worker, or one partition, the same worker
-body runs inline on the same context. A table's directory holds
+body runs inline on the same context. A reveal also runs inline until a
+partition's own scan shows that a pool for the rest pays, and only then
+starts one. A table's directory holds
 `manifest.json` plus one `part-%05d.g<N>.mep` file per partition, where
 N is the table-wide generation the manifest records. The manifest put is
 the only commit:
@@ -246,9 +248,10 @@ class RunReport:
 
     `pool_workers` is the size of the process pool the map started, 0 if
     it ran inline. `probe_seconds` is time the driving process spent
-    reading and scanning a reveal's first partition to decide on a pool
-    that it then started, so that a pool worker did that work again; a
-    dropped read is in neither `input_bytes` nor `fetch_seconds`.
+    reading and scanning the one reveal partition whose scan showed that
+    a pool pays; the scan is dropped and a pool worker does that work
+    again, so the dropped read is in neither `input_bytes` nor
+    `fetch_seconds`.
     """
 
     partitions: int = 0
@@ -270,11 +273,12 @@ class RunReport:
 # and dense tables, and a bare 2-worker pool given two no-op tasks took
 # 9-12 ms from start to shutdown.
 #
-# A reveal prices each partition from its first one's probe: the probe's
-# time (read, parse and scan), plus the finish. Confirming and decoding a
-# candidate row costs about what entering a key and finding its first
-# candidates does (a key setup and an AES call or two each), so each
-# candidate is priced at the probe's time per key, less the read.
+# A reveal prices each partition it runs inline from that partition's own
+# scan: the scan's time (read, parse and scan), plus the finish.
+# Confirming and decoding a candidate row costs about what entering a key
+# and finding its first candidates does (a key setup and an AES call or
+# two each), so each candidate is priced at the scan's time per key, less
+# the read.
 POOL_START_SECONDS = 0.02
 
 
@@ -309,18 +313,19 @@ def _map_partitions(items, work, context, store, workers: int, report: RunReport
     `work` is a module-level worker body that reads the item's input
     itself and returns its `PartitionStats` and its output; `context`
     holds the operation's constant inputs. One item, or one worker, runs
-    inline. Otherwise a process pool of at most one worker per item
-    starts (`_map_on_pool`), but for a reveal only when it pays:
+    inline. Otherwise an owner operation maps its items on a process pool
+    of at most one worker per item (`_map_on_pool`), and a reveal starts
+    one only when it pays. A reveal prices each partition from its own
+    scan, in this process, before it finishes it:
 
-    - This process reads and scans the first partition and times it.
-      That time, plus each candidate row the scan found priced at the
-      probe's time per key less the read, is what each partition is
-      expected to cost.
-    - If a pool for every partition pays (`_pool_pays`), it starts and
-      the scan is dropped.
-    - If not, this process finishes the partition from its scan and goes
-      on inline. After each partition it asks again, with the mean time
-      of the partitions it ran, whether a pool for the rest pays.
+    - It reads and scans the partition and times it. That time, plus
+      each candidate row the scan found priced at the scan's time per
+      key less the read, is what each pending partition is expected to
+      cost.
+    - If a pool for every pending partition pays (`_pool_pays`), the
+      scan is dropped, and the pool starts with that partition.
+    - If not, this process finishes the partition from its scan, and
+      goes on to the next one.
 
     Every `store` call runs in this process, in item order, so the
     results are written, and the caller commits, in one place.
@@ -329,7 +334,6 @@ def _map_partitions(items, work, context, store, workers: int, report: RunReport
     started = clock()
     pending = deque(items)
     workers = min(workers, len(items))
-    worked: list[float] = []  # seconds each partition run here took, read included
 
     def keep(result, t0: float | None) -> None:
         """Store a result; t0 is when this process started its work,
@@ -337,7 +341,6 @@ def _map_partitions(items, work, context, store, workers: int, report: RunReport
         t1 = clock()
         stats, out = result
         if t0 is not None:
-            worked.append(t1 - t0)
             # Inline, the read ran here, and it is fetch time, not compute time.
             report.compute_seconds += t1 - t0 - stats.read_seconds
         store(stats, out)
@@ -347,49 +350,27 @@ def _map_partitions(items, work, context, store, workers: int, report: RunReport
         report.fetch_seconds += stats.read_seconds
         report.output_bytes += len(out)
 
-    def stay_inline() -> bool:
-        return not _pool_pays(sum(worked) / len(worked), len(pending), workers)
-
-    inline = workers == 1
-    if work is _reveal_worker and not inline:
-        inline = _first_here_if_cheaper(context, pending, workers, keep, report) and stay_inline()
-    while pending and inline:
+    while pending and (workers == 1 or work is _reveal_worker):
         t0 = clock()
-        keep(work(context, pending.popleft()), t0)
-        inline = stay_inline()
+        if work is not _reveal_worker:
+            keep(work(context, pending.popleft()), t0)
+            continue
+        stats, scanned = _reveal_scan(context, pending[0])
+        scan = clock() - t0
+        per_key = (scan - stats.read_seconds) / len(scanned.entries) if scanned.entries else 0.0
+        if _pool_pays(scan + per_key * scanned.candidate_count(), len(pending), workers):
+            report.probe_seconds += scan
+            del scanned  # a pool worker reads and scans it again: free it while the pool runs
+            break
+        pending.popleft()
+        keep(_reveal_finish(stats, scanned), t0)
+        # Free the partition before the next one is read: holding two at once
+        # cost about 1 ms per 8-partition sparse reveal on a 2-vCPU host.
+        del scanned
     if pending:
         _map_on_pool(pending, work, context, min(workers, len(pending)), keep, report)
     report.partitions = len(items)
     report.wall_seconds += clock() - started
-
-
-def _first_here_if_cheaper(context, pending: deque, workers: int, keep, report: RunReport) -> bool:
-    """Read and scan a reveal's first pending partition in this process,
-    timed. If a pool for every partition pays, drop the scan, which a
-    pool worker does again, and return False; otherwise finish the
-    partition, keep it, and return True."""
-    t0 = time.perf_counter()
-    stats, scanned = _reveal_scan(context, pending[0])
-    probe = time.perf_counter() - t0
-    per_key = (probe - stats.read_seconds) / len(scanned.entries) if scanned.entries else 0.0
-    if _pool_pays(probe + per_key * scanned.candidate_count(), len(pending), workers):
-        report.probe_seconds += probe
-        return False
-    pending.popleft()
-    keep(_reveal_finish(stats, scanned), t0)
-    return True
-
-
-def __getattr__(name: str):
-    """`ProcessPoolExecutor`, imported when first asked for, by the first
-    pool or by a test that replaces it: a command that starts no pool
-    never loads `concurrent.futures.process`."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor
 
 
 def _map_on_pool(items, work, context, workers: int, keep, report: RunReport) -> None:
@@ -399,9 +380,10 @@ def _map_on_pool(items, work, context, workers: int, keep, report: RunReport) ->
     task carries only its item. At most 2 * workers tasks are in flight,
     and on any error the pool is shut down with its queued tasks
     cancelled."""
+    from concurrent.futures import ProcessPoolExecutor  # here, so a command that starts no pool never loads it
+
     clock = time.perf_counter
-    executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-    pool = executor(workers, initializer=_start_worker, initargs=(work, context))
+    pool = ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(work, context))
     report.pool_workers = workers
     in_flight: deque = deque()
 

@@ -1,5 +1,6 @@
 """Table-level flows: storage, generations and commits, filters, workers."""
 
+import concurrent.futures
 import contextlib
 import functools
 import json
@@ -535,6 +536,22 @@ def test_key_files_round_trip(tmp_path):
     assert read_view_keys(vk_path) == keys
 
 
+def test_key_files_replacing_readable_files_are_private(tmp_path):
+    dst, family_id = _encrypted_table(tmp_path)
+    keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
+    key_path, vk_path = tmp_path / "keys" / "table.key", tmp_path / "keys" / "analyst.viewkeys"
+    paths = [key_path, vk_path]
+    paths += [path.with_suffix(path.suffix + ".hex") for path in paths]
+    key_path.parent.mkdir()
+    for path in paths:
+        path.write_bytes(b"old")
+        path.chmod(0o644)
+    write_key(key_path, TABLE_KEY)
+    write_view_keys(vk_path, keys)
+    assert [path.stat().st_mode & 0o777 for path in paths] == [0o600] * 4
+    assert (read_key(key_path), read_view_keys(vk_path)) == (TABLE_KEY, keys)
+
+
 def test_memory_storage_roundtrip():
     store = MemoryStorage()
     store.put("a", b"1")
@@ -748,7 +765,7 @@ def test_single_partition_reveal_starts_no_pool(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool started for one partition")
 
-    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert _view_texts(dst, keys, tmp_path / "out-2", 2, fil=(2, 2)) == want
     assert want == [("view-part-00002.csv", "Marine,red\n")]
 
@@ -764,7 +781,7 @@ def test_two_worker_reveal_of_a_small_table_runs_inline_and_reads_each_file_once
     dst, family_id = _encrypted_table(tmp_path)
     keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
     want = _view_texts(dst, keys, tmp_path / "out-1", 1)
-    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     dst.gets.clear()
     report = RunReport()
     assert _view_texts(dst, keys, tmp_path / "out-2", 2, report=report) == want
@@ -798,9 +815,9 @@ def test_reveal_through_slow_storage_starts_a_pool(tmp_path):
 
 def test_skewed_reveal_switches_to_a_pool_part_way(tmp_path, monkeypatch):
     """Partition 1 matches no row and is cheap, so the reveal starts
-    inline; the later partitions match every row, and once one of them
-    has been timed the rest go to a pool. The output is that of one
-    worker, byte for byte."""
+    inline; the later partitions match every row, and the scan of
+    partition 2 shows that a pool pays, so it and the rest go to a pool.
+    The output is that of one worker, byte for byte."""
     parts = {1: "1,Sloop,blue\n"}
     for pid in range(2, 7):
         parts[pid] = "".join(f"{1000 * pid + k},Boat{k},red\n" for k in range(3000))
@@ -811,19 +828,20 @@ def test_skewed_reveal_switches_to_a_pool_part_way(tmp_path, monkeypatch):
     one = run_reveal_view(dst, keys, tmp_path / "out-1", config=sequential_config())
     submitted = []
 
-    class RecordingPool(orchestrator.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, item):
             submitted.append(item)
             return super().submit(fn, item)
 
-    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     report = RunReport()
     two = run_reveal_view(dst, keys, tmp_path / "out-2", config=OrchestratorConfig(workers=2), report=report)
     assert [p.read_bytes() for p in two] == [p.read_bytes() for p in one]
     assert [p.name for p in two] == [p.name for p in one]
     assert len(one[1].read_bytes().splitlines()) == 3000
     assert report.pool_workers == 2
-    assert 1 not in submitted and submitted == list(range(7 - len(submitted), 7))
+    assert submitted == [2, 3, 4, 5, 6]
+    assert report.probe_seconds > 0
     assert [stats.pid for stats in report.stats] == list(range(1, 7))
 
 
@@ -923,8 +941,8 @@ def test_reveal_under_forkserver_matches_inline(tmp_path, monkeypatch):
     keys = run_view_gen(dst, family_id, FAMILY_KEY, VIEW_SQL)
     want = _view_texts(dst, keys, tmp_path / "out-1", 1)
     context = multiprocessing.get_context("forkserver")
-    pool = functools.partial(orchestrator.ProcessPoolExecutor, mp_context=context)
-    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", pool)
+    pool = functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=context)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     report = RunReport()
     assert _view_texts(dst, keys, tmp_path / "out-2", 2, report=report) == want
     assert report.pool_workers == 2

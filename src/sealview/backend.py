@@ -11,7 +11,7 @@ both call:
 
     row key        = PRF(table key, partition || row)      _row_keys
     cell key       = PRF(row key, column)                  _cell_key_inputs, _prf_each
-    cell ciphertext = ote(cell key, encoding)              ote_many
+    cell ciphertext = ote(cell key, encoding)              ote_many, ote_packed
     predicate key  = PRF(family key, predicate index)      _predicate_ciphers
     selection key  = PRF_var(predicate key, g(row))        add_family
     view key       = PRF_var(predicate key, bound value)   generate_view_keys
@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .encoding import ByteReader, decode_cell, encode_cell
+from .encoding import ByteReader, decode_cell, encode_column
 from .model import (
     CellColumn,
     EncryptedPartition,
@@ -64,6 +64,7 @@ from .primitives import (
     counter_block_packer,
     first_counter_blocks,
     ote_many,
+    ote_packed,
     pack_block,
     pack_blocks,
     split_concat,
@@ -129,8 +130,9 @@ def _in_row_order(order: list[int], data: bytes) -> bytes:
 
 
 def _row_keys(table_key: bytes, partition_id: int, n_rows: int) -> list[bytes]:
-    """Row keys of rows 0..n_rows-1 of a partition."""
-    inputs = b"".join(pack_block(partition_id, r0 + 1) for r0 in range(n_rows))
+    """Row keys of rows 0..n_rows-1 of a partition, from PRF inputs
+    packed in one call."""
+    inputs = pack_blocks([partition_id] * n_rows, range(1, n_rows + 1))
     return _prf_keys(BlockCipher(table_key), inputs)
 
 
@@ -380,30 +382,37 @@ def encrypt_partition(
 ) -> EncryptedPartition:
     """Encrypt every cell under its own key; no family columns yet.
 
-    Each row's cell keys come from one key setup and one AES call, and
-    each column's cells from one `ote_many`. A row of the wrong length
-    or a NULL in a non-nullable column raises SchemaError, and a value
-    of the wrong type EncodingError. Of several faults, the first in
-    this order raises: the first row of the wrong length; then, column
-    by column, a NULL in a non-nullable column, then the column's first
-    value that does not encode. So a bad row length anywhere comes
-    before any bad value, and a bad value in column 0 before a NULL in
-    column 1.
+    The partition is read column by column, and no list is built per
+    row. Each row's cell keys come from one key setup and one AES call,
+    on row-key inputs packed in one call. An Int64 column with no NULL is
+    encoded by one `struct.pack` (`encode_column`) and padded by one XOR
+    with its cell keys' 8-byte prefixes (`ote_packed`); any other column
+    goes through one `ote_many`.
+
+    A row of the wrong length or a NULL in a non-nullable column raises
+    SchemaError, and a value of the wrong type EncodingError. Of several
+    faults, the first in this order raises: the first row of the wrong
+    length; then, column by column, a NULL in a non-nullable column,
+    then the column's first value that does not encode. So a bad row
+    length anywhere comes before any bad value, and a bad value in
+    column 0 before a NULL in column 1.
     """
     n_col = len(schema)
-    rows = plain.rows
-    for r0, row in enumerate(rows):
-        if len(row) != n_col:
-            raise SchemaError(f"row {r0} has {len(row)} cells, schema has {n_col}")
-    cell_inputs = _cell_key_inputs(range(n_col))
-    row_keys = _row_keys(table_key, plain.partition_id, len(rows))
-    keys = _blocks(_prf_each(row_keys, repeat(cell_inputs)))
+    plain_columns = plain.checked_columns(n_col)
+    row_keys = _row_keys(table_key, plain.partition_id, plain.n_rows)
+    keys = _prf_each(row_keys, repeat(_cell_key_inputs(range(n_col))))  # row by row
     columns = []
-    for c, (col, values) in enumerate(zip(schema.columns, zip(*rows) if rows else [()] * n_col)):
+    for c, (col, values) in enumerate(zip(schema.columns, plain_columns)):
         if not col.nullable and None in values:
             raise SchemaError(f"null in non-nullable column {col.name!r}")
-        cells = list(map(encode_cell, values, repeat(col.type)))
-        columns.append(CellColumn.from_sizes(ote_many(keys[c::n_col], cells), map(len, cells)))
+        cells = encode_column(values, col.type)
+        column_keys = bytearray(len(keys) // n_col)
+        for b in range(16):
+            column_keys[b::16] = keys[16 * c + b :: 16 * n_col]
+        if isinstance(cells, bytes):  # packed 8-byte cells
+            columns.append(CellColumn.from_cells(ote_packed(column_keys, cells)))
+        else:
+            columns.append(CellColumn.from_sizes(ote_many(_blocks(bytes(column_keys)), cells), map(len, cells)))
     return EncryptedPartition(plain.partition_id, columns)
 
 

@@ -63,6 +63,16 @@ def _config(args) -> OrchestratorConfig:
     return OrchestratorConfig(workers=args.workers)
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _parse_fil(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split(":")
@@ -132,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="synthetic throughput report (informational)")
     p.set_defaults(handler=cmd_bench)
     p.add_argument("phase", choices=["encrypt-table", "add-family", "reveal-view"])
-    p.add_argument("--rows", type=int, default=20_000)
-    p.add_argument("--partitions", type=int, default=4)
+    p.add_argument("--rows", type=_at_least_one, default=20_000)
+    p.add_argument("--partitions", type=_at_least_one, default=4)
     p.add_argument("--tag-length", type=int, default=DEFAULT_TAG_LENGTH)
     p.add_argument("--selectivity", type=float, default=0.05)
     p.add_argument("--json", action="store_true")
@@ -274,9 +284,10 @@ def cmd_bench(args) -> int:
             )
         )
         group_span = max(1, int(1 / max(args.selectivity, 1e-6)))
+        per_partition, extra = divmod(args.rows, args.partitions)
         for pid in range(1, args.partitions + 1):
             lines = []
-            for i in range(args.rows // args.partitions):
+            for i in range(per_partition + (pid <= extra)):  # the first `extra` hold one more
                 lines.append(f"{i},{rng.randrange(group_span)},row-{rng.randrange(1000)}")
             (src / f"part-{pid:05d}.csv").write_text("\n".join(lines) + "\n")
 

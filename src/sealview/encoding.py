@@ -16,6 +16,8 @@ families, view key blobs and key files.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
+from itertools import repeat
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -76,6 +78,20 @@ def encode_cell(value, column_type: str) -> bytes:
     if column_type == TYPE_UTF8:
         return encode_utf8(value)
     raise EncodingError(f"unknown column type {column_type!r}")
+
+
+def encode_column(values: Sequence, column_type: str) -> bytes | list[bytes]:
+    """`encode_cell` of each of a column's values. An Int64 column of
+    ints alone (so no NULL) comes back as its 8-byte cells packed back
+    to back by one `struct.pack`, any other column as the list of its
+    cells. A value that does not encode raises as `encode_cell` does, at
+    the column's first such value."""
+    if column_type == TYPE_INT64 and set(map(type, values)) <= {int}:
+        try:
+            return struct.pack(f">{len(values)}Q", *map(_SIGN_OFFSET.__add__, values))
+        except struct.error:
+            pass  # a value out of range, which encode_cell names below
+    return list(map(encode_cell, values, repeat(column_type)))
 
 
 def decode_cell(data: bytes, column_type: str):

@@ -34,7 +34,11 @@ a reveal pays for the rows it opens, not for those it skips.
 
 CSV (RFC 4180) is supported for plaintext ingestion and view egress
 only; the unquoted token NULL means a null cell, which makes the
-literal string "NULL" unrepresentable in CSV at this layer.
+literal string "NULL" unrepresentable in CSV at this layer. Ingestion
+is columnar, like the plain parse: one reader pass gives the records,
+one transpose their fields, and one `int()` map each Int64 column, so
+no list is built per row beyond the reader's own records. Only a file
+with a bad record is read again, record by record, to name the first.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ import io
 import struct
 import sys
 from array import array
+from collections.abc import Sequence
 
-from .encoding import TYPE_INT64, TYPE_UTF8, ByteReader, EncodingError, decode_cell, encode_cell
+from .encoding import TYPE_INT64, TYPE_UTF8, ByteReader, EncodingError, decode_cell, encode_column
 from .model import (
     CellColumn,
     Column,
@@ -96,10 +101,9 @@ def _cell_section(col: CellColumn) -> bytes:
 
 
 def serialize_plain(partition: PlainPartition, schema: Schema) -> bytes:
-    out = _header(FLAG_PLAIN, partition.partition_id, len(partition.rows), schema)
-    for c, col in enumerate(schema.columns):
-        cells = [encode_cell(row[c], col.type) for row in partition.rows]
-        out.append(_cell_section(CellColumn.from_cells(cells)))
+    out = _header(FLAG_PLAIN, partition.partition_id, partition.n_rows, schema)
+    for col, values in zip(schema.columns, partition.checked_columns(len(schema))):
+        out.append(_cell_section(CellColumn.from_cells(encode_column(values, col.type))))
     out.append(struct.pack(">H", 0))
     return b"".join(out)
 
@@ -198,7 +202,7 @@ def parse_partition(data: bytes) -> tuple[Schema, PlainPartition | EncryptedPart
         ]
     except EncodingError as exc:
         raise PartitionFormatError(f"bad plain cell: {exc}") from exc
-    return schema, PlainPartition(partition_id, [list(row) for row in zip(*decoded)])
+    return schema, PlainPartition(partition_id, columns=decoded)
 
 
 def parse_encrypted(data: bytes, schema: Schema) -> EncryptedPartition:
@@ -231,34 +235,50 @@ def decode_csv(data: bytes, name: str) -> str:
 
 
 def csv_to_partition(text: str, schema: Schema, partition_id: int) -> PlainPartition:
-    """The partition in CSV `text`; a bad record raises
-    PartitionFormatError naming the line it ends on."""
-    rows = []
+    """The partition in CSV `text`, built column by column: one reader
+    pass gives the records, one transpose their columns, and one `int()`
+    map each Int64 column. A bad record raises PartitionFormatError naming
+    the line it ends on; of several, the first in the file."""
+    n_col = len(schema)
+    try:
+        records = list(filter(None, csv.reader(io.StringIO(text))))  # a blank line holds none
+        if set(map(len, records)) - {n_col}:
+            raise ValueError("a record of the wrong length")
+        fields = zip(*records) if records else [()] * n_col
+        columns = [_csv_column(column, col.type) for column, col in zip(fields, schema.columns)]
+    except (csv.Error, ValueError):
+        _raise_first_bad_record(text, schema)
+        raise
+    return PlainPartition(partition_id, columns=columns)
+
+
+def _csv_column(fields: tuple[str, ...], column_type: str) -> Sequence:
+    """One column's CSV fields as values: the NULL token as None, and an
+    Int64 field by `int()`, whose ValueError propagates."""
+    if NULL_TOKEN in fields:
+        if column_type == TYPE_INT64:
+            return [None if f == NULL_TOKEN else int(f) for f in fields]
+        return [None if f == NULL_TOKEN else f for f in fields]
+    return list(map(int, fields)) if column_type == TYPE_INT64 else fields
+
+
+def _raise_first_bad_record(text: str, schema: Schema) -> None:
+    """Read CSV `text` record by record and raise PartitionFormatError at
+    the first bad one, naming the line it ends on."""
     reader = csv.reader(io.StringIO(text))
     try:
         for record in reader:
             line_no = reader.line_num
-            if not record:
-                continue
-            if len(record) != len(schema):
-                raise PartitionFormatError(
-                    f"line {line_no}: {len(record)} fields, schema has {len(schema)}"
-                )
-            row = []
+            if record and len(record) != len(schema):
+                raise PartitionFormatError(f"line {line_no}: {len(record)} fields, schema has {len(schema)}")
             for raw, col in zip(record, schema.columns):
-                if raw == NULL_TOKEN:
-                    row.append(None)
-                elif col.type == TYPE_INT64:
+                if col.type == TYPE_INT64 and raw != NULL_TOKEN:
                     try:
-                        row.append(int(raw))
+                        int(raw)
                     except ValueError as exc:
                         raise PartitionFormatError(f"line {line_no}: bad integer {raw!r}") from exc
-                else:
-                    row.append(raw)
-            rows.append(row)
     except csv.Error as exc:  # only the reader raises it, e.g. for a field over its size limit
         raise PartitionFormatError(f"line {reader.line_num}: {exc}") from exc
-    return PlainPartition(partition_id, rows)
 
 
 def partition_to_csv(rows: list[tuple], out) -> None:

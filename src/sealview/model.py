@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, zip_longest
 
 from .encoding import TYPE_INT64, TYPE_UTF8
 
@@ -102,15 +102,50 @@ class Schema:
         return cls(tuple(columns))
 
 
-@dataclass
+_NO_CELL = object()  # pads a row shorter than the longest given to PlainPartition
+
+
 class PlainPartition:
-    """Rows of decoded cell values (int, str, or None per column)."""
+    """Decoded cell values (int, str or None), column by column:
+    `columns[c]` holds column c's values in row order.
 
-    partition_id: int
-    rows: list[list]
+    CSV ingestion and the plain MEP2 parse build a partition from its
+    columns (`PlainPartition(pid, columns=...)`), so no list is built per
+    row. `PlainPartition(pid, rows)` transposes rows once, and `rows`
+    gives them back. Rows of different lengths are kept as given, and
+    `checked_columns` names the first that does not fit the schema.
+    """
 
-    def __post_init__(self):
-        _check_partition_id(self.partition_id)
+    __slots__ = ("partition_id", "columns", "n_rows", "_ragged")
+
+    def __init__(self, partition_id: int, rows: Sequence[Sequence] = (), *, columns: list[Sequence] | None = None):
+        _check_partition_id(partition_id)
+        self.partition_id = partition_id
+        self._ragged = len(set(map(len, rows))) > 1
+        if columns is None:
+            columns = list(zip_longest(*rows, fillvalue=_NO_CELL))
+            self.n_rows = len(rows)
+        else:
+            self.n_rows = len(columns[0]) if columns else 0
+        self.columns = columns
+
+    @property
+    def rows(self) -> list[list]:
+        """Row-major copy of the values."""
+        if not self.columns:
+            return [[] for _ in range(self.n_rows)]
+        return [[v for v in row if v is not _NO_CELL] for row in zip(*self.columns)]
+
+    def checked_columns(self, n_col: int) -> list[Sequence]:
+        """The n_col columns of a partition whose every row has n_col
+        cells; else SchemaError naming the first row that does not."""
+        if not self.n_rows:
+            return [()] * n_col
+        if len(self.columns) != n_col or self._ragged:
+            for r0, row in enumerate(self.rows):
+                if len(row) != n_col:
+                    raise SchemaError(f"row {r0} has {len(row)} cells, schema has {n_col}")
+        return self.columns
 
 
 class CellColumn(Sequence):
@@ -144,7 +179,11 @@ class CellColumn(Sequence):
         return cls(data, tuple(accumulate(sizes)), checked=True)
 
     @classmethod
-    def from_cells(cls, cells: list[bytes]) -> "CellColumn":
+    def from_cells(cls, cells: list[bytes] | bytes) -> "CellColumn":
+        """The column of a list of cells, or of 8-byte cells packed back
+        to back (`encode_column`'s Int64 form)."""
+        if isinstance(cells, bytes):
+            return cls(cells, range(8, len(cells) + 1, 8), checked=True)
         return cls.from_sizes(b"".join(cells), map(len, cells))
 
     def check(self) -> None:

@@ -243,6 +243,21 @@ def ote_many(keys: Sequence[bytes], msgs: Sequence[bytes]) -> bytes:
     return xor_bytes(b"".join(msgs), b"".join(pads))
 
 
+def ote_packed(keys: bytes, msgs: bytes) -> bytes:
+    """`ote_many` of equal-length messages of up to 16 bytes, packed back
+    to back in `msgs`, under the 16-byte keys packed back to back in
+    `keys`: one XOR with each key's prefix of the messages' length, read
+    out of `keys` with one strided slice per byte of it."""
+    n = len(keys) // KEY_LEN
+    width = len(msgs) // n if n else 0
+    if len(keys) % KEY_LEN or width * n != len(msgs) or width > KEY_LEN:
+        raise CryptoError(f"ote_packed got {len(msgs)} message bytes for {len(keys)} key bytes")
+    pad = bytearray(len(msgs))
+    for b in range(width):
+        pad[b::width] = keys[b::KEY_LEN]
+    return xor_bytes(msgs, pad)
+
+
 def ote(key: bytes, msg: bytes) -> bytes:
     """One-time transform (its own inverse); a key must transform one message, ever.
 
@@ -266,10 +281,17 @@ def pack_block(*fields: int) -> bytes:
     return _FOUR_U32.pack(*fields, *(0,) * (4 - len(fields)))
 
 
-def pack_blocks(values) -> bytes:
-    """`pack_block(v)` for each of `values`, back to back, packed in one call."""
-    z = repeat(0)
-    return b"".join(map(_FOUR_U32.pack, values, z, z, z))
+def pack_blocks(*fields: Sequence[int]) -> bytes:
+    """`pack_block(*row)` for each row of `fields`, back to back, packed
+    in one call: `fields` holds up to four sequences of equal length,
+    the first of which gives every block's first field, and so on."""
+    if len(fields) > 4:
+        raise CryptoError("pack_block holds at most four u32 fields")
+    n = len(fields[0])
+    flat = [0] * (4 * n)
+    for i, values in enumerate(fields):
+        flat[i::4] = values
+    return struct.pack(f">{4 * n}I", *flat)
 
 
 def secure_concat(parts: list[bytes] | tuple[bytes, ...]) -> bytes:

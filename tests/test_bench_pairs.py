@@ -67,3 +67,32 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
         assert m["unresolved"] is unresolved
     runs = {"parent": [_run(v) for v in (1.0, 1.0, 1.1)], "change": [_run(1.0)] * 3}
     assert bench_pairs.summarize([1, 2, 3], runs, SPECS)["metrics"]["reveal_s"]["unresolved"] is False
+
+
+def test_gain_rule_needs_nine_tenths_of_the_pairs_and_a_gap_over_the_parent_iqr():
+    # The parent's quartiles are 1.025 and 1.175 (IQR 0.15, median 1.1).
+    parent = [1.0, 1.2, 1.1, 1.0, 1.2, 1.1, 1.0, 1.2, 1.1, 1.1]
+    for change, met in [
+        ([0.8] * 10, True),  # 10 wins, the median 0.3 better: gap 2
+        ([0.8] * 9 + [1.3], True),  # 9 wins of 10
+        ([0.8] * 8 + [1.3] * 2, False),  # 8 wins of 10
+        ([0.99] * 10, False),  # 10 wins, but the median only 0.11 better: gap 0.73
+    ]:
+        runs = {"parent": [_run(v) for v in parent], "change": [_run(v) for v in change]}
+        m = bench_pairs.summarize(list(range(10)), runs, SPECS)["metrics"]["reveal_s"]
+        assert m["gain_rule_met"] is met, change
+    # A higher-is-better metric, with no spread at the parent: any gain clears it.
+    specs = {"reveal_s": {**SPECS["reveal_s"], "better": "higher"}}
+    runs = {"parent": [_run(1.0)] * 10, "change": [_run(1.01)] * 10}
+    m = bench_pairs.summarize(list(range(10)), runs, specs)["metrics"]["reveal_s"]
+    assert m["gap_over_parent_iqr"] is None and m["gain_rule_met"] is True
+
+
+def test_progress_line_prints_every_end_to_end_value():
+    specs = {**SPECS, "encrypt_rows_per_s": {"name": "encrypt_rows_per_s", "unit": "rows/s", "better": "higher", "bound": 0.25}}
+    result = _run(0.5)
+    result["metrics"]["encrypt_rows_per_s"] = {"value": 120000.0, "unit": "rows/s"}
+    line = bench_pairs.progress_line(9301, "change", result, specs)
+    assert line == "seed 9301 change: exit 0, reveal_s 0.5, encrypt_rows_per_s 120000.0"
+    failed = bench_pairs.progress_line(9302, "parent", _run(None, exit_code=1), specs)
+    assert failed == "seed 9302 parent: exit 1, reveal_s None, encrypt_rows_per_s None"

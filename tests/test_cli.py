@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import sealview
+from sealview import cli
 from sealview.cli import build_parser, main
 from sealview.keys import read_key
 from sealview.mep import PartitionFormatError, parse_partition, serialize_plain
@@ -735,3 +736,33 @@ def test_bench_smoke_json(capsys):
     for phase in ("encrypt-table", "add-family", "reveal-view"):
         assert "mb_per_second_plaintext" in doc[phase]
         assert doc[phase]["compute_seconds"] >= 0
+
+
+def test_bench_encrypts_exactly_the_rows_it_reports(capsys, monkeypatch):
+    # 10 rows in 3 partitions are 4 + 3 + 3, and 3 rows in 4 partitions
+    # leave one partition empty; the table holds --rows rows either way.
+    encrypted = []
+    run_encrypt_table = cli.run_encrypt_table
+
+    def counting_encrypt_table(src, dst, table_key, config, report):
+        result = run_encrypt_table(src, dst, table_key, config, report)
+        encrypted.append(sum(stats.rows for stats in report.stats))
+        return result
+
+    monkeypatch.setattr(cli, "run_encrypt_table", counting_encrypt_table)
+    for rows, partitions in [(10, 3), (3, 4), (1, 1)]:
+        rc, out, _ = run_cli(
+            capsys, "bench", "encrypt-table", "--rows", str(rows), "--partitions", str(partitions),
+            "--json", "--workers", "1",
+        )
+        assert rc == 0
+        assert json.loads(out)["rows"] == rows
+        assert encrypted.pop() == rows
+
+
+@pytest.mark.parametrize("flag", ["--rows", "--partitions"])
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_bench_rejects_fewer_than_one_row_or_partition(capsys, flag, value):
+    rc, out, err = run_cli(capsys, "bench", "encrypt-table", flag, value, "--json")
+    assert rc == 1 and out == ""
+    assert f"argument {flag}: expected an integer of at least 1, got '{value}'" in err

@@ -15,8 +15,10 @@ quartiles (`statistics.quantiles(n=4, method="inclusive")`) and
 interquartile ranges, the change against the parent's median, whether
 that stays within the metric's bound, and the change's wins: pairs in
 which the change is strictly better. `gap_over_parent_iqr` is the
-improvement of the median over the parent's interquartile range, so a
-claimed gain needs it above 1 and at least 9 wins in 10 pairs. A metric
+improvement of the median over the parent's interquartile range, and
+`gain_rule_met` says whether a gain may be claimed: the change wins at
+least nine tenths of the pairs, and its median improves on the parent's
+by more than the parent's interquartile range. A metric
 is `unresolved` when the parent's interquartile range over its median
 exceeds the metric's bound, unless every change run is better than
 every parent run: its runs spread too widely to call it unchanged.
@@ -110,6 +112,7 @@ def compare(spec: dict, parent_runs: list[float | None], change_runs: list[float
         pairs=len(pairs),
         change_wins=sum((c < p) if lower else (c > p) for p, c in pairs),
     )
+    out["gain_rule_met"] = bool(pairs) and out["change_wins"] >= 0.9 * len(pairs) and gain > p_iqr
     return out
 
 
@@ -126,6 +129,12 @@ def summarize(seeds: list[int], runs: dict[str, list[dict]], specs: dict[str, di
             for name, spec in specs.items()
         },
     }
+
+
+def progress_line(seed: int, side: str, result: dict, specs: dict[str, dict]) -> str:
+    """One run's exit code and every end-to-end value it reported."""
+    values = ", ".join(f"{name} {result['metrics'].get(name, {}).get('value')}" for name in specs)
+    return f"seed {seed} {side}: exit {result['exit']}, {values}"
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -160,8 +169,7 @@ def main(argv: list[str]) -> int:
         for side in order:
             result = run_once(getattr(args, side), args.workload, seed, args.seconds)
             runs[side].append(result)
-            value = result["metrics"].get("reveal_s", {}).get("value")
-            print(f"seed {seed} {side}: exit {result['exit']}, reveal_s {value}", file=sys.stderr, flush=True)
+            print(progress_line(seed, side, result, specs), file=sys.stderr, flush=True)
 
     entry = summarize(args.seeds, runs, specs)
     for name, m in entry["metrics"].items():
@@ -170,7 +178,7 @@ def main(argv: list[str]) -> int:
                 f"{args.workload:14s} {name:30s} {m['parent_median']:.6g} -> {m['change_median']:.6g} "
                 f"({100 * m['change_vs_parent']:+.1f}%, parent IQR {100 * m['parent_iqr_over_median']:.1f}%, "
                 f"wins {m['change_wins']}/{m['pairs']}, within bound: {m['within_bound']}, "
-                f"unresolved: {m['unresolved']})"
+                f"unresolved: {m['unresolved']}, gain rule met: {m['gain_rule_met']})"
             )
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
